@@ -10,9 +10,10 @@ phi being constant) against the exhaustive scans.
 
 import argparse
 
-from affplane import (associativity_witness, build_left, check_vw,
-                      classify, enumerate_phi, galois_subgroup, make_field,
-                      predicts_associative, predicts_right_distributive)
+from affplane import (LEFT_AXIOMS, associativity_witness, build_left,
+                      check_vw, classify, enumerate_phi, galois_subgroup,
+                      make_field, predicts_associative,
+                      predicts_right_distributive)
 
 SUITE = (
     (3, 2, 1),   # GF(9), group of order 2 over GF(3)
@@ -32,10 +33,11 @@ def survey(p, n, d, do_classify):
         report = check_vw(Q)
         assoc = associativity_witness(Q) is None
         assert predicts_associative(spec) == assoc
-        assert predicts_right_distributive(spec) == report.vw4r
+        right_distributive = report.flags()["VW4-r"]
+        assert predicts_right_distributive(spec) == right_distributive
         line = (f"  phi={spec.phi}: left axioms "
-                f"{'pass' if report.left_ok else 'FAIL'}, "
-                f"associative={assoc}, right-distributive={report.vw4r}")
+                f"{'pass' if report.passes(*LEFT_AXIOMS) else 'FAIL'}, "
+                f"associative={assoc}, right-distributive={right_distributive}")
         if do_classify and K.q <= 16:
             line += f", plane={classify(Q).verdict}"
         print(line)

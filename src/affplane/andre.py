@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError, SearchBoundExceeded
 from .gf import fixed_field, norm, norm_image
-from .quasifield import QuasiField, check_vw
+from .quasifield import LEFT_AXIOMS, RIGHT_AXIOMS, QuasiField, check_vw
 
 DEFAULT_ENUM_BOUND = 4096
 
@@ -98,7 +98,7 @@ def build_left(spec):
                 for x in range(q) for y in range(q))
     Q = QuasiField(q, K.add_table, mul)
     report = check_vw(Q)
-    if not report.left_ok:
+    if not report.passes(*LEFT_AXIOMS):
         raise InternalCheckError(
             f"left build failed verification: {report.flags()}")
     return Q
@@ -113,7 +113,7 @@ def build_right(spec):
                 for x in range(q) for y in range(q))
     Q = QuasiField(q, K.add_table, mul)
     report = check_vw(Q)
-    if not (report.vw1 and report.vw2 and report.vw3 and report.vw4r and report.vw5r):
+    if not report.passes(*RIGHT_AXIOMS):
         raise InternalCheckError(
             f"right build failed verification: {report.flags()}")
     return Q

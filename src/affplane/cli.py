@@ -18,7 +18,7 @@ from .errors import FormatError, InputError
 from .gf import galois_subgroup, make_field
 from .plane import (CoordinateFrame, check_plane_axioms, coordinatize,
                     plane_from_ternary)
-from .quasifield import check_vw, from_ternary
+from .quasifield import LEFT_AXIOMS, RIGHT_AXIOMS, check_vw, from_ternary
 from .ternary import check_ternary_axioms, find_isomorphism, find_isotopism, validate
 
 
@@ -27,9 +27,6 @@ def _build_parser():
         prog="afp",
         description="Build, check, coordinatize, and classify finite "
                     "affine planes and their coordinate rings.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="verification parallelism cap (output is "
-                             "identical regardless)")
     parser.add_argument("--verbose", action="store_true",
                         help="print extra detail")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,6 +34,7 @@ def _build_parser():
     p_gf = sub.add_parser("gf", help="print the tables of GF(p^n)")
     p_gf.add_argument("--p", type=int, required=True)
     p_gf.add_argument("--n", type=int, required=True)
+    p_gf.set_defaults(func=_cmd_gf)
 
     p_andre = sub.add_parser(
         "andre", help="build a twisted-multiplication quasi-field")
@@ -50,6 +48,7 @@ def _build_parser():
                               "first must be 0")
     p_andre.add_argument("--side", choices=("left", "right"), default="left")
     p_andre.add_argument("--out", required=True)
+    p_andre.set_defaults(func=_cmd_andre)
 
     p_plane = sub.add_parser("plane", help="plane construction")
     plane_sub = p_plane.add_subparsers(dest="plane_command", required=True)
@@ -57,10 +56,12 @@ def _build_parser():
                                                  "ternary ring")
     p_build.add_argument("trs")
     p_build.add_argument("--out", required=True)
+    p_build.set_defaults(func=_cmd_plane_build)
 
     p_check = sub.add_parser("check", help="run axiom checks on a file")
     p_check.add_argument("kind", choices=("ternary", "quasifield", "plane"))
     p_check.add_argument("file")
+    p_check.set_defaults(func=_cmd_check)
 
     p_coord = sub.add_parser("coordinatize",
                              help="coordinatize a plane over a frame")
@@ -69,15 +70,18 @@ def _build_parser():
     p_coord.add_argument("--m", type=int, required=True)
     p_coord.add_argument("--z", type=int, required=True)
     p_coord.add_argument("--out", required=True)
+    p_coord.set_defaults(func=_cmd_coordinatize)
 
     p_iso = sub.add_parser("iso", help="search for a ternary-ring isomorphism")
     p_iso.add_argument("a")
     p_iso.add_argument("b")
+    p_iso.set_defaults(func=_cmd_iso)
 
     p_isotopy = sub.add_parser("isotopy",
                                help="search for a ternary-ring isotopism")
     p_isotopy.add_argument("a")
     p_isotopy.add_argument("b")
+    p_isotopy.set_defaults(func=_cmd_isotopy)
 
     p_translate = sub.add_parser(
         "translate", help="construct the unique candidate translation")
@@ -85,17 +89,14 @@ def _build_parser():
     p_translate.add_argument("--from", dest="source", type=int, required=True)
     p_translate.add_argument("--to", dest="target", type=int, required=True)
     p_translate.add_argument("--out")
+    p_translate.set_defaults(func=_cmd_translate)
 
     p_classify = sub.add_parser(
         "classify", help="decide whether the plane is a field plane")
     p_classify.add_argument("file")
+    p_classify.set_defaults(func=_cmd_classify)
 
     return parser
-
-
-def _print_flags(flags):
-    for name, ok in flags.items():
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
 
 
 def _cmd_gf(args):
@@ -136,22 +137,20 @@ def _cmd_plane_build(args):
 
 def _cmd_check(args):
     if args.kind == "ternary":
-        T = formats.read_trs(args.file)
-        report = check_ternary_axioms(T)
-        _print_flags(report.flags())
-        ok = report.all_pass
+        report = check_ternary_axioms(formats.read_trs(args.file))
     elif args.kind == "quasifield":
-        Q = formats.read_qf(args.file)
-        report = check_vw(Q)
-        _print_flags(report.flags())
-        ok = report.left_ok or report.right_ok
-        print(f"left axiom set: {'pass' if report.left_ok else 'FAIL'}")
-        print(f"right axiom set: {'pass' if report.right_ok else 'FAIL'}")
+        report = check_vw(formats.read_qf(args.file))
     else:
-        P = formats.read_plane(args.file)
-        report = check_plane_axioms(P)
-        _print_flags(report.flags())
-        ok = report.all_pass
+        report = check_plane_axioms(formats.read_plane(args.file))
+    for name, holds in report.flags().items():
+        witness = f" at {report.witnesses[name]}" if name in report.witnesses else ""
+        print(f"{name}: pass" if holds else f"{name}: FAIL{witness}")
+    ok = report.all_pass
+    if args.kind == "quasifield":
+        left, right = report.passes(*LEFT_AXIOMS), report.passes(*RIGHT_AXIOMS)
+        print(f"left axiom set: {'pass' if left else 'FAIL'}")
+        print(f"right axiom set: {'pass' if right else 'FAIL'}")
+        ok = left or right
     return 0 if ok else 1
 
 
@@ -222,28 +221,9 @@ def _cmd_classify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gf":
-            return _cmd_gf(args)
-        if args.command == "andre":
-            return _cmd_andre(args)
-        if args.command == "plane":
-            return _cmd_plane_build(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "coordinatize":
-            return _cmd_coordinatize(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "isotopy":
-            return _cmd_isotopy(args)
-        if args.command == "translate":
-            return _cmd_translate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -253,7 +233,6 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .gf import make_field
-from .plane import (intersection, line_through, parallel_classes,
-                    parallel_through, plane_from_ternary)
-from .quasifield import associativity_witness, check_vw, from_field, to_ternary
+from .plane import (canonical_frame, intersection, line_through,
+                    parallel_classes, parallel_through, plane_from_ternary)
+from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
+                         from_field, to_ternary)
 from .ternary import find_isomorphism
 
 
@@ -104,6 +105,14 @@ def no_fixed_points(cert):
     return cert.fixed_point_free
 
 
+def _left_plane(Q):
+    """The plane of Q, after checking that Q satisfies the left axiom set."""
+    report = check_vw(Q)
+    if not report.passes(*LEFT_AXIOMS):
+        raise InputError("tables fail the left quasi-field axioms")
+    return plane_from_ternary(to_ternary(Q, report), check=False)
+
+
 def translation_from_shift(Q, c, d):
     """The shift (x, y) -> (x+c, y+d) on the plane of a left quasi-field,
     verified as a translation.
@@ -112,13 +121,10 @@ def translation_from_shift(Q, c, d):
     class of slope e where d = ec; verification failure means Q does not
     satisfy the left axiom set.
     """
-    report = check_vw(Q)
-    if not report.left_ok:
-        raise InputError("tables fail the left quasi-field axioms")
+    P = _left_plane(Q)
     q = Q.q
     if not (0 <= c < q and 0 <= d < q):
         raise InputError("shift components out of range")
-    P = plane_from_ternary(to_ternary(Q, report), check=False)
     perm = tuple(Q.add(x, c) * q + Q.add(y, d)
                  for x in range(q) for y in range(q))
     cert = is_translation(P, perm)
@@ -141,7 +147,9 @@ def translation_candidate(P, z, z2, aux=None):
     L = line_through(P, z, z2)
     on_L = set(P.lines[L])
     if aux is None:
-        aux = next(p for p in range(P.n) if p not in on_L)
+        aux = next((p for p in range(P.n) if p not in on_L), None)
+        if aux is None:
+            raise InputError("every point lies on the trace line")
     elif aux in on_L:
         raise InputError("auxiliary point must lie off the trace line")
 
@@ -174,15 +182,12 @@ def translation_candidate(P, z, z2, aux=None):
 
 def diag_automorphism(Q, u, v):
     """The map (x, y) -> (ux, vy) on the plane of a near-field, verified."""
-    report = check_vw(Q)
-    if not report.left_ok:
-        raise InputError("tables fail the left quasi-field axioms")
+    P = _left_plane(Q)
     if associativity_witness(Q) is not None:
         raise InputError("multiplication is not associative")
     if u == 0 or v == 0:
         raise InputError("scaling factors must be nonzero")
     q = Q.q
-    P = plane_from_ternary(to_ternary(Q, report), check=False)
     perm = tuple(Q.mul(u, x) * q + Q.mul(v, y)
                  for x in range(q) for y in range(q))
     return as_collineation(P, perm)
@@ -281,9 +286,8 @@ def frame_mover(K, l2, m2):
         perm = _compose_perms(perm, s)
     mover = as_collineation(P, _invert_perm(perm))
 
-    horiz = P.lines.index(tuple(sorted(x * q for x in range(q))))
-    vert = P.lines.index(tuple(range(q)))
-    if mover.line_map[horiz] != l2 or mover.line_map[vert] != m2:
+    axes = canonical_frame(P)
+    if mover.line_map[axes.l] != l2 or mover.line_map[axes.m] != m2:
         raise InputError("frame mover failed to hit the target lines")
     return mover
 

@@ -8,10 +8,10 @@ point (x, y) as x*q + y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
-from .ternary import Isotopism, TernaryRing, check_ternary_axioms, validate
+from .ternary import AxiomReport, Isotopism, TernaryRing, validate
 
 
 @dataclass(frozen=True)
@@ -60,94 +60,67 @@ def plane_from_ternary(T, check=True):
     return P
 
 
-@dataclass
-class PlaneAxiomReport:
-    a1: bool = True
-    a2: bool = True
-    a3: bool = True
-    parallel_transitive: bool = True
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self):
-        return self.a1 and self.a2 and self.a3 and self.parallel_transitive
-
-    def flags(self):
-        return {"A1": self.a1, "A2": self.a2, "A3": self.a3,
-                "parallel-transitive": self.parallel_transitive}
+PLANE_AXIOMS = ("A1", "A2", "A3", "parallel-transitive")
 
 
-def check_plane_axioms(P):
-    """Exhaustive check of the three plane axioms plus transitivity of the
-    parallel relation; witnesses are lexicographically minimal."""
-    n = P.n
-    report = PlaneAxiomReport()
-    sets = P.line_sets()
-
+def _a1_sweep(n, lines):
     # A1: every point pair on exactly one line
     counts = {}
-    for line in P.lines:
+    for line in lines:
         for i, p in enumerate(line):
             for p2 in line[i + 1:]:
                 counts[(p, p2)] = counts.get((p, p2), 0) + 1
-    done = False
     for p in range(n):
         for p2 in range(p + 1, n):
             if counts.get((p, p2), 0) != 1:
-                report.a1 = False
-                report.witnesses["A1"] = (p, p2)
-                done = True
-                break
-        if done:
-            break
+                yield (p, p2)
 
+
+def _a2_sweep(n, sets, point_lines):
     # A2: unique parallel through an external point
-    done = False
     for li, lset in enumerate(sets):
         for p in range(n):
             if p in lset:
                 continue
-            through = [mi for mi in P.point_lines[p] if not sets[mi] & lset]
+            through = [mi for mi in point_lines[p] if not sets[mi] & lset]
             if len(through) != 1:
-                report.a2 = False
-                report.witnesses["A2"] = (li, p)
-                done = True
-                break
-        if done:
-            break
+                yield (li, p)
 
+
+def _a3_sweep(n, sets, point_lines):
     # A3: three non-collinear points exist
-    report.a3 = False
     for p in range(n):
         for q2 in range(p + 1, n):
-            joins = [li for li in P.point_lines[p] if q2 in sets[li]]
+            joins = [li for li in point_lines[p] if q2 in sets[li]]
             on_join = set().union(*(sets[li] for li in joins)) if joins else {p, q2}
             if len(on_join) < n:
-                report.a3 = True
-                break
-        if report.a3:
-            break
-    if not report.a3:
-        report.witnesses["A3"] = ()
+                return
+    yield ()
 
+
+def _parallel_sweep(sets):
     # parallelism (equal or disjoint) must be an equivalence relation
-    m = len(P.lines)
+    m = len(sets)
     par = [set() for _ in range(m)]
     for i in range(m):
         for j in range(m):
             if i == j or not sets[i] & sets[j]:
                 par[i].add(j)
-    done = False
     for i in range(m):
         for j in sorted(par[i]):
             if par[j] != par[i]:
-                report.parallel_transitive = False
-                report.witnesses["parallel-transitive"] = (i, j)
-                done = True
-                break
-        if done:
-            break
+                yield (i, j)
 
+
+def check_plane_axioms(P):
+    """Exhaustive check of the three plane axioms plus transitivity of the
+    parallel relation; witnesses are lexicographically minimal."""
+    n, sets = P.n, P.line_sets()
+    report = AxiomReport(PLANE_AXIOMS)
+    report.record("A1", _a1_sweep(n, P.lines))
+    report.record("A2", _a2_sweep(n, sets, P.point_lines))
+    report.record("A3", _a3_sweep(n, sets, P.point_lines))
+    report.record("parallel-transitive", _parallel_sweep(sets))
     return report
 
 
@@ -238,10 +211,6 @@ class Coordinatization:
     coord_of: dict       # plane point -> (x, y)
     line_slopes: dict    # line index -> slope label; verticals absent
 
-    def point_map(self):
-        """Coordinate-plane point index -> original plane point index."""
-        return self.point_of
-
 
 def _validate_frame(P, frame):
     if not (0 <= frame.l < len(P.lines) and 0 <= frame.m < len(P.lines)):
@@ -328,11 +297,7 @@ def coordinatize(P, frame):
                 x, y = coord_of[p]
                 table[(a * q + x) * q + b] = y
 
-    ring = TernaryRing(q, tuple(table))
-    report = check_ternary_axioms(ring)
-    if not report.all_pass:
-        raise InputError(f"coordinatization violates ternary axioms: {report.flags()}")
-    ring = validate(ring)
+    ring = validate(TernaryRing(q, tuple(table)))
     return Coordinatization(ring, frame, origin, axis1_points, axis2_points,
                             tuple(point_of), coord_of, line_slopes)
 

@@ -8,10 +8,10 @@ VW5-r); witnesses are lexicographically smallest in quantification order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
-from .ternary import TernaryRing, check_ternary_axioms, validate
+from .ternary import AxiomReport, TernaryRing, validate
 
 
 @dataclass(frozen=True)
@@ -57,84 +57,30 @@ def from_field(K):
     return QuasiField(K.q, K.add_table, K.mul_table)
 
 
-@dataclass
-class VWReport:
-    vw1: bool = True
-    vw2: bool = True
-    vw3: bool = True
-    vw4: bool = True
-    vw5: bool = True
-    vw4r: bool = True
-    vw5r: bool = True
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def left_ok(self):
-        return self.vw1 and self.vw2 and self.vw3 and self.vw4 and self.vw5
-
-    @property
-    def right_ok(self):
-        return self.vw1 and self.vw2 and self.vw3 and self.vw4r and self.vw5r
-
-    def flags(self):
-        return {"VW1": self.vw1, "VW2": self.vw2, "VW3": self.vw3,
-                "VW4": self.vw4, "VW5": self.vw5,
-                "VW4-r": self.vw4r, "VW5-r": self.vw5r}
+VW_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5", "VW4-r", "VW5-r")
+LEFT_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5")
+RIGHT_AXIOMS = ("VW1", "VW2", "VW3", "VW4-r", "VW5-r")
 
 
-def check_vw(Q):
-    """Exhaustive evaluation of all seven quasi-field axiom flags."""
-    q = Q.q
-    add = Q.add
-    mul = Q.mul
-    report = VWReport()
-
-    # VW1: abelian group under addition with identity 0
-    witness = None
+def _vw1_sweep(q, add):
+    # VW1: abelian group under addition with identity 0; identity, then
+    # inverses, then commutativity and associativity
     for x in range(q):
         if add(x, 0) != x or add(0, x) != x:
-            witness = (x,)
-            break
-    if witness is None:
-        neg = [None] * q
-        for x in range(q):
-            for y in range(q):
-                if add(x, y) == 0:
-                    neg[x] = y
-                    break
-            if neg[x] is None:
-                witness = (x,)
-                break
-    if witness is None:
-        done = False
-        for x in range(q):
-            for y in range(q):
-                if add(x, y) != add(y, x):
-                    witness = (x, y)
-                    done = True
-                    break
-                for z in range(q):
-                    if add(add(x, y), z) != add(x, add(y, z)):
-                        witness = (x, y, z)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    if witness is not None:
-        report.vw1 = False
-        report.witnesses["VW1"] = witness
-        neg = None
-
-    # VW3: 1x = x1 = x, 0x = x0 = 0, x+0 = 0+x = x
+            yield (x,)
     for x in range(q):
-        if (mul(1, x) != x or mul(x, 1) != x or mul(0, x) != 0
-                or mul(x, 0) != 0 or add(x, 0) != x or add(0, x) != x):
-            report.vw3 = False
-            report.witnesses["VW3"] = (x,)
-            break
+        if all(add(x, y) != 0 for y in range(q)):
+            yield (x,)
+    for x in range(q):
+        for y in range(q):
+            if add(x, y) != add(y, x):
+                yield (x, y)
+            for z in range(q):
+                if add(add(x, y), z) != add(x, add(y, z)):
+                    yield (x, y, z)
 
+
+def _vw2_sweep(q, mul):
     # VW2: for a, b != 0 the equations ax = b and xa = b have unique
     # nonzero solutions, and there are no zero divisors
     nonzero = list(range(1, q))
@@ -142,73 +88,64 @@ def check_vw(Q):
         row = [mul(a, x) for x in nonzero]
         col = [mul(x, a) for x in nonzero]
         if 0 in row or 0 in col or sorted(row) != nonzero or sorted(col) != nonzero:
-            report.vw2 = False
-            report.witnesses["VW2"] = (a,)
-            break
+            yield (a,)
 
+
+def _vw3_sweep(q, add, mul):
+    # VW3: 1x = x1 = x, 0x = x0 = 0, x+0 = 0+x = x
+    for x in range(q):
+        if (mul(1, x) != x or mul(x, 1) != x or mul(0, x) != 0
+                or mul(x, 0) != 0 or add(x, 0) != x or add(0, x) != x):
+            yield (x,)
+
+
+def _vw4_sweep(q, add, mul):
     # VW4: a(x+y) = ax + ay
-    done = False
     for a in range(q):
         for x in range(q):
             for y in range(q):
                 if mul(a, add(x, y)) != add(mul(a, x), mul(a, y)):
-                    report.vw4 = False
-                    report.witnesses["VW4"] = (a, x, y)
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+                    yield (a, x, y)
 
+
+def _vw4r_sweep(q, add, mul):
     # VW4-r: (x+y)a = xa + ya
-    done = False
     for x in range(q):
         for y in range(q):
             for a in range(q):
                 if mul(add(x, y), a) != add(mul(x, a), mul(y, a)):
-                    report.vw4r = False
-                    report.witnesses["VW4-r"] = (x, y, a)
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+                    yield (x, y, a)
 
+
+def _vw5_sweep(q, add, mul, neg):
+    # VW5: for a != a', x -> ax - a'x is a bijection; VW5-r is VW5 of the
+    # transposed multiplication
+    full = list(range(q))
+    for a in range(q):
+        for a2 in range(q):
+            if a2 == a:
+                continue
+            diffs = sorted(add(mul(a, x), neg[mul(a2, x)]) for x in range(q))
+            if diffs != full:
+                yield (a, a2)
+
+
+def check_vw(Q):
+    """Exhaustive evaluation of all seven quasi-field axiom flags."""
+    q, add, mul = Q.q, Q.add, Q.mul
+    report = AxiomReport(VW_AXIOMS)
+    report.record("VW1", _vw1_sweep(q, add))
+    report.record("VW2", _vw2_sweep(q, mul))
+    report.record("VW3", _vw3_sweep(q, add, mul))
+    report.record("VW4", _vw4_sweep(q, add, mul))
+    report.record("VW4-r", _vw4r_sweep(q, add, mul))
     # VW5 / VW5-r need subtraction, hence VW1
-    if report.vw1:
-        full = list(range(q))
-        done = False
-        for a in range(q):
-            for a2 in range(q):
-                if a2 == a:
-                    continue
-                diffs = sorted(add(mul(a, x), neg[mul(a2, x)]) for x in range(q))
-                if diffs != full:
-                    report.vw5 = False
-                    report.witnesses["VW5"] = (a, a2)
-                    done = True
-                    break
-            if done:
-                break
-        done = False
-        for a in range(q):
-            for a2 in range(q):
-                if a2 == a:
-                    continue
-                diffs = sorted(add(mul(x, a), neg[mul(x, a2)]) for x in range(q))
-                if diffs != full:
-                    report.vw5r = False
-                    report.witnesses["VW5-r"] = (a, a2)
-                    done = True
-                    break
-            if done:
-                break
+    if report.passes("VW1"):
+        neg = [Q.neg(x) for x in range(q)]
+        report.record("VW5", _vw5_sweep(q, add, mul, neg))
+        report.record("VW5-r", _vw5_sweep(q, add, opposite(Q).mul, neg))
     else:
-        report.vw5 = False
-        report.vw5r = False
-
+        report.unchecked = ("VW5", "VW5-r")
     return report
 
 
@@ -223,7 +160,7 @@ def to_ternary(Q, report=None):
     """The linear ternary ring <ax+b> = ax + b of a (left or right) quasi-field."""
     if report is None:
         report = check_vw(Q)
-    if not (report.left_ok or report.right_ok):
+    if not (report.passes(*LEFT_AXIOMS) or report.passes(*RIGHT_AXIOMS)):
         raise InputError("tables pass neither the left nor the right axiom set")
     q = Q.q
     table = tuple(Q.add(Q.mul(a, x), b)

@@ -4,7 +4,9 @@ isomorphism search, and isotopism machinery.
 The ternary operation <ax+b> is stored as a flat table of q^3 values at
 index ((a*q)+x)*q+b.  Every failed check reports the lexicographically
 smallest counterexample (in the order the variables are quantified), so
-test expectations are deterministic.
+test expectations are deterministic.  Each axiom is swept by a generator
+that yields its counterexamples in that order, and `AxiomReport.record`
+keeps the first; the quasi-field and plane checkers use the same idiom.
 """
 
 from __future__ import annotations
@@ -52,70 +54,70 @@ class TernaryRing:
 
 
 @dataclass
-class TernaryAxiomReport:
-    t1: bool = True
-    t2: bool = True
-    t3: bool = True
-    t4: bool = True
-    t5: bool = True
+class AxiomReport:
+    """Outcome of an exhaustive axiom check: the axiom names in check
+    order and the lexicographically first witness of each failed axiom.
+
+    An axiom in `unchecked` fails without a witness, because a prerequisite
+    failed (VW5 needs the subtraction that VW1 provides).
+    """
+
+    names: tuple
     witnesses: dict = field(default_factory=dict)
+    unchecked: tuple = ()
+
+    def record(self, name, sweep):
+        """Keep the first witness that `sweep` yields for `name`, if any."""
+        witness = next(sweep, None)
+        if witness is not None:
+            self.witnesses[name] = witness
+
+    def flags(self):
+        return {name: name not in self.witnesses and name not in self.unchecked
+                for name in self.names}
+
+    def passes(self, *names):
+        """True iff every named axiom holds (all of them when none is named)."""
+        flags = self.flags()
+        return all(flags[name] for name in names or self.names)
 
     @property
     def all_pass(self):
-        return self.t1 and self.t2 and self.t3 and self.t4 and self.t5
-
-    def flags(self):
-        return {"T1": self.t1, "T2": self.t2, "T3": self.t3,
-                "T4": self.t4, "T5": self.t5}
+        return self.passes()
 
 
-def check_ternary_axioms(T):
-    """Exhaustive check of the five ternary-ring axioms.
+TERNARY_AXIOMS = ("T1", "T2", "T3", "T4", "T5")
 
-    T5 is always checked in full even when T3 and T4 hold, so the
-    finite-case implication (T3 and T4 => T5) can be cross-validated by
-    callers.
-    """
-    q = T.q
-    at = T.at
-    report = TernaryAxiomReport()
 
+def _t1_sweep(q, at):
     # T1: <1x+0> = <x1+0> = x
     for x in range(q):
         if at(1, x, 0) != x or at(x, 1, 0) != x:
-            report.t1 = False
-            report.witnesses["T1"] = (x,)
-            break
+            yield (x,)
 
+
+def _t2_sweep(q, at):
     # T2: <a0+b> = <0a+b> = b
-    done = False
     for a in range(q):
         for b in range(q):
             if at(a, 0, b) != b or at(0, a, b) != b:
-                report.t2 = False
-                report.witnesses["T2"] = (a, b)
-                done = True
-                break
-        if done:
-            break
+                yield (a, b)
 
+
+def _t3_sweep(q, at):
     # T3: for each (a, x, y) a unique b with <ax+b> = y
-    done = False
     for a in range(q):
         for x in range(q):
             counts = [0] * q
             for b in range(q):
                 counts[at(a, x, b)] += 1
-            bad = next((y for y in range(q) if counts[y] != 1), None)
-            if bad is not None:
-                report.t3 = False
-                report.witnesses["T3"] = (a, x, bad)
-                done = True
-                break
-        if done:
-            break
+            for y in range(q):
+                if counts[y] != 1:
+                    yield (a, x, y)
 
-    # Per-(a, x) solution lists for <ax+b> = y, used by the T4 sweep.
+
+def _t4_sweep(q, at):
+    # Per-(a, x) solution lists for <ax+b> = y.
     solve_b = [[[] for _ in range(q)] for _ in range(q * q)]
     for a in range(q):
         for x in range(q):
@@ -125,7 +127,6 @@ def check_ternary_axioms(T):
 
     # T4: for a != a', each (b, b') admits a unique solution x of
     # <ax+b> = <a'x+b'>
-    done = False
     for a in range(q):
         for a2 in range(q):
             if a2 == a:
@@ -137,17 +138,13 @@ def check_ternary_axioms(T):
                     y = at(a, x, b)
                     for b2 in row2[y]:
                         counts[b * q + b2] += 1
-            bad = next((i for i in range(q * q) if counts[i] != 1), None)
-            if bad is not None:
-                report.t4 = False
-                report.witnesses["T4"] = (a, a2, bad // q, bad % q)
-                done = True
-                break
-        if done:
-            break
+            for i in range(q * q):
+                if counts[i] != 1:
+                    yield (a, a2, i // q, i % q)
 
+
+def _t5_sweep(q, at):
     # T5: for x != x', each (y, y') comes from a unique pair (a, b)
-    done = False
     for x in range(q):
         for x2 in range(q):
             if x2 == x:
@@ -156,15 +153,23 @@ def check_ternary_axioms(T):
             for a in range(q):
                 for b in range(q):
                     counts[at(a, x, b) * q + at(a, x2, b)] += 1
-            bad = next((i for i in range(q * q) if counts[i] != 1), None)
-            if bad is not None:
-                report.t5 = False
-                report.witnesses["T5"] = (x, x2, bad // q, bad % q)
-                done = True
-                break
-        if done:
-            break
+            for i in range(q * q):
+                if counts[i] != 1:
+                    yield (x, x2, i // q, i % q)
 
+
+def check_ternary_axioms(T):
+    """Exhaustive check of the five ternary-ring axioms.
+
+    T5 is always checked in full even when T3 and T4 hold, so the
+    finite-case implication (T3 and T4 => T5) can be cross-validated by
+    callers.
+    """
+    q, at = T.q, T.at
+    report = AxiomReport(TERNARY_AXIOMS)
+    for name, sweep in zip(TERNARY_AXIOMS, (_t1_sweep, _t2_sweep, _t3_sweep,
+                                            _t4_sweep, _t5_sweep)):
+        report.record(name, sweep(q, at))
     return report
 
 

@@ -6,8 +6,8 @@ lines; every check is exact integer arithmetic, no tolerances.
 
 import itertools
 
-from affplane import (CoordinateFrame, associativity_witness, build_left,
-                      canonical_frame, check_plane_axioms,
+from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
+                      build_left, canonical_frame, check_plane_axioms,
                       check_ternary_axioms, check_vw, classify,
                       complete_isotopism, coordinatize, enumerate_phi,
                       fixed_field, formats, from_field, galois_subgroup,
@@ -71,7 +71,7 @@ def test_criterion_02_every_spec_builds():
         if G.order ** (len(specs[0].image) - 1) != expected:
             ok = False
         for spec in specs:
-            if not check_vw(build_left(spec)).left_ok:
+            if not check_vw(build_left(spec)).passes(*LEFT_AXIOMS):
                 ok = False
     report(2, "twisted builds pass left axioms", ok)
 
@@ -90,7 +90,7 @@ def test_criterion_04_right_distributivity_equivalence():
     ok = True
     for K, G, specs in all_specs():
         for spec in specs:
-            if predicts_right_distributive(spec) != check_vw(build_left(spec)).vw4r:
+            if predicts_right_distributive(spec) != check_vw(build_left(spec)).flags()["VW4-r"]:
                 ok = False
     report(4, "right distributivity prediction", ok)
 
@@ -164,14 +164,14 @@ def test_criterion_08_implications_hold_everywhere():
             table = list(T.table)
             table[idx] = v
             rep = check_ternary_axioms(TernaryRing(3, tuple(table)))
-            if rep.t3 and rep.t4 and not rep.t5:
+            if rep.passes("T3", "T4") and not rep.passes("T5"):
                 ok = False
     # quasi-field side: every built table plus transposed variants
     for K, G, specs in all_specs():
         for spec in specs:
             for Q in (build_left(spec), opposite(build_left(spec))):
                 rep = check_vw(Q)
-                if rep.vw1 and rep.vw2 and rep.vw3 and rep.vw4 and not rep.vw5:
+                if rep.passes("VW1", "VW2", "VW3", "VW4") and not rep.passes("VW5"):
                     ok = False
     report(8, "axiom implications (finite case)", ok)
 

@@ -1,10 +1,10 @@
 import pytest
 
-from affplane import (associativity_witness, build_left, build_right,
-                      check_vw, enumerate_phi, galois_subgroup, make_field,
-                      make_spec, norm, opposite, predicts_associative,
-                      predicts_right_distributive, right_divide,
-                      spec_from_exponents)
+from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, associativity_witness,
+                      build_left, build_right, check_vw, enumerate_phi,
+                      galois_subgroup, make_field, make_spec, norm, opposite,
+                      predicts_associative, predicts_right_distributive,
+                      right_divide, spec_from_exponents)
 from affplane.errors import InputError, SearchBoundExceeded
 
 SUITE = [(3, 2, 1, 2), (2, 4, 2, 4), (5, 2, 1, 8), (3, 3, 1, 3)]
@@ -58,7 +58,7 @@ def test_every_spec_builds_a_left_quasifield(p, n, d, count):
     G = galois_subgroup(K, d)
     for spec in enumerate_phi(K, G):
         report = check_vw(build_left(spec))
-        assert report.left_ok
+        assert report.passes(*LEFT_AXIOMS)
 
 
 def test_build_right_is_opposite_of_left(andre9_spec):
@@ -66,7 +66,7 @@ def test_build_right_is_opposite_of_left(andre9_spec):
     left = build_left(andre9_spec)
     assert right.mul_table == opposite(left).mul_table
     report = check_vw(right)
-    assert report.right_ok
+    assert report.passes(*RIGHT_AXIOMS)
 
 
 def test_right_divide_matches_exhaustive_search(andre9_spec, andre16_spec):
@@ -101,7 +101,7 @@ def test_right_distributivity_prediction_matches_scan(p, n, d, count):
     G = galois_subgroup(K, d)
     for spec in enumerate_phi(K, G):
         report = check_vw(build_left(spec))
-        assert predicts_right_distributive(spec) == report.vw4r
+        assert predicts_right_distributive(spec) == report.flags()["VW4-r"]
 
 
 def test_alpha_constant_on_norm_classes(andre9_spec):

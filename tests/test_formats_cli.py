@@ -95,7 +95,8 @@ def test_cli_andre_check_classify(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "quasifield", str(out)]) == 0
     report = capsys.readouterr().out
-    assert "VW4-r: FAIL" in report and "left axiom set: pass" in report
+    assert "VW4-r: FAIL at (1, 3, 3)\n" in report
+    assert "VW4: pass\n" in report and "left axiom set: pass" in report
     assert main(["classify", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "non-desarguesian"
 
@@ -142,6 +143,15 @@ def test_cli_translate(tmp_path, capsys, t3):
     assert "found" in out
     perm = formats.read_coll(coll)
     assert perm[0] == 4
+
+
+def test_cli_translate_on_single_line_plane_exits_one(tmp_path, capsys):
+    plane = tmp_path / "line.aplane"
+    plane.write_text("APLANE 1\npoints 3\nlines 1\n0 1 2\n")
+    assert main(["translate", str(plane), "--from", "0", "--to", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_check_failure_exits_one(tmp_path, capsys, t3):

@@ -1,8 +1,9 @@
 import pytest
 
-from affplane import (QuasiField, associativity_witness, check_vector_space,
-                      check_vw, from_field, from_ternary, make_field,
-                      opposite, to_ternary)
+from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, QuasiField,
+                      associativity_witness, check_vector_space, check_vw,
+                      from_field, from_ternary, make_field, opposite,
+                      to_ternary)
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
 
@@ -11,7 +12,7 @@ def test_fields_pass_all_seven_flags():
     for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
         Q = from_field(make_field(p, n))
         report = check_vw(Q)
-        assert report.left_ok and report.right_ok
+        assert report.passes(*LEFT_AXIOMS) and report.passes(*RIGHT_AXIOMS)
         assert all(report.flags().values())
 
 
@@ -26,9 +27,9 @@ def test_constructor_rejects_bad_tables():
 
 def test_andre9_flags_and_witness(andre9):
     report = check_vw(andre9)
-    assert report.left_ok
-    assert not report.right_ok
-    assert not report.vw4r and report.vw5r
+    assert report.passes(*LEFT_AXIOMS)
+    assert not report.passes(*RIGHT_AXIOMS)
+    assert not report.passes("VW4-r") and report.passes("VW5-r")
     assert report.witnesses["VW4-r"] == (1, 3, 3)
     assert andre9.mul(4, 3) == 7
 
@@ -57,8 +58,8 @@ def test_opposite_transposes(andre9):
 
 def test_opposite_swaps_axiom_sides(andre9):
     report = check_vw(opposite(andre9))
-    assert report.right_ok
-    assert not report.left_ok
+    assert report.passes(*RIGHT_AXIOMS)
+    assert not report.passes(*LEFT_AXIOMS)
 
 
 def test_to_ternary_linearity(andre9):
@@ -99,10 +100,10 @@ def test_vw1_witness_on_broken_addition():
     bad_add = (0, 1, 1, 1)  # 1 has no additive inverse
     mul = (0, 0, 0, 1)
     report = check_vw(QuasiField(2, bad_add, mul))
-    assert not report.vw1
-    assert not report.vw5 and not report.vw5r
+    assert not report.passes("VW1")
+    assert not report.passes("VW5") and not report.passes("VW5-r")
     report = check_vw(QuasiField(2, add, mul))
-    assert report.vw1
+    assert report.passes("VW1")
 
 
 def test_prop3_vw1_to_vw4_imply_vw5(andre9, andre16):
@@ -111,8 +112,8 @@ def test_prop3_vw1_to_vw4_imply_vw5(andre9, andre16):
     for Q in (andre9, andre16, from_field(make_field(3, 1)),
               from_field(make_field(2, 2)), opposite(andre9)):
         report = check_vw(Q)
-        if report.vw1 and report.vw2 and report.vw3 and report.vw4:
-            assert report.vw5
+        if report.passes("VW1", "VW2", "VW3", "VW4"):
+            assert report.passes("VW5")
 
 
 def test_vector_space_over_fixed_subfield(andre9):

@@ -47,12 +47,12 @@ def test_mutations_trip_axioms_with_witnesses(t3):
     # break T1 at <1,1,0>
     bad = mutate(t3, 1, 1, 0, 0)
     report = check_ternary_axioms(bad)
-    assert not report.t1
+    assert not report.passes("T1")
     assert report.witnesses["T1"] == (1,)
     # break T2 at <2,0,1>
     bad = mutate(t3, 2, 0, 1, 0)
     report = check_ternary_axioms(bad)
-    assert not report.t2
+    assert not report.passes("T2")
     assert report.witnesses["T2"] == (2, 1)
     with pytest.raises(InputError):
         validate(bad)
@@ -63,7 +63,7 @@ def test_mutation_breaks_t3_uniqueness(t3):
     value = t3.at(1, 1, 0)
     bad = mutate(t3, 1, 1, 1, value)
     report = check_ternary_axioms(bad)
-    assert not report.t3
+    assert not report.passes("T3")
     assert report.witnesses["T3"][0:2] == (1, 1)
 
 
@@ -73,8 +73,8 @@ def test_t3_t4_imply_t5_over_mutation_sweep(t3):
     for a, x, b in itertools.product(range(3), repeat=3):
         for v in range(3):
             report = check_ternary_axioms(mutate(t3, a, x, b, v))
-            if report.t3 and report.t4:
-                assert report.t5
+            if report.passes("T3", "T4"):
+                assert report.passes("T5")
 
 
 # ---------------------------------------------------------------------------
