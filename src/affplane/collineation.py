@@ -29,33 +29,28 @@ class Collineation:
 
 
 def _induced_line_map(P, perm):
-    """Line-index permutation induced by a point permutation, or None."""
-    index = {line: i for i, line in enumerate(P.lines)}
-    line_map = []
-    for line in P.lines:
-        image = tuple(sorted(perm[p] for p in line))
-        li = index.get(image)
-        if li is None:
-            return None
-        line_map.append(li)
-    if sorted(line_map) != list(range(len(P.lines))):
+    """Line-index permutation induced by a point permutation, or None when
+    perm is not a point bijection taking lines to lines."""
+    if sorted(perm) != list(range(P.n)):
+        return None
+    index = {mask: i for i, mask in enumerate(P.masks)}
+    line_map = [index.get(sum(1 << perm[p] for p in line)) for line in P.lines]
+    if None in line_map or sorted(line_map) != list(range(len(P.lines))):
         return None
     return tuple(line_map)
 
 
 def is_collineation(P, perm):
     """True iff perm is a point bijection whose line images are all lines."""
-    if len(perm) != P.n or sorted(perm) != list(range(P.n)):
-        return False
     return _induced_line_map(P, perm) is not None
 
 
 def as_collineation(P, perm):
     """Package a verified point permutation, or raise."""
-    if len(perm) != P.n or sorted(perm) != list(range(P.n)):
-        raise InputError("not a bijection on points")
     line_map = _induced_line_map(P, perm)
     if line_map is None:
+        if sorted(perm) != list(range(P.n)):
+            raise InputError("not a bijection on points")
         raise InputError("permutation does not take lines to lines")
     return Collineation(tuple(perm), line_map)
 
@@ -76,19 +71,12 @@ class TranslationCertificate:
 def is_translation(P, perm):
     """Certificate if perm is a collineation sending each line to a
     parallel line and fixing at least one parallel class linewise."""
-    if len(perm) != P.n or sorted(perm) != list(range(P.n)):
-        return None
     line_map = _induced_line_map(P, perm)
     if line_map is None:
         return None
     classes = parallel_classes(P)
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for li in cls:
-            class_of[li] = ci
-    for li, mi in enumerate(line_map):
-        if class_of[li] != class_of[mi]:
-            return None
+    if any(not P.parallel[li] >> mi & 1 for li, mi in enumerate(line_map)):
+        return None
     traces = tuple(ci for ci, cls in enumerate(classes)
                    if all(line_map[li] == li for li in cls))
     if not traces:
@@ -145,12 +133,12 @@ def translation_candidate(P, z, z2, aux=None):
     if z == z2:
         raise InputError("source and target must differ")
     L = line_through(P, z, z2)
-    on_L = set(P.lines[L])
+    on_L = P.masks[L]
     if aux is None:
-        aux = next((p for p in range(P.n) if p not in on_L), None)
+        aux = next((p for p in range(P.n) if not on_L >> p & 1), None)
         if aux is None:
             raise InputError("every point lies on the trace line")
-    elif aux in on_L:
+    elif on_L >> aux & 1:
         raise InputError("auxiliary point must lie off the trace line")
 
     def off_line_image(p):
@@ -162,17 +150,15 @@ def translation_candidate(P, z, z2, aux=None):
     perm[z] = z2
     try:
         for p in range(P.n):
-            if p not in on_L:
+            if not on_L >> p & 1:
                 perm[p] = off_line_image(p)
         aux_image = perm[aux]
-        for p in on_L:
+        for p in P.lines[L]:
             if p == z:
                 continue
             through = line_through(P, aux, p)
             perm[p] = intersection(P, parallel_through(P, through, aux_image), L)
     except InputError:
-        return None
-    if sorted(perm) != list(range(P.n)):
         return None
     return is_translation(P, perm)
 
@@ -254,36 +240,29 @@ def frame_mover(K, l2, m2):
     q = K.q
     if not (0 <= l2 < len(P.lines) and 0 <= m2 < len(P.lines)):
         raise InputError("line index out of range")
-    if l2 == m2 or not set(P.lines[l2]) & set(P.lines[m2]):
+    if l2 == m2 or not P.masks[l2] & P.masks[m2]:
         raise InputError("target lines must be distinct and non-parallel")
 
     # move l2 and m2 onto the axes, tracking their shapes as we go
     p0 = intersection(P, l2, m2)
     c0, d0 = divmod(p0, q)
-    steps = [shift_map(K, K.neg(c0), K.neg(d0))]
+    perm = shift_map(K, K.neg(c0), K.neg(d0))
 
     def shape_after(line_index):
-        perm = steps[0]
-        for s in steps[1:]:
-            perm = _compose_perms(perm, s)
-        image = tuple(sorted(perm[p] for p in P.lines[line_index]))
-        return _line_shape(K, image)
+        return _line_shape(K, sorted(perm[p] for p in P.lines[line_index]))
 
     a_l, _ = shape_after(l2)
     if a_l is None:
-        steps.append(swap_map(K))
+        perm = _compose_perms(perm, swap_map(K))
         a_l, _ = shape_after(l2)
     if a_l != 0:
-        steps.append(shear_vertical_map(K, a_l))
+        perm = _compose_perms(perm, shear_vertical_map(K, a_l))
     a_m, _ = shape_after(m2)
     if a_m is not None:
         if a_m == 0:
             raise InputError("target lines collapsed to parallels")
-        steps.append(shear_horizontal_map(K, K.inv(a_m)))
+        perm = _compose_perms(perm, shear_horizontal_map(K, K.inv(a_m)))
 
-    perm = steps[0]
-    for s in steps[1:]:
-        perm = _compose_perms(perm, s)
     mover = as_collineation(P, _invert_perm(perm))
 
     axes = canonical_frame(P)

@@ -2,13 +2,16 @@
 
 Points are integers 0..n-1; lines are strictly increasing tuples of point
 indices, and the line list is sorted lexicographically so serialization
-is canonical.  Planes built from a ternary ring of order q encode the
-point (x, y) as x*q + y.
+is canonical.  Each line is also held as an int bitmask of its points,
+and the parallel relation is built once per plane from those masks; every
+incidence query reads these two.  Planes built from a ternary ring of
+order q encode the point (x, y) as x*q + y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .ternary import AxiomReport, Isotopism, TernaryRing, validate
@@ -19,6 +22,7 @@ class AffinePlane:
     n: int
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
     point_lines: tuple  # per point, sorted tuple of incident line indices
+    masks: tuple  # per line, the int bitmask of its points
     order: int = None  # q, when built from a ternary ring
     source: TernaryRing = None
 
@@ -34,10 +38,22 @@ class AffinePlane:
         for i, line in enumerate(lines):
             for p in line:
                 incident[p].append(i)
-        return cls(n, lines, tuple(tuple(ls) for ls in incident), order, source)
+        masks = tuple(sum(1 << p for p in line) for line in lines)
+        return cls(n, lines, tuple(tuple(ls) for ls in incident), masks,
+                   order, source)
 
-    def line_sets(self):
-        return [frozenset(line) for line in self.lines]
+    @cached_property
+    def parallel(self):
+        """Per line, the bitmask of the line indices equal or disjoint to it."""
+        through = _lines_through(self)
+        every = (1 << len(self.lines)) - 1
+        out = []
+        for i, line in enumerate(self.lines):
+            meets = 0
+            for p in line:
+                meets |= through[p]
+            out.append(every & ~meets | 1 << i)
+        return tuple(out)
 
     def __repr__(self):
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
@@ -63,64 +79,70 @@ def plane_from_ternary(T, check=True):
 PLANE_AXIOMS = ("A1", "A2", "A3", "parallel-transitive")
 
 
-def _a1_sweep(n, lines):
+def _bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lines_through(P):
+    """Per point, the bitmask of the line indices through it."""
+    return [sum(1 << li for li in lines) for lines in P.point_lines]
+
+
+def _a1_sweep(P):
     # A1: every point pair on exactly one line
-    counts = {}
-    for line in lines:
-        for i, p in enumerate(line):
-            for p2 in line[i + 1:]:
-                counts[(p, p2)] = counts.get((p, p2), 0) + 1
-    for p in range(n):
-        for p2 in range(p + 1, n):
-            if counts.get((p, p2), 0) != 1:
-                yield (p, p2)
+    every = (1 << P.n) - 1
+    for p in range(P.n):
+        once = twice = 0
+        for li in P.point_lines[p]:
+            twice |= once & P.masks[li]
+            once |= P.masks[li]
+        for p2 in _bits((every & ~once | twice) >> p + 1):
+            yield (p, p + 1 + p2)
 
 
-def _a2_sweep(n, sets, point_lines):
+def _a2_sweep(P):
     # A2: unique parallel through an external point
-    for li, lset in enumerate(sets):
-        for p in range(n):
-            if p in lset:
-                continue
-            through = [mi for mi in point_lines[p] if not sets[mi] & lset]
-            if len(through) != 1:
+    through = _lines_through(P)
+    for li, (mask, par) in enumerate(zip(P.masks, P.parallel)):
+        for p in range(P.n):
+            if not mask >> p & 1 and (par & through[p]).bit_count() != 1:
                 yield (li, p)
 
 
-def _a3_sweep(n, sets, point_lines):
+def _a3_sweep(P):
     # A3: three non-collinear points exist
-    for p in range(n):
-        for q2 in range(p + 1, n):
-            joins = [li for li in point_lines[p] if q2 in sets[li]]
-            on_join = set().union(*(sets[li] for li in joins)) if joins else {p, q2}
-            if len(on_join) < n:
+    every = (1 << P.n) - 1
+    for p in range(P.n):
+        for q2 in range(p + 1, P.n):
+            on_join = 1 << p | 1 << q2
+            for li in P.point_lines[p]:
+                if P.masks[li] >> q2 & 1:
+                    on_join |= P.masks[li]
+            if on_join != every:
                 return
     yield ()
 
 
-def _parallel_sweep(sets):
+def _parallel_sweep(P):
     # parallelism (equal or disjoint) must be an equivalence relation
-    m = len(sets)
-    par = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j or not sets[i] & sets[j]:
-                par[i].add(j)
-    for i in range(m):
-        for j in sorted(par[i]):
-            if par[j] != par[i]:
+    for i, par in enumerate(P.parallel):
+        for j in _bits(par):
+            if P.parallel[j] != par:
                 yield (i, j)
 
 
 def check_plane_axioms(P):
     """Exhaustive check of the three plane axioms plus transitivity of the
     parallel relation; witnesses are lexicographically minimal."""
-    n, sets = P.n, P.line_sets()
     report = AxiomReport(PLANE_AXIOMS)
-    report.record("A1", _a1_sweep(n, P.lines))
-    report.record("A2", _a2_sweep(n, sets, P.point_lines))
-    report.record("A3", _a3_sweep(n, sets, P.point_lines))
-    report.record("parallel-transitive", _parallel_sweep(sets))
+    report.record("A1", _a1_sweep(P))
+    report.record("A2", _a2_sweep(P))
+    report.record("A3", _a3_sweep(P))
+    report.record("parallel-transitive", _parallel_sweep(P))
     return report
 
 
@@ -128,7 +150,7 @@ def line_through(P, p1, p2):
     """Index of the unique line through two distinct points."""
     if p1 == p2:
         raise InputError("points must be distinct")
-    hits = [li for li in P.point_lines[p1] if p2 in set(P.lines[li])]
+    hits = [li for li in P.point_lines[p1] if P.masks[li] >> p2 & 1]
     if len(hits) != 1:
         raise InputError(f"points {p1},{p2} lie on {len(hits)} common lines")
     return hits[0]
@@ -136,10 +158,9 @@ def line_through(P, p1, p2):
 
 def parallel_through(P, l, p):
     """Index of the unique line through p parallel to l (l itself if p in l)."""
-    lset = frozenset(P.lines[l])
-    if p in lset:
+    if P.masks[l] >> p & 1:
         return l
-    hits = [mi for mi in P.point_lines[p] if not frozenset(P.lines[mi]) & lset]
+    hits = [mi for mi in P.point_lines[p] if P.parallel[l] >> mi & 1]
     if len(hits) != 1:
         raise InputError(f"parallel axiom violated at line {l}, point {p}")
     return hits[0]
@@ -147,32 +168,17 @@ def parallel_through(P, l, p):
 
 def intersection(P, l1, l2):
     """The unique common point of two non-parallel lines."""
-    common = set(P.lines[l1]) & set(P.lines[l2])
-    if len(common) != 1:
-        raise InputError(f"lines {l1},{l2} meet in {len(common)} points")
-    return common.pop()
+    common = P.masks[l1] & P.masks[l2]
+    if common.bit_count() != 1:
+        raise InputError(f"lines {l1},{l2} meet in {common.bit_count()} points")
+    return common.bit_length() - 1
 
 
 def parallel_classes(P):
     """Partition of the line indices by the parallel relation."""
-    sets = P.line_sets()
-    m = len(P.lines)
-    seen = [False] * m
-    classes = []
-    for i in range(m):
-        if seen[i]:
-            continue
-        cls = [j for j in range(m) if j == i or not sets[i] & sets[j]]
-        for j in cls:
-            if seen[j]:
-                raise InputError("parallelism is not transitive")
-            seen[j] = True
-        for j in cls:
-            peers = {k for k in range(m) if k == j or not sets[j] & sets[k]}
-            if peers != set(cls):
-                raise InputError("parallelism is not transitive")
-        classes.append(tuple(cls))
-    return tuple(classes)
+    if next(_parallel_sweep(P), None) is not None:
+        raise InputError("parallelism is not transitive")
+    return tuple(tuple(_bits(par)) for par in dict.fromkeys(P.parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +225,9 @@ def _validate_frame(P, frame):
         raise InputError("frame axes must be distinct")
     if not 0 <= frame.z < P.n:
         raise InputError("frame unit point out of range")
-    if not set(P.lines[frame.l]) & set(P.lines[frame.m]):
+    if not P.masks[frame.l] & P.masks[frame.m]:
         raise InputError("frame axes are parallel")
-    if frame.z in set(P.lines[frame.l]) | set(P.lines[frame.m]):
+    if (P.masks[frame.l] | P.masks[frame.m]) >> frame.z & 1:
         raise InputError("frame unit point lies on an axis")
 
 
@@ -270,11 +276,10 @@ def coordinatize(P, frame):
 
     # slopes: intersect the parallel through the origin with the vertical
     # line over the carrier point labeled 1
-    mset = frozenset(P.lines[m])
     unit_vertical = parallel_through(P, m, axis1_points[1])
     line_slopes = {}
     for li in range(len(P.lines)):
-        if not frozenset(P.lines[li]) & mset or li == m:
+        if P.parallel[m] >> li & 1:
             continue  # vertical: slope is infinite
         through_origin = parallel_through(P, li, origin)
         hit = intersection(P, through_origin, unit_vertical)

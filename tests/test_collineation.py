@@ -174,7 +174,7 @@ def test_frame_mover_to_diagonal(p3, k3):
 
 
 def test_frame_mover_all_pairs(k3, p3):
-    sets = p3.line_sets()
+    sets = p3.masks
     for l2 in range(12):
         for m2 in range(12):
             if l2 == m2 or not sets[l2] & sets[m2]:

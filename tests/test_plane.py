@@ -1,10 +1,11 @@
 import pytest
 
-from affplane import (AffinePlane, CoordinateFrame, canonical_frame,
-                      check_plane_axioms, coordinatize, from_field,
-                      intersection, is_isotopism, isotopism_from_frames,
-                      line_through, make_field, parallel_classes,
-                      parallel_through, plane_from_ternary, to_ternary,
+from affplane import (AffinePlane, CoordinateFrame, build_left,
+                      canonical_frame, check_plane_axioms, coordinatize,
+                      from_field, galois_subgroup, intersection, is_isotopism,
+                      isotopism_from_frames, line_through, make_field,
+                      parallel_classes, parallel_through, plane_from_ternary,
+                      spec_from_exponents, to_ternary, translation_candidate,
                       validate)
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
@@ -99,6 +100,23 @@ def test_parallel_classes(p3, andre9_plane):
     for cls in classes9:
         covered = sorted(p for li in cls for p in andre9_plane.lines[li])
         assert covered == list(range(81))
+
+
+@pytest.mark.parametrize("p,n,phi", [(5, 2, (0, 1, 0, 1)), (3, 3, (0, 1))])
+def test_checked_andre_planes_of_order_25_and_27(p, n, phi):
+    K = make_field(p, n)
+    Q = build_left(spec_from_exponents(K, galois_subgroup(K, 1), phi))
+    q = Q.q
+    # a non-commutative coordinate quasi-field is no field: non-Desarguesian
+    assert any(Q.mul(a, b) != Q.mul(b, a) for a in range(q) for b in range(q))
+    T = to_ternary(Q)
+    P = plane_from_ternary(T, check=True)
+    classes = parallel_classes(P)
+    assert len(classes) == q + 1
+    assert all(len(c) == q for c in classes)
+    assert coordinatize(P, canonical_frame(P)).ring.table == T.table
+    cert = translation_candidate(P, 0, q + 1)
+    assert cert is not None and cert.fixed_point_free
 
 
 def test_double_counting(andre9_plane):
