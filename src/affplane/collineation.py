@@ -5,6 +5,7 @@ classifier separating field planes from the rest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -295,6 +296,13 @@ class ClassificationResult:
     reason: str = ""  # "isomorphism-found", "search-exhausted", "non-associative"
 
 
+@functools.lru_cache(maxsize=8)
+def _field_ring(p, n):
+    """The validated ternary ring of GF(p^n), built and checked on first
+    use of each order; the ring is immutable, so callers share it."""
+    return to_ternary(from_field(make_field(p, n)))
+
+
 def classify_ternary(T):
     """Compare T against the ternary ring of the field of the same order.
 
@@ -303,8 +311,7 @@ def classify_ternary(T):
     conclusive certificate of either verdict.
     """
     p, n = _factor_prime_power(T.q)
-    reference = to_ternary(from_field(make_field(p, n)))
-    perm = find_isomorphism(T, reference)
+    perm = find_isomorphism(T, _field_ring(p, n))
     if perm is not None:
         return ClassificationResult("desarguesian", perm, "isomorphism-found")
     return ClassificationResult("non-desarguesian", None, "search-exhausted")

@@ -11,7 +11,6 @@ keeps the first; the quasi-field and plane checkers use the same idiom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 from .errors import InputError, SearchBoundExceeded
@@ -321,6 +320,23 @@ def is_isotopism(T, U, iso):
     return _identity_holds(T, U, F, G, H)
 
 
+def _completions(T, H, f1s, g1s):
+    """The (F, G) that H extends to, in (f1, g1) order.
+
+    G(x) = H(<f1 x + 0>) for each f1 in f1s and F(a) = H(<a g1 + 0>) for
+    each g1 in g1s; a map that is no bijection is skipped.  Each map is
+    built once, however many pairs it takes part in.
+    """
+    q = T.q
+    Gs = [tuple(H[T.at(f1, x, 0)] for x in range(q)) for f1 in f1s]
+    Fs = [tuple(H[T.at(a, g1, 0)] for a in range(q)) for g1 in g1s]
+    Fs = [F for F in Fs if _is_bijection(F, q)]
+    for G in Gs:
+        if _is_bijection(G, q):
+            for F in Fs:
+                yield F, G
+
+
 def complete_isotopism(T, U, H, f_inv1, g_inv1):
     """Reconstruct (F, G, H) from H and the preimages of 1 under F and G.
 
@@ -329,24 +345,70 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
-    q = T.q
     if H[0] != 0:
         raise InputError("H must fix 0")
-    F = tuple(H[T.at(a, g_inv1, 0)] for a in range(q))
-    G = tuple(H[T.at(f_inv1, x, 0)] for x in range(q))
-    if not (_is_bijection(F, q) and _is_bijection(G, q)):
-        return None
-    if _identity_holds(T, U, F, G, H):
-        return Isotopism(F, G, H)
+    for F, G in _completions(T, H, (f_inv1,), (g_inv1,)):
+        if _identity_holds(T, U, F, G, H):
+            return Isotopism(F, G, H)
     return None
+
+
+def _is_linear(T):
+    """True iff <ax+b> = <1<ax+0>+b> on all triples and <1y+0> = y."""
+    q, at = T.q, T.at
+    return (all(at(1, y, 0) == y for y in range(q))
+            and all(at(a, x, b) == at(1, at(a, x, 0), b)
+                    for a in range(q) for x in range(q) for b in range(q)))
+
+
+def _h_candidates(T, U):
+    """Every H with H(0) = 0 that an isotopism T -> U can have, in
+    lexicographic order.
+
+    H(1), H(2), ... are assigned in carrier order, images tried in
+    increasing order.  When T and U are both linear, every isotopism has
+    an additive H: with y + b = <1y+b>, setting b = 0 in the identity
+    gives H(<ax+0>) = <F(a)G(x)+0>, so H(<ax+b>) = H(<ax+0>) + H(b), and
+    every y is the product <1y+0>.  A partial H is then dropped as soon
+    as it breaks H(y + b) = H(y) + H(b) on its assigned elements.  Any
+    other pair is not pruned, and every H is yielded.
+    """
+    q = T.q
+    # each sum y + b = v is checked when the last of y, b, v gets its image
+    sums = [[] for _ in range(q)]
+    if _is_linear(T) and _is_linear(U):
+        for y in range(q):
+            for b in range(q):
+                v = T.at(1, y, b)
+                sums[max(y, b, v)].append((y, b, v))
+    H = [0] * q
+    used = [False] * q
+
+    def extend(e):
+        if e == q:
+            yield tuple(H)
+            return
+        for img in range(1, q):
+            if used[img]:
+                continue
+            H[e] = img
+            if all(H[v] == U.at(1, H[y], H[b]) for y, b, v in sums[e]):
+                used[img] = True
+                yield from extend(e + 1)
+                used[img] = False
+
+    return extend(1)
 
 
 def find_isotopism(T, U):
     """Exhaustive isotopism search in lexicographic (H, f1, g1) order.
 
-    Each H with H(0)=0 determines F from g1 and G from f1; every emitted
-    triple is verified in full, and absence means the whole candidate
-    space was exhausted.
+    The candidate H are the additive bijections when both rings are
+    linear (`<ax+b> = <1<ax+0>+b>` and `<1y+0> = y`), which every
+    isotopism between such rings has, and all H with H(0) = 0 otherwise.
+    Each H determines F from g1 and G from f1; every emitted triple is
+    verified in full, and absence means the whole candidate space was
+    exhausted.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -354,25 +416,10 @@ def find_isotopism(T, U):
     if q > ISOTOPISM_SEARCH_BOUND:
         raise SearchBoundExceeded(
             f"isotopism search supports q <= {ISOTOPISM_SEARCH_BOUND}")
-    rng = range(q)
-    for rest in itertools.permutations(range(1, q)):
-        H = (0,) + rest
-        f_by_g1 = {}
-        for g1 in rng:
-            F = tuple(H[T.at(a, g1, 0)] for a in rng)
-            if _is_bijection(F, q):
-                f_by_g1[g1] = F
-        g_by_f1 = {}
-        for f1 in rng:
-            G = tuple(H[T.at(f1, x, 0)] for x in rng)
-            if _is_bijection(G, q):
-                g_by_f1[f1] = G
-        for f1 in sorted(g_by_f1):
-            G = g_by_f1[f1]
-            for g1 in sorted(f_by_g1):
-                F = f_by_g1[g1]
-                if _identity_holds(T, U, F, G, H):
-                    return Isotopism(F, G, H)
+    for H in _h_candidates(T, U):
+        for F, G in _completions(T, H, range(q), range(q)):
+            if _identity_holds(T, U, F, G, H):
+                return Isotopism(F, G, H)
     return None
 
 

@@ -131,6 +131,17 @@ def test_cli_iso_isotopy(tmp_path, capsys, t3):
     assert capsys.readouterr().out.startswith("found")
 
 
+def test_cli_isotopy_absent_at_order_9(tmp_path, capsys, k9, andre9_ring):
+    """The near-field and field planes of order 9 are not isomorphic, so
+    their coordinate rings are not isotopic (output as at the exhaustive
+    search over all 8! maps H)."""
+    near, field = tmp_path / "near9.trs", tmp_path / "k9.trs"
+    formats.write_trs(near, andre9_ring)
+    formats.write_trs(field, to_ternary(from_field(k9)))
+    assert main(["isotopy", str(near), str(field)]) == 0
+    assert capsys.readouterr().out == "absent\n"
+
+
 def test_cli_translate(tmp_path, capsys, t3):
     trs = tmp_path / "k3.trs"
     formats.write_trs(trs, t3)

@@ -1,0 +1,172 @@
+"""The pruned isotopism search agrees with the exhaustive reference.
+
+`find_isotopism` must return the same `Isotopism` (or None) as
+`isotopism_reference.find_isotopism`, which tries every H with H(0) = 0.
+The inputs are the found order-9 pairs, seeded relabellings of the field
+rings of orders 2 to 8 and Hypothesis tables of order 3 and 4: linear
+tables (pruned search), their isotopes and arbitrary tables (unpruned
+search).  The absent order-9 pairs are left out here: the reference needs
+about 7 s for each.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isotopism_reference as ref
+from affplane import (CoordinateFrame, TernaryRing, build_left,
+                      canonical_frame, coordinatize, find_isotopism,
+                      from_field, galois_subgroup, make_field, opposite,
+                      plane_from_ternary, spec_from_exponents, to_ternary)
+from affplane.ternary import _h_candidates
+from tests_support import relabel_ring
+
+ORDER9 = ("field", "near-field", "transposed")
+
+
+def _is_linear(T):
+    q, at = T.q, T.at
+    return all(at(1, y, 0) == y for y in range(q)) and all(
+        at(a, x, b) == at(1, at(a, x, 0), b)
+        for a, x, b in itertools.product(range(q), repeat=3))
+
+
+def _is_additive(T, U, H):
+    q = T.q
+    return all(H[T.at(1, y, b)] == U.at(1, H[y], H[b])
+               for y in range(q) for b in range(q))
+
+
+def assert_agrees(T, U):
+    """Equal results; a found H between linear rings is additive."""
+    iso = find_isotopism(T, U)
+    assert iso == ref.find_isotopism(T, U)
+    if iso is not None and _is_linear(T) and _is_linear(U):
+        assert _is_additive(T, U, iso.h)
+    return iso
+
+
+@pytest.fixture(scope="module")
+def order9_rings():
+    """Coordinate rings of the order-9 field, near-field and transposed
+    near-field planes at two seeded unit points each."""
+    K = make_field(3, 2)
+    near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
+    sources = (from_field(K), near, opposite(near))
+    rng = random.Random(9)
+    off_axes = [x * 9 + y for x in range(1, 9) for y in range(1, 9)]
+    rings = {}
+    for name, Q in zip(ORDER9, sources):
+        P = plane_from_ternary(to_ternary(Q))
+        frame = canonical_frame(P)
+        rings[name] = [coordinatize(P, CoordinateFrame(frame.l, frame.m, z)).ring
+                       for z in rng.sample(off_axes, 2)]
+    return rings
+
+
+@pytest.mark.parametrize("name", ORDER9)
+def test_found_order9_pairs_match_reference(order9_rings, name):
+    T, U = order9_rings[name]
+    assert _is_linear(T) and _is_linear(U)
+    assert assert_agrees(T, U) is not None
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3)])
+def test_relabelled_field_rings_match_reference(p, n):
+    T = to_ternary(from_field(make_field(p, n)))
+    rng = random.Random(p * 10 + n)
+    for _ in range(2):
+        rest = list(range(2, T.q))
+        rng.shuffle(rest)
+        U = relabel_ring(T, [0, 1] + rest)
+        assert assert_agrees(T, U) is not None
+        assert assert_agrees(U, T) is not None
+
+
+@pytest.mark.parametrize("a, b", [(a, a) for a in ORDER9]
+                         + list(itertools.combinations(ORDER9, 2)))
+def test_pruned_candidates_are_the_additive_bijections(order9_rings, a, b):
+    T, U = order9_rings[a][0], order9_rings[b][1]
+    additive = [H for H in ((0,) + rest
+                            for rest in itertools.permutations(range(1, 9)))
+                if _is_additive(T, U, H)]
+    assert len(additive) == 48  # |GL(2, 3)|
+    assert list(_h_candidates(T, U)) == additive
+
+
+@st.composite
+def arbitrary_tables(draw, q):
+    """Arbitrary entries; half of the tables are made to satisfy T1 and T2."""
+    entries = st.integers(0, q - 1)
+    table = draw(st.lists(entries, min_size=q ** 3, max_size=q ** 3))
+    if draw(st.booleans()):
+        def index(a, x, b):
+            return (a * q + x) * q + b
+        for a in range(q):
+            table[index(1, a, 0)] = table[index(a, 1, 0)] = a
+            for b in range(q):
+                table[index(a, 0, b)] = table[index(0, a, b)] = b
+    return TernaryRing(q, tuple(table))
+
+
+@st.composite
+def linear_tables(draw, q):
+    """<ax+b> = A(M(a, x), b) with arbitrary A and M, except that
+    A(y, 0) = y and M(1, y) = y; half of the tables are made to satisfy
+    T1 and T2 through A(0, b) = b, M(y, 1) = y and M(0, y) = M(y, 0) = 0."""
+    entries = st.integers(0, q - 1)
+    A = [draw(st.lists(entries, min_size=q, max_size=q)) for _ in range(q)]
+    M = [draw(st.lists(entries, min_size=q, max_size=q)) for _ in range(q)]
+    unital = draw(st.booleans())
+    for y in range(q):
+        A[y][0] = M[1][y] = y
+        if unital:
+            A[0][y] = M[y][1] = y
+            M[0][y] = M[y][0] = 0
+    return TernaryRing(q, tuple(A[M[a][x]][b] for a in range(q)
+                                for x in range(q) for b in range(q)))
+
+
+@st.composite
+def ring_pairs(draw, tables):
+    """(T, U): two drawn tables, T with itself, or T and its transport
+    along a permutation fixing 0 (an isotope, linear or not when the
+    permutation moves 1)."""
+    q = draw(st.integers(3, 4))
+    T = draw(tables(q))
+    kind = draw(st.sampled_from(("independent", "same", "transported")))
+    if kind == "independent":
+        return T, draw(tables(q))
+    if kind == "same":
+        return T, T
+    rest = draw(st.permutations(list(range(1, q))))
+    return T, relabel_ring(T, [0] + rest)
+
+
+@given(ring_pairs(arbitrary_tables))
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_tables_match_reference(pair):
+    assert_agrees(*pair)
+
+
+@given(ring_pairs(linear_tables))
+@settings(max_examples=200, deadline=None)
+def test_linear_tables_match_reference(pair):
+    assert _is_linear(pair[0])
+    assert_agrees(*pair)
+
+
+@given(st.one_of(ring_pairs(linear_tables), ring_pairs(arbitrary_tables)))
+@settings(max_examples=200, deadline=None)
+def test_candidates_are_the_additive_bijections_or_all(pair):
+    """The additive H in lexicographic order when both tables are linear,
+    every H with H(0) = 0 otherwise."""
+    T, U = pair
+    every = [(0,) + rest for rest in itertools.permutations(range(1, T.q))]
+    if _is_linear(T) and _is_linear(U):
+        every = [H for H in every if _is_additive(T, U, H)]
+    assert list(_h_candidates(T, U)) == every

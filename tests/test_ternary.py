@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from affplane import (Isotopism, TernaryRing, check_ternary_axioms,
                       complete_isotopism, compose_isotopisms, find_isomorphism,
                       find_isotopism, from_field, is_isomorphism, is_isotopism,
-                      make_field, to_ternary, validate)
+                      make_field, opposite, to_ternary, validate)
 from affplane.errors import InputError, SearchBoundExceeded
 
 
@@ -178,6 +178,15 @@ def test_complete_isotopism_reconstruction(t3):
 def test_complete_isotopism_rejects_bad_h(t3):
     with pytest.raises(InputError):
         complete_isotopism(t3, t3, (1, 0, 2), 0, 0)
+
+
+def test_find_isotopism_absent_between_order_9_planes(k9, andre9):
+    """The Desarguesian, Hall and dual Hall planes of order 9 are pairwise
+    non-isomorphic, so no two of their coordinate rings are isotopic."""
+    rings = (to_ternary(from_field(k9)), to_ternary(andre9),
+             to_ternary(opposite(andre9)))
+    for T, U in itertools.combinations(rings, 2):
+        assert find_isotopism(T, U) is None
 
 
 def test_isotopism_bound():

@@ -4,8 +4,10 @@ from affplane.ternary import TernaryRing
 
 
 def relabel_ring(T, perm):
-    """Transport T's operation along a carrier permutation fixing 0, 1."""
-    assert perm[0] == 0 and perm[1] == 1
+    """Transport T's operation along a carrier permutation fixing 0: an
+    isotope of T under F = G = H = perm, and isomorphic to T when perm
+    also fixes 1."""
+    assert perm[0] == 0
     q = T.q
     table = [0] * q ** 3
     for a in range(q):
