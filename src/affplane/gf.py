@@ -271,7 +271,9 @@ def verify_field_tables(K):
 
 
 def field_arith(K, op, a, b=None):
-    """Checked single-operation entry point (used by the CLI)."""
+    """One field operation with its operands range-checked: the checked
+    public entry point, exported from `affplane`, to the unchecked
+    `FiniteField` methods."""
     if not 0 <= a < K.q or (b is not None and not 0 <= b < K.q):
         raise InputError(f"operand out of range for GF({K.q})")
     if op == "add":

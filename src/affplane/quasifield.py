@@ -8,7 +8,7 @@ VW5-r); witnesses are lexicographically smallest in quantification order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 from .ternary import AxiomReport, TernaryRing, validate
@@ -21,6 +21,8 @@ class QuasiField:
     q: int
     add_table: tuple  # flat q*q, index a*q+b
     mul_table: tuple
+    # per element a, the first b with a + b = 0, or None if there is none
+    neg_table: tuple = field(init=False, repr=False, compare=False)
 
     zero = 0
     one = 1
@@ -32,6 +34,10 @@ class QuasiField:
             raise InputError("table length does not match q^2")
         if any(not 0 <= v < self.q for v in self.add_table + self.mul_table):
             raise InputError("table entry out of range")
+        q = self.q
+        rows = (self.add_table[a * q:(a + 1) * q] for a in range(q))
+        object.__setattr__(self, "neg_table", tuple(
+            row.index(0) if 0 in row else None for row in rows))
 
     def add(self, a, b):
         return self.add_table[a * self.q + b]
@@ -40,10 +46,10 @@ class QuasiField:
         return self.mul_table[a * self.q + b]
 
     def neg(self, a):
-        for b in range(self.q):
-            if self.add(a, b) == 0:
-                return b
-        raise InputError(f"no additive inverse for {a}")
+        b = self.neg_table[a]
+        if b is None:
+            raise InputError(f"no additive inverse for {a}")
+        return b
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -141,7 +147,7 @@ def check_vw(Q):
     report.record("VW4-r", _vw4r_sweep(q, add, mul))
     # VW5 / VW5-r need subtraction, hence VW1
     if report.passes("VW1"):
-        neg = [Q.neg(x) for x in range(q)]
+        neg = Q.neg_table
         report.record("VW5", _vw5_sweep(q, add, mul, neg))
         report.record("VW5-r", _vw5_sweep(q, add, opposite(Q).mul, neg))
     else:

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affplane import (Isotopism, TernaryRing, check_ternary_axioms,
-                      complete_isotopism, compose_isotopisms, find_isomorphism,
-                      find_isotopism, from_field, is_isomorphism, is_isotopism,
-                      make_field, opposite, to_ternary, validate)
+from affplane import (Isotopism, TernaryRing, associativity_witness,
+                      build_left, check_ternary_axioms, complete_isotopism,
+                      compose_isotopisms, enumerate_phi, find_isomorphism,
+                      find_isotopism, from_field, galois_subgroup,
+                      is_isomorphism, is_isotopism, make_field, opposite,
+                      to_ternary, validate)
+from affplane import ternary
 from affplane.errors import InputError, SearchBoundExceeded
+from affplane.ternary import _linear_verdict
+from test_witnesses import cases as witness_cases
 
 
 def mutate(T, a, x, b, value):
@@ -218,3 +223,181 @@ def test_h_permutation_isotopism_verification_matches_definition(rest):
                 for b in range(3):
                     assert iso.h[T.at(a, x, b)] == \
                         T.at(iso.f[a], iso.g[x], iso.h[b])
+
+
+# ---------------------------------------------------------------------------
+# the O(q^3) certificate of linear rings in `validate`
+
+def linear_ring(add, mul, q):
+    """The unvalidated table <ax+b> = ax + b of flat addition and
+    multiplication tables."""
+    return TernaryRing(q, tuple(add[mul[a * q + x] * q + b] for a in range(q)
+                                for x in range(q) for b in range(q)))
+
+
+def left_quasifields(max_q):
+    """Every field and every left André quasi-field of order <= max_q."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in itertools.count(1):
+            if p ** n > max_q:
+                break
+            K = make_field(p, n)
+            yield from_field(K)
+            for d in range(1, n):
+                if n % d == 0:
+                    yield from (build_left(spec) for spec in
+                                enumerate_phi(K, galois_subgroup(K, d)))
+
+
+def assert_validate_agrees(T):
+    """The shortcut, when it applies, agrees with the full sweeps, and
+    `validate` accepts or raises exactly as the full sweeps dictate.
+    Returns the shortcut's verdict."""
+    report = check_ternary_axioms(T)
+    verdict = _linear_verdict(T)
+    assert verdict is None or verdict == report.all_pass
+    if report.all_pass:
+        assert validate(T).validated
+    else:
+        failing = ", ".join(k for k, ok in report.flags().items() if not ok)
+        with pytest.raises(InputError) as err:
+            validate(T)
+        assert str(err.value) == f"ternary axioms fail: {failing}"
+    return verdict
+
+
+def test_quasifield_rings_take_the_shortcut():
+    seen = 0
+    for Q in left_quasifields(16):
+        for R in (Q, opposite(Q)):
+            T = linear_ring(R.add_table, R.mul_table, R.q)
+            assert assert_validate_agrees(T) is True
+            seen += 1
+    assert seen == 38
+
+
+def test_seeded_ternary_mutants_agree():
+    for case, (_, subject) in witness_cases().items():
+        if case.startswith("ternary/"):
+            assert_validate_agrees(subject)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_row_swaps_agree(p):
+    """Swapping two b-rows of <ax+.> with a != 1 keeps the ring linear
+    with the same addition, so the shortcut applies; it accepts and
+    rejects."""
+    K = make_field(p, 2 if p == 2 else 1)
+    q = K.q
+    table = linear_ring(K.add_table, K.mul_table, q).table
+    movable = [i for i in range(q * q) if i // q != 1]
+    verdicts = set()
+    for r, s in itertools.combinations(movable, 2):
+        rows = [table[i * q:(i + 1) * q] for i in range(q * q)]
+        rows[r], rows[s] = rows[s], rows[r]
+        verdicts.add(assert_validate_agrees(
+            TernaryRing(q, tuple(itertools.chain(*rows)))))
+    assert verdicts == {True, False}
+
+
+def test_affine_multiplications_agree():
+    """<ax+b> = u(a)x + v(a) + b over GF(4), for every permutation u
+    fixing 1 and every v with v(1) = 0: linear with the field's addition,
+    T4 and T5 hold, and T1 or T2 fail alone for some (u, v)."""
+    K = make_field(2, 2)
+    q = K.q
+    failing = set()
+    for rest in itertools.permutations((0, 2, 3)):
+        u = (rest[0], 1) + rest[1:]
+        for w in itertools.product(range(q), repeat=q - 1):
+            v = (w[0], 0) + w[1:]
+            mul = [K.add(K.mul(u[a], x), v[a]) for a in range(q)
+                   for x in range(q)]
+            T = linear_ring(K.add_table, mul, q)
+            assert assert_validate_agrees(T) is not None
+            flags = check_ternary_axioms(T).flags()
+            failing.add(tuple(k for k, ok in flags.items() if not ok))
+    assert {(), ("T1",), ("T2",)} <= failing
+
+
+def loops(q):
+    """Every flat addition table on {0..q-1} with identity 0 whose rows
+    and columns are permutations, in lexicographic order."""
+    def extend(rows):
+        if len(rows) == q:
+            yield tuple(itertools.chain(*rows))
+            return
+        y = len(rows)
+        for rest in itertools.permutations([v for v in range(q) if v != y]):
+            row = (y,) + rest
+            if all(row[c] != r[c] for r in rows for c in range(1, q)):
+                yield from extend(rows + [row])
+    return extend([tuple(range(q))])
+
+
+def test_loop_additions_agree():
+    """The field multiplication of GF(5) over each of the 56 loops of
+    order 5: the shortcut applies only to the 6 groups among them."""
+    K = make_field(5, 1)
+    verdicts = [assert_validate_agrees(linear_ring(add, K.mul_table, 5))
+                for add in loops(5)]
+    assert len(verdicts) == 56
+    assert verdicts.count(None) == 50
+
+
+@st.composite
+def mutated_linear_rings(draw):
+    """A field ring of order 3-5 with one entry changed, two b-rows of
+    <ax+.> swapped, or one entry of its addition changed."""
+    K = make_field(*draw(st.sampled_from([(3, 1), (2, 2), (5, 1)])))
+    q = K.q
+    cell = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(["entry", "rows", "addition"]))
+    if kind == "addition":
+        add = list(K.add_table)
+        add[draw(st.integers(0, q * q - 1))] = draw(cell)
+        return linear_ring(add, K.mul_table, q)
+    table = list(linear_ring(K.add_table, K.mul_table, q).table)
+    if kind == "entry":
+        table[draw(st.integers(0, q ** 3 - 1))] = draw(cell)
+    else:
+        r, s = (draw(st.integers(0, q * q - 1)) * q for _ in range(2))
+        table[r:r + q], table[s:s + q] = table[s:s + q], table[r:r + q]
+    return TernaryRing(q, tuple(table))
+
+
+@given(mutated_linear_rings())
+@settings(max_examples=200, deadline=None)
+def test_mutated_linear_rings_agree(T):
+    assert_validate_agrees(T)
+
+
+def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
+    K = make_field(3, 3)
+    spec = enumerate_phi(K, galois_subgroup(K, 1))[-1]
+    Q = build_left(spec)
+    assert associativity_witness(Q) is not None
+
+    def refuse(T):
+        raise AssertionError("full sweeps run")
+
+    monkeypatch.setattr(ternary, "check_ternary_axioms", refuse)
+    assert to_ternary(Q).validated
+
+    # swapping the rows of <2x+.> at x = 2 and x = 3 breaks T4 and T5
+    calls = []
+
+    def spy(T):
+        calls.append(T)
+        return check_ternary_axioms(T)
+
+    monkeypatch.setattr(ternary, "check_ternary_axioms", spy)
+    K5 = make_field(5, 1)
+    table = list(linear_ring(K5.add_table, K5.mul_table, 5).table)
+    r, s = (2 * 5 + 2) * 5, (2 * 5 + 3) * 5
+    table[r:r + 5], table[s:s + 5] = table[s:s + 5], table[r:r + 5]
+    T = TernaryRing(5, tuple(table))
+    assert _linear_verdict(T) is False
+    with pytest.raises(InputError, match=r"^ternary axioms fail: T4, T5$"):
+        validate(T)
+    assert calls == [T]
