@@ -2,7 +2,7 @@
 
 The package builds finite fields and their Galois machinery, twists
 field multiplication into quasi-fields, coordinatizes the resulting
-planes, and certifies which planes are field planes by exhaustive
+planes, and certifies which planes are field planes by a complete
 search.
 """
 

@@ -1,4 +1,4 @@
-"""Ternary rings as flat operation tables, with exhaustive axiom checks,
+"""Ternary rings as flat operation tables, with complete axiom checks,
 isomorphism search, and isotopism machinery.
 
 The ternary operation <ax+b> is stored as a flat table of q^3 values at
@@ -61,7 +61,7 @@ class TernaryRing:
 
 @dataclass
 class AxiomReport:
-    """Outcome of an exhaustive axiom check: the axiom names in check
+    """Outcome of a complete axiom check: the axiom names in check
     order and the lexicographically first witness of each failed axiom.
 
     An axiom in `unchecked` fails without a witness, because a prerequisite
@@ -197,6 +197,7 @@ def _linear_verdict(T):
     (`_is_linear`), or (T, +) with y + b = <1y+b> is not a group with
     identity 0.  Otherwise returns whether T1-T5 all hold.  With
     ax = <ax+0>, linearity gives <ax+b> = ax + b, so in the group
+    b -> ax + b is a bijection and T3 holds without a sweep;
     <ax+b> = <a'x+b'> iff -(a'x) + ax = b' - b, and T4 holds iff
     x -> -(a'x) + ax is a bijection for every a != a'; likewise
     <ax+b> = y and <ax'+b> = y' iff b = -(ax) + y and ax' - ax = y' - y,
@@ -221,7 +222,7 @@ def _linear_verdict(T):
     neg = [row.index(0) for row in add]
 
     if any(next(sweep(q, at), None) is not None
-           for sweep in (_t1_sweep, _t2_sweep, _t3_sweep)):
+           for sweep in (_t1_sweep, _t2_sweep)):
         return False
     mul = [t[a * q * q:(a + 1) * q * q:q] for a in range(q)]  # mul[a][x] = ax
     for a in range(q):
@@ -243,7 +244,8 @@ def validate(T):
 
     A linear ring (<ax+b> = <1<ax+0>+b>, <1y+0> = y) whose addition
     y + b = <1y+b> is a group is certified in O(q^3) by `_linear_verdict`:
-    T1-T3 are swept, T4 holds iff x -> -(a'x) + ax is a bijection for
+    T1 and T2 are swept, T3 holds because b -> <ax+0> + b is a bijection
+    of the group, T4 holds iff x -> -(a'x) + ax is a bijection for
     every a != a', and T5 iff a -> ax' - ax is a bijection for every
     x != x' (ax = <ax+0>).  Any other ring, and any ring that this check
     rejects, goes through the full sweeps of `check_ternary_axioms`,

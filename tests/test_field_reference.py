@@ -1,0 +1,195 @@
+"""The O(n q^2) field and automorphism certificates against the old sweeps.
+
+`field_reference` keeps the checks the certificates replaced: a sweep of
+all q^3 triples (q^2 pairs for an automorphism) up to q = 64 and a
+deterministic sample above it.  Where the sweeps are exhaustive, both
+versions must accept every field and Galois permutation and reject the
+same corruptions; above q = 64 the certificates must also reject what
+the sample let through.
+"""
+
+import dataclasses
+import functools
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import field_reference as ref
+from affplane.errors import InternalCheckError
+from affplane.gf import (_is_automorphism, galois_subgroup, make_field,
+                         verify_field_tables)
+from test_gf import FIELD_ORDERS
+
+field = functools.cache(make_field)
+
+
+def _accepts(verify, K):
+    try:
+        verify(K)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def _corrupt(K, table, changes):
+    entries = list(getattr(K, table))
+    for i, v in changes:
+        entries[i] = v
+    return dataclasses.replace(K, **{table: tuple(entries)})
+
+
+def _swap(perm, x, y):
+    out = list(perm)
+    out[x], out[y] = perm[y], perm[x]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,n", FIELD_ORDERS)
+def test_both_accept_every_field_and_galois_permutation(p, n):
+    K = field(p, n)
+    verify_field_tables(K)
+    ref.verify_field_tables(K)
+    for perm in galois_subgroup(K, 1).perms:
+        assert _is_automorphism(K, perm)
+        assert ref._is_automorphism(K, perm, True)
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (2, 3), (3, 2)])
+def test_both_reject_every_single_entry_corruption(p, n, table):
+    K = field(p, n)
+    for i, v in enumerate(getattr(K, table)):
+        for w in range(K.q):
+            if w != v:
+                bad = _corrupt(K, table, [(i, w)])
+                assert not _accepts(verify_field_tables, bad)
+                assert not _accepts(ref.verify_field_tables, bad)
+
+
+@given(st.sampled_from([(2, 4), (5, 2), (3, 3)]),
+       st.sampled_from(["add_table", "mul_table", "neg_table", "inv_table"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_both_agree_on_random_corruptions(pn, table, data):
+    K = field(*pn)
+    size = len(getattr(K, table))
+    changes = data.draw(st.lists(
+        st.tuples(st.integers(0, size - 1), st.integers(0, K.q - 1)),
+        min_size=1, max_size=3))
+    bad = _corrupt(K, table, changes)
+    assert _accepts(verify_field_tables, bad) == _accepts(ref.verify_field_tables, bad)
+
+
+def _cyclic_product(K, exp):
+    """K with its product and inverses rebuilt from the powers in exp."""
+    q, m = K.q, K.q - 1
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    mul = [0] * (q * q)
+    for a, b in itertools.product(range(1, q), repeat=2):
+        mul[a * q + b] = exp[(log[a] + log[b]) % m]
+    inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
+    return dataclasses.replace(K, mul_table=tuple(mul), inv_table=tuple(inv),
+                               exp_table=tuple(exp), log_table=tuple(log))
+
+
+def _zero_row_is_identity(K):
+    return _corrupt(K, "mul_table", [(b, b) for b in range(K.q)])
+
+
+def _left_projection(K):
+    q = K.q
+    bad = _corrupt(K, "mul_table", [(a * q + b, b) for a in range(1, q)
+                                    for b in range(q)])
+    return _corrupt(bad, "inv_table", [(a, 1) for a in range(1, q)])
+
+
+def _powers_of_another_generator(K):
+    m = K.q - 1
+    return _cyclic_product(K, [K.exp_table[3 * i % m] for i in range(m)])
+
+
+def _log_shifted_by_half(K):
+    m = K.q - 1
+    return _corrupt(K, "log_table", [(v, (K.log_table[v] + m // 2) % m)
+                                     for v in range(1, K.q)])
+
+
+def _two_powers_swapped(K):
+    exp = list(K.exp_table)
+    exp[2], exp[3] = exp[3], exp[2]
+    return _cyclic_product(K, exp)
+
+
+@pytest.mark.parametrize("corrupt,sample_sees", [
+    (_zero_row_is_identity, True),         # only 0x = 0 fails
+    (_left_projection, True),              # only ab = exp[log a + log b]
+    (_powers_of_another_generator, False),  # only exp[1] = generator
+    (_log_shifted_by_half, False),         # only log = exp^-1
+    (_two_powers_swapped, True),           # only distributivity
+])
+def test_each_premise_of_the_certificate_rejects_alone(corrupt, sample_sees):
+    # the old sweep never reads exp_table, log_table or generator
+    bad = corrupt(field(3, 2))
+    assert not _accepts(verify_field_tables, bad)
+    assert _accepts(ref.verify_field_tables, bad) != sample_sees
+
+
+def test_automorphism_check_rejects_ring_map_failures():
+    K = field(3, 2)
+    zero = (0,) * K.q  # multiplicative, not additive
+    # a + bt -> (a + b) + bt is additive and fixes 1, but t^2 = 2 and
+    # (t + 1)^2 = 2t
+    shear = tuple(K.add(x % 3, 4 * (x // 3)) for x in range(K.q))
+    for perm in (zero, shear):
+        assert not _is_automorphism(K, perm)
+        assert not ref._is_automorphism(K, perm, True)
+    bad = _corrupt(K, "add_table", [(3 * K.q + 1, 5)])
+    with pytest.raises(InternalCheckError, match="not a field automorphism"):
+        galois_subgroup(bad, 1)
+
+
+@pytest.mark.parametrize("p,n", FIELD_ORDERS)
+def test_both_reject_every_image_transposition(p, n):
+    K = field(p, n)
+    perms = galois_subgroup(K, 1).perms
+    for perm in perms:
+        for x, y in itertools.combinations(range(K.q), 2):
+            swapped = _swap(perm, x, y)
+            # in GF(4) the Frobenius map swaps 2 and 3 and fixes 0 and 1
+            expected = swapped in perms
+            assert _is_automorphism(K, swapped) == expected
+            assert ref._is_automorphism(K, swapped, True) == expected
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (2, 8), (3, 5)])
+def test_certificates_accept_fields_above_the_old_bound(p, n):
+    K = field(p, n)
+    verify_field_tables(K)
+    assert all(_is_automorphism(K, perm) for perm in galois_subgroup(K, 1).perms)
+
+
+def test_noncommutative_gf128_addition_is_rejected():
+    K = field(2, 7)
+    q = K.q
+    bad = _corrupt(K, "add_table", [(29 * q + 5, K.add(29, 6)),
+                                    (29 * q + 6, K.add(29, 5))])
+    assert bad.add(29, 5) != bad.add(5, 29)
+    ref.verify_field_tables(bad)  # row 29 lies off the sample range(0, 128, 9)
+    with pytest.raises(InternalCheckError):
+        verify_field_tables(bad)
+
+
+@pytest.mark.parametrize("p,n,x,y,sample_accepts", [
+    (2, 7, 5, 6, False),  # off range(0, 128, 4), but products of it reach both
+    (2, 8, 3, 6, True),   # no sum or product of range(0, 256, 8) is 3 or 6
+    (3, 5, 18, 37, True),  # nor of range(0, 243, 8) 18 or 37
+])
+def test_off_sample_image_swaps_are_rejected(p, n, x, y, sample_accepts):
+    K = field(p, n)
+    swapped = _swap(galois_subgroup(K, 1).perms[1], x, y)
+    assert ref._is_automorphism(K, swapped, False) == sample_accepts
+    assert not _is_automorphism(K, swapped)

@@ -378,11 +378,15 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
     Q = build_left(spec)
     assert associativity_witness(Q) is not None
 
-    def refuse(T):
-        raise AssertionError("full sweeps run")
+    def refuse(*args):
+        raise AssertionError("a sweep runs")
 
     monkeypatch.setattr(ternary, "check_ternary_axioms", refuse)
     assert to_ternary(Q).validated
+    # T3 follows from linearity and the additive group, unswept
+    with monkeypatch.context() as m:
+        m.setattr(ternary, "_t3_sweep", refuse)
+        assert to_ternary(Q).validated
 
     # swapping the rows of <2x+.> at x = 2 and x = 3 breaks T4 and T5
     calls = []
