@@ -94,8 +94,10 @@ def no_fixed_points(cert):
     return cert.fixed_point_free
 
 
+@functools.lru_cache(maxsize=8)
 def _left_plane(Q):
-    """The plane of Q, after checking that Q satisfies the left axiom set."""
+    """The plane of Q, after checking that Q satisfies the left axiom set;
+    memoized, since the plane depends only on Q's tables."""
     report = check_vw(Q)
     if not report.passes(*LEFT_AXIOMS):
         raise InputError("tables fail the left quasi-field axioms")

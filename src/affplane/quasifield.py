@@ -4,11 +4,21 @@ adapters to and from ternary rings.
 Addition and multiplication are flat q*q tables indexed a*q+b.  The seven
 axiom flags cover the left set (VW1-VW5) and the right variants (VW4-r,
 VW5-r); witnesses are lexicographically smallest in quantification order.
+
+The O(q^3) sweeps compare whole table rows, by tuple comparison, by an
+`itemgetter` gather or by the size of a set of q differences, and look
+at single entries only inside a row that differs; so they yield the same witnesses, in the same order, as a sweep
+entry by entry.  `check_vw` computes one report per `QuasiField` and
+keeps it on the quasi-field: later calls, `build_left`/`build_right`'s
+callers and `to_ternary` reuse it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError
 from .ternary import AxiomReport, TernaryRing, validate
@@ -23,6 +33,8 @@ class QuasiField:
     mul_table: tuple
     # per element a, the first b with a + b = 0, or None if there is none
     neg_table: tuple = field(init=False, repr=False, compare=False)
+    # the `check_vw` report, computed on first use and kept
+    vw_report: object = field(init=False, default=None, repr=False, compare=False)
 
     zero = 0
     one = 1
@@ -34,10 +46,8 @@ class QuasiField:
             raise InputError("table length does not match q^2")
         if any(not 0 <= v < self.q for v in self.add_table + self.mul_table):
             raise InputError("table entry out of range")
-        q = self.q
-        rows = (self.add_table[a * q:(a + 1) * q] for a in range(q))
         object.__setattr__(self, "neg_table", tuple(
-            row.index(0) if 0 in row else None for row in rows))
+            row.index(0) if 0 in row else None for row in _rows(self.add_table, self.q)))
 
     def add(self, a, b):
         return self.add_table[a * self.q + b]
@@ -68,91 +78,126 @@ LEFT_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5")
 RIGHT_AXIOMS = ("VW1", "VW2", "VW3", "VW4-r", "VW5-r")
 
 
-def _vw1_sweep(q, add):
+def _rows(table, q):
+    """The rows of a flat q*q table: rows[a][b] = table[a*q+b]."""
+    return [table[i:i + q] for i in range(0, q * q, q)]
+
+
+def _mismatches(prefix, left, right):
+    # prefix + (k,) for each position k at which two rows differ
+    return (prefix + (k,) for k, (u, v) in enumerate(zip(left, right)) if u != v)
+
+
+def _vw1_sweep(rows):
     # VW1: abelian group under addition with identity 0; identity, then
-    # inverses, then commutativity and associativity
-    for x in range(q):
-        if add(x, 0) != x or add(0, x) != x:
+    # inverses, then per (x, y) commutativity and associativity.  A pair
+    # (x, y) sorts before the triples (x, y, z), so the merge keeps that
+    # loop order.
+    for x, row in enumerate(rows):
+        if row[0] != x or rows[0][x] != x:
             yield (x,)
-    for x in range(q):
-        if all(add(x, y) != 0 for y in range(q)):
+    for x, row in enumerate(rows):
+        if 0 not in row:
             yield (x,)
-    for x in range(q):
-        for y in range(q):
-            if add(x, y) != add(y, x):
-                yield (x, y)
-            for z in range(q):
-                if add(add(x, y), z) != add(x, add(y, z)):
-                    yield (x, y, z)
+    yield from heapq.merge(_commutativity_sweep(rows), _associativity_sweep(rows))
 
 
-def _vw2_sweep(q, mul):
+def _commutativity_sweep(rows):
+    # each (x, y) with xy != yx
+    for x, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row != col:
+            yield from _mismatches((x,), row, col)
+
+
+def _associativity_sweep(rows):
+    # each (x, y, z) with (xy)z != x(yz): over z, (xy)z is the row of xy,
+    # and x(yz) is row x gathered at the entries of row y
+    gather = [itemgetter(*row) for row in rows]
+    for x, row in enumerate(rows):
+        for y, xy in enumerate(row):
+            left, right = rows[xy], gather[y](row)
+            if left != right:
+                yield from _mismatches((x, y), left, right)
+
+
+def _vw2_sweep(rows, cols):
     # VW2: for a, b != 0 the equations ax = b and xa = b have unique
     # nonzero solutions, and there are no zero divisors
-    nonzero = list(range(1, q))
-    for a in nonzero:
-        row = [mul(a, x) for x in nonzero]
-        col = [mul(x, a) for x in nonzero]
-        if 0 in row or 0 in col or sorted(row) != nonzero or sorted(col) != nonzero:
+    nonzero = set(range(1, len(rows)))
+    for a in range(1, len(rows)):
+        if set(rows[a][1:]) != nonzero or set(cols[a][1:]) != nonzero:
             yield (a,)
 
 
-def _vw3_sweep(q, add, mul):
+def _vw3_sweep(add, mul):
     # VW3: 1x = x1 = x, 0x = x0 = 0, x+0 = 0+x = x
-    for x in range(q):
-        if (mul(1, x) != x or mul(x, 1) != x or mul(0, x) != 0
-                or mul(x, 0) != 0 or add(x, 0) != x or add(0, x) != x):
+    for x in range(len(add)):
+        if (mul[1][x] != x or mul[x][1] != x or mul[0][x] != 0
+                or mul[x][0] != 0 or add[x][0] != x or add[0][x] != x):
             yield (x,)
 
 
-def _vw4_sweep(q, add, mul):
-    # VW4: a(x+y) = ax + ay
-    for a in range(q):
-        for x in range(q):
-            for y in range(q):
-                if mul(a, add(x, y)) != add(mul(a, x), mul(a, y)):
-                    yield (a, x, y)
+def _vw4_sweep(add, mul):
+    # VW4: a(x+y) = ax + ay; over y, a(x+y) is row a gathered at row x of
+    # the addition, and ax + ay is the addition row of ax gathered at row a
+    gather_add = [itemgetter(*row) for row in add]
+    for a, row in enumerate(mul):
+        gather_mul = itemgetter(*row)
+        for x, ax in enumerate(row):
+            left, right = gather_add[x](row), gather_mul(add[ax])
+            if left != right:
+                yield from _mismatches((a, x), left, right)
 
 
-def _vw4r_sweep(q, add, mul):
-    # VW4-r: (x+y)a = xa + ya
-    for x in range(q):
-        for y in range(q):
-            for a in range(q):
-                if mul(add(x, y), a) != add(mul(x, a), mul(y, a)):
-                    yield (x, y, a)
+def _vw4r_sweep(add, mul):
+    # VW4-r: (x+y)a = xa + ya; over a, (x+y)a is the row of x+y
+    for x, (sums, mul_x) in enumerate(zip(add, mul)):
+        for y, xy in enumerate(sums):
+            left = mul[xy]
+            right = tuple([add[u][v] for u, v in zip(mul_x, mul[y])])
+            if left != right:
+                yield from _mismatches((x, y), left, right)
 
 
-def _vw5_sweep(q, add, mul, neg):
-    # VW5: for a != a', x -> ax - a'x is a bijection; VW5-r is VW5 of the
-    # transposed multiplication
-    full = list(range(q))
-    for a in range(q):
-        for a2 in range(q):
-            if a2 == a:
-                continue
-            diffs = sorted(add(mul(a, x), neg[mul(a2, x)]) for x in range(q))
-            if diffs != full:
+def _vw5_sweep(add, rows, neg):
+    # VW5: for a != a', x -> ax - a'x is a bijection; VW5-r is the same
+    # sweep over the columns of the multiplication
+    q = len(rows)
+    negated = [[neg[v] for v in row] for row in rows]
+    for a, row in enumerate(rows):
+        for a2, negated_a2 in enumerate(negated):
+            if a2 != a and len({add[u][v] for u, v in zip(row, negated_a2)}) != q:
                 yield (a, a2)
 
 
-def check_vw(Q):
-    """Exhaustive evaluation of all seven quasi-field axiom flags."""
-    q, add, mul = Q.q, Q.add, Q.mul
+def _vw_report(Q):
+    q = Q.q
+    add, mul = _rows(Q.add_table, q), _rows(Q.mul_table, q)
+    cols = list(zip(*mul))  # cols[a][x] = xa
     report = AxiomReport(VW_AXIOMS)
-    report.record("VW1", _vw1_sweep(q, add))
-    report.record("VW2", _vw2_sweep(q, mul))
-    report.record("VW3", _vw3_sweep(q, add, mul))
-    report.record("VW4", _vw4_sweep(q, add, mul))
-    report.record("VW4-r", _vw4r_sweep(q, add, mul))
+    report.record("VW1", _vw1_sweep(add))
+    report.record("VW2", _vw2_sweep(mul, cols))
+    report.record("VW3", _vw3_sweep(add, mul))
+    report.record("VW4", _vw4_sweep(add, mul))
+    report.record("VW4-r", _vw4r_sweep(add, mul))
     # VW5 / VW5-r need subtraction, hence VW1
     if report.passes("VW1"):
-        neg = Q.neg_table
-        report.record("VW5", _vw5_sweep(q, add, mul, neg))
-        report.record("VW5-r", _vw5_sweep(q, add, opposite(Q).mul, neg))
+        report.record("VW5", _vw5_sweep(add, mul, Q.neg_table))
+        report.record("VW5-r", _vw5_sweep(add, cols, Q.neg_table))
     else:
         report.unchecked = ("VW5", "VW5-r")
     return report
+
+
+def check_vw(Q):
+    """Exhaustive evaluation of all seven quasi-field axiom flags.
+
+    The report is computed on the first call for Q and kept on Q; every
+    later call returns that same report, which callers must not mutate.
+    """
+    if Q.vw_report is None:
+        object.__setattr__(Q, "vw_report", _vw_report(Q))
+    return Q.vw_report
 
 
 def opposite(Q):
@@ -162,16 +207,19 @@ def opposite(Q):
     return QuasiField(q, Q.add_table, mul)
 
 
+def _linear_table(q, add_table, mul_table):
+    # the q^3 table of <ax+b> = ax + b: the b-row of (a, x) is the
+    # addition row of ax
+    return tuple(chain.from_iterable(map(_rows(add_table, q).__getitem__, mul_table)))
+
+
 def to_ternary(Q, report=None):
     """The linear ternary ring <ax+b> = ax + b of a (left or right) quasi-field."""
     if report is None:
         report = check_vw(Q)
     if not (report.passes(*LEFT_AXIOMS) or report.passes(*RIGHT_AXIOMS)):
         raise InputError("tables pass neither the left nor the right axiom set")
-    q = Q.q
-    table = tuple(Q.add(Q.mul(a, x), b)
-                  for a in range(q) for x in range(q) for b in range(q))
-    return validate(TernaryRing(q, table))
+    return validate(TernaryRing(Q.q, _linear_table(Q.q, Q.add_table, Q.mul_table)))
 
 
 def from_ternary(T):
@@ -181,29 +229,17 @@ def from_ternary(T):
     ab = <ab+0>; the quasi-field is returned only when these tables
     reproduce T exactly (the linear case).
     """
-    q = T.q
-    add = tuple(T.at(1, a, b) for a in range(q) for b in range(q))
-    mul = tuple(T.at(a, b, 0) for a in range(q) for b in range(q))
-    for a in range(q):
-        for x in range(q):
-            ax = mul[a * q + x]
-            for b in range(q):
-                if T.at(a, x, b) != add[ax * q + b]:
-                    return None
+    q, t = T.q, T.table
+    add = t[q * q:2 * q * q]
+    mul = t[::q]
+    if t != _linear_table(q, add, mul):
+        return None
     return QuasiField(q, add, mul)
 
 
 def associativity_witness(Q):
     """Lexicographically first (x, y, z) with (xy)z != x(yz), or None."""
-    q = Q.q
-    mul = Q.mul
-    for x in range(q):
-        for y in range(q):
-            xy = mul(x, y)
-            for z in range(q):
-                if mul(xy, z) != mul(x, mul(y, z)):
-                    return (x, y, z)
-    return None
+    return next(_associativity_sweep(_rows(Q.mul_table, Q.q)), None)
 
 
 def check_vector_space(Q, F):
@@ -226,11 +262,16 @@ def check_vector_space(Q, F):
     for a in F:
         if a and not any(b in members and Q.mul(a, b) == 1 for b in F):
             raise InputError("F not closed under inversion")
-    for x in range(Q.q):
-        for y in range(Q.q):
-            for a in F:
-                if Q.mul(Q.mul(x, y), a) != Q.mul(x, Q.mul(y, a)):
-                    return False
-                if Q.mul(Q.add(x, y), a) != Q.add(Q.mul(x, a), Q.mul(y, a)):
-                    return False
+    # per a, over all (x, y) at once: col[v] = va
+    q = Q.q
+    add, mul = _rows(Q.add_table, q), _rows(Q.mul_table, q)
+    for a in F:
+        col = tuple(row[a] for row in mul)
+        gather = itemgetter(*col)
+        if (tuple(map(col.__getitem__, Q.mul_table))
+                != tuple(chain.from_iterable(map(gather, mul)))):
+            return False
+        if (tuple(map(col.__getitem__, Q.add_table))
+                != tuple(chain.from_iterable(gather(add[xa]) for xa in col))):
+            return False
     return True

@@ -19,6 +19,7 @@ ring this check rejects, goes to the O(q^4) sweeps of
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .errors import InputError, SearchBoundExceeded
 
@@ -265,13 +266,21 @@ def validate(T):
 # isomorphisms
 
 def isomorphism_failure(T, U, perm):
-    """First failing triple of the isomorphism identity, or None."""
-    q = T.q
-    for a in range(q):
-        for x in range(q):
-            for b in range(q):
-                if perm[T.at(a, x, b)] != U.at(perm[a], perm[x], perm[b]):
-                    return (a, x, b)
+    """First failing triple of the isomorphism identity, or None.
+
+    Per (a, x), the b-row of T mapped through perm must equal U's b-row
+    at (perm(a), perm(x)) gathered at perm; single entries are read only
+    in a row that differs.
+    """
+    q, u = T.q, U.table
+    gather = itemgetter(*perm)
+    image = tuple(map(perm.__getitem__, T.table))
+    for a, pa in enumerate(perm):
+        for x, px in enumerate(perm):
+            i, j = (a * q + x) * q, (pa * q + px) * q
+            left, right = image[i:i + q], gather(u[j:j + q])
+            if left != right:
+                return (a, x, next(b for b in range(q) if left[b] != right[b]))
     return None
 
 
@@ -290,9 +299,10 @@ def find_isomorphism(T, U):
     """Backtracking search for an isomorphism T -> U.
 
     Elements 2..q-1 are assigned in carrier order with candidate images
-    tried in increasing order, so the first hit is the lexicographically
-    smallest isomorphism.  Absence is certified by exhausting the pruned
-    search space.
+    tried in increasing order.  The pruning only drops assignments that no
+    isomorphism extends, and every leaf is verified on all q^3 triples, so
+    the first hit is the lexicographically smallest isomorphism.  Absence
+    is certified by exhausting the pruned search space.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -305,16 +315,16 @@ def find_isomorphism(T, U):
     used = [False] * q
     used[0] = used[1] = True
 
+    t, u = T.table, U.table
+
     def consistent(e):
         # all triples within {0..e} that involve the newly assigned e
         rng = range(e + 1)
         for a in rng:
             for x in rng:
-                for b in rng:
-                    if a != e and x != e and b != e:
-                        continue
-                    v = T.at(a, x, b)
-                    w = U.at(perm[a], perm[x], perm[b])
+                i, j = (a * q + x) * q, (perm[a] * q + perm[x]) * q
+                for b in (rng if e in (a, x) else (e,)):
+                    v, w = t[i + b], u[j + perm[b]]
                     if v <= e:
                         if perm[v] != w:
                             return False
@@ -325,7 +335,9 @@ def find_isomorphism(T, U):
 
     def search(e):
         if e == q:
-            return True
+            # the pruning never rechecks a triple whose value is assigned
+            # later, nor the triples over {0, 1}: verify the leaf in full
+            return isomorphism_failure(T, U, perm) is None
         for img in range(2, q):
             if used[img]:
                 continue

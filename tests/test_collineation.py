@@ -1,11 +1,12 @@
 import pytest
 
-from affplane import (as_collineation, check_vw, classify, classify_ternary,
-                      diag_automorphism, frame_mover, from_field,
+from affplane import (as_collineation, build_left, check_vw, classify,
+                      classify_ternary, diag_automorphism, frame_mover, from_field,
                       is_collineation, is_translation, line_through,
                       make_field, no_fixed_points, opposite,
                       plane_from_ternary, to_ternary, translation_candidate,
                       translation_from_shift)
+from affplane import collineation
 from affplane.collineation import (shear_horizontal_map, shear_vertical_map,
                                    shift_map, swap_map)
 from affplane.errors import InputError
@@ -63,6 +64,29 @@ def test_all_81_andre9_shifts(andre9):
                 assert cert.collineation.is_identity()
             else:
                 assert cert.fixed_point_free
+
+
+def test_shifts_build_one_plane_per_quasifield(monkeypatch, andre9_spec):
+    """The 81 order-9 shifts build the plane once, and their certificates
+    equal those of a plane built afresh for each shift."""
+    collineation._left_plane.cache_clear()
+    Q = build_left(andre9_spec)
+    P = plane_from_ternary(to_ternary(Q), check=False)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return plane_from_ternary(*args, **kwargs)
+
+    monkeypatch.setattr(collineation, "plane_from_ternary", counted)
+    for c in range(9):
+        for d in range(9):
+            perm = tuple(Q.add(x, c) * 9 + Q.add(y, d)
+                         for x in range(9) for y in range(9))
+            assert translation_from_shift(Q, c, d) == is_translation(P, perm)
+    assert diag_automorphism(Q, 2, 4) == as_collineation(P, tuple(
+        Q.mul(2, x) * 9 + Q.mul(4, y) for x in range(9) for y in range(9)))
+    assert len(built) == 1
 
 
 def test_shift_rejects_right_quasifield(andre9):

@@ -3,6 +3,7 @@ import pytest
 from affplane import formats, from_field, make_field, plane_from_ternary, to_ternary
 from affplane.cli import main
 from affplane.errors import FormatError
+from affplane.ternary import TernaryRing
 
 
 @pytest.fixture
@@ -129,6 +130,18 @@ def test_cli_iso_isotopy(tmp_path, capsys, t3):
     assert capsys.readouterr().out.startswith("found: 0 1 2")
     assert main(["isotopy", str(a), str(a)]) == 0
     assert capsys.readouterr().out.startswith("found")
+
+
+def test_cli_iso_verifies_the_map(tmp_path, capsys, t3):
+    """`afp iso` reads its files without validating them; on two order-3
+    tables that differ only at <0*0+1> no map is an isomorphism."""
+    a, b = tmp_path / "a.trs", tmp_path / "b.trs"
+    formats.write_trs(a, t3)
+    table = list(t3.table)
+    table[1] = 2  # <0*0+1>
+    formats.write_trs(b, TernaryRing(3, tuple(table)))
+    assert main(["iso", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "absent\n"
 
 
 def test_cli_isotopy_absent_at_order_9(tmp_path, capsys, k9, andre9_ring):

@@ -1,0 +1,164 @@
+"""The row-level quasi-field sweeps against the entry-by-entry ones.
+
+`quasifield_reference` keeps the sweeps, `check_vw`,
+`associativity_witness`, `check_vector_space` and `to_ternary` as they
+were before the sweeps compared whole table rows.  Both versions must
+yield the same witnesses in the same order, give the same report, the
+same associativity witness and vector-space verdict, and build the same
+ternary table, on every field and André build of order <= 27 (left,
+right and opposite), on every single-entry change of the tables at
+q <= 5, and on Hypothesis corruptions at q = 8, 9 and 16.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quasifield_reference as ref
+from affplane import (QuasiField, build_left, build_right, check_vector_space,
+                      check_vw, enumerate_phi, fixed_field, from_field,
+                      galois_subgroup, make_field, opposite,
+                      spec_from_exponents, to_ternary)
+from affplane import quasifield as qf
+from affplane.errors import InputError
+
+field = functools.cache(make_field)
+
+
+def _sequences(Q):
+    """axiom -> every witness the new sweeps yield, and the same from the
+    reference sweeps; VW5 and VW5-r only when VW1 holds."""
+    q, add_flat = Q.q, Q.add_table
+    add, mul = qf._rows(add_flat, q), qf._rows(Q.mul_table, q)
+    cols = list(zip(*mul))
+    new = {"VW1": qf._vw1_sweep(add), "VW2": qf._vw2_sweep(mul, cols),
+           "VW3": qf._vw3_sweep(add, mul), "VW4": qf._vw4_sweep(add, mul),
+           "VW4-r": qf._vw4r_sweep(add, mul)}
+    old = {"VW1": ref._vw1_sweep(q, Q.add), "VW2": ref._vw2_sweep(q, Q.mul),
+           "VW3": ref._vw3_sweep(q, Q.add, Q.mul),
+           "VW4": ref._vw4_sweep(q, Q.add, Q.mul),
+           "VW4-r": ref._vw4r_sweep(q, Q.add, Q.mul)}
+    new, old = ({k: list(v) for k, v in d.items()} for d in (new, old))
+    if not old["VW1"]:
+        neg = Q.neg_table
+        new["VW5"] = list(qf._vw5_sweep(add, mul, neg))
+        new["VW5-r"] = list(qf._vw5_sweep(add, cols, neg))
+        old["VW5"] = list(ref._vw5_sweep(q, Q.add, Q.mul, neg))
+        old["VW5-r"] = list(ref._vw5_sweep(q, Q.add, ref.opposite(Q).mul, neg))
+    return new, old
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+def assert_agree(Q, F):
+    """Every quasi-field result of the new code equals the reference's on
+    the tables of Q, with F as the vector-space scalars."""
+    new, old = _sequences(Q)
+    assert new == old
+    fresh = QuasiField(Q.q, Q.add_table, Q.mul_table)  # no kept report
+    report, expected = check_vw(fresh), ref.check_vw(Q)
+    assert (report.witnesses, report.unchecked) == (expected.witnesses, expected.unchecked)
+    assert list(report.witnesses) == list(expected.witnesses)
+    assert qf.associativity_witness(Q) == ref.associativity_witness(Q)
+    assert _outcome(check_vector_space, Q, F) == _outcome(ref.check_vector_space, Q, F)
+    table = _outcome(lambda: to_ternary(fresh).table)
+    assert table == _outcome(lambda: ref.to_ternary(Q).table)
+
+
+def _builds(max_q):
+    """(name, quasi-field, scalars): every field of order <= max_q, and the
+    left, right and opposite André builds over each of its subfields."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for n in range(1, 6):
+            if p ** n > max_q:
+                break
+            K = field(p, n)
+            yield f"GF({p}^{n})", from_field(K), fixed_field(K, galois_subgroup(K, 1))
+            for d in range(1, n):
+                if n % d:
+                    continue
+                for spec in enumerate_phi(K, galois_subgroup(K, d)):
+                    left = build_left(spec)
+                    for side, Q in (("left", left), ("right", build_right(spec)),
+                                    ("opposite", opposite(left))):
+                        yield f"GF({p}^{n})/{d}/{side}/{spec.phi}", Q, spec.fixed
+
+
+BUILDS = {name: (Q, F) for name, Q, F in _builds(27)}
+
+
+@pytest.mark.parametrize("name", list(BUILDS))
+def test_builds_agree(name):
+    assert_agree(*BUILDS[name])
+
+
+def _changed(Q, table, i, value):
+    entries = list(getattr(Q, table))
+    entries[i] = value
+    tables = {"add_table": Q.add_table, "mul_table": Q.mul_table, table: tuple(entries)}
+    return QuasiField(Q.q, **tables)
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_every_single_entry_change_agrees(p, n, table):
+    K = field(p, n)
+    Q, F = from_field(K), fixed_field(K, galois_subgroup(K, 1))
+    q = K.q
+    for i in range(q * q):
+        for value in range(q):
+            if value != getattr(Q, table)[i]:
+                assert_agree(_changed(Q, table, i, value), F)
+
+
+def _bases():
+    K8, K9, K16 = field(2, 3), field(3, 2), field(2, 4)
+    near9 = spec_from_exponents(K9, galois_subgroup(K9, 1), (0, 1))
+    twist16 = spec_from_exponents(K16, galois_subgroup(K16, 2), (0, 0, 1))
+    return [(from_field(K8), (0, 1)), (from_field(K9), near9.fixed),
+            (build_left(near9), near9.fixed), (build_right(near9), near9.fixed),
+            (from_field(K16), twist16.fixed), (build_left(twist16), twist16.fixed),
+            (build_right(twist16), twist16.fixed)]
+
+
+BASES = _bases()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corruptions_agree(data):
+    Q, F = data.draw(st.sampled_from(BASES))
+    q = Q.q
+    changes = data.draw(st.lists(
+        st.tuples(st.sampled_from(["add_table", "mul_table"]),
+                  st.integers(0, q * q - 1), st.integers(0, q - 1)),
+        min_size=1, max_size=3))
+    for table, i, value in changes:
+        Q = _changed(Q, table, i, value)
+    assert_agree(Q, F)
+
+
+def test_sweeps_run_once_per_quasifield(monkeypatch, k9):
+    calls = []
+    sweep = qf._vw4_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(qf, "_vw4_sweep", counted)
+    Q = build_left(spec_from_exponents(k9, galois_subgroup(k9, 1), (0, 1)))
+    report = check_vw(Q)
+    to_ternary(Q)
+    assert len(calls) == 1
+    assert check_vw(Q) is report
+    # an equal quasi-field is another object with its own report
+    assert check_vw(QuasiField(Q.q, Q.add_table, Q.mul_table)) is not report
+    assert len(calls) == 2

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from affplane import (Isotopism, TernaryRing, associativity_witness,
                       to_ternary, validate)
 from affplane import ternary
 from affplane.errors import InputError, SearchBoundExceeded
-from affplane.ternary import _linear_verdict
+from affplane.ternary import _linear_verdict, isomorphism_failure
 from test_witnesses import cases as witness_cases
 
 
@@ -134,6 +135,37 @@ def test_find_isomorphism_absent(t3, andre9_ring):
     assert find_isomorphism(andre9_ring, T9) is None
     with pytest.raises(InputError):
         find_isomorphism(t3, T9)
+
+
+def test_find_isomorphism_verifies_every_leaf(t3):
+    """Two order-3 tables that differ only at <0*0+1>: the pruning never
+    looks at that triple, so the leaf (0, 1, 2) must be rejected by the
+    full check."""
+    U = mutate(t3, 0, 0, 1, 2)
+    assert not is_isomorphism(t3, U, (0, 1, 2))
+    assert find_isomorphism(t3, U) is None
+    assert find_isomorphism(U, t3) is None
+    assert find_isomorphism(U, U) == (0, 1, 2)
+
+
+def test_isomorphism_failure_is_the_first_failing_triple():
+    """The row-level check returns the first (a, x, b) of the definition."""
+    rng = random.Random(7)
+    for q in (2, 3, 4, 5):
+        for _ in range(100):
+            T = TernaryRing(q, tuple(rng.randrange(q) for _ in range(q ** 3)))
+            perm = [0, 1] + rng.sample(range(2, q), q - 2)
+            U = relabel(T, perm)
+            assert isomorphism_failure(T, U, perm) is None
+            table = list(U.table)
+            for _ in range(rng.randrange(1, 4)):
+                table[rng.randrange(q ** 3)] = rng.randrange(q)
+            U = TernaryRing(q, tuple(table))
+            first = next(((a, x, b) for a in range(q) for x in range(q)
+                          for b in range(q)
+                          if perm[T.at(a, x, b)] != U.at(perm[a], perm[x], perm[b])),
+                         None)
+            assert isomorphism_failure(T, U, perm) == first
 
 
 def test_isomorphism_bound():
@@ -298,6 +330,20 @@ def test_row_swaps_agree(p):
         verdicts.add(assert_validate_agrees(
             TernaryRing(q, tuple(itertools.chain(*rows)))))
     assert verdicts == {True, False}
+
+
+def test_zero_times_x_failure_agrees():
+    """A linear ring over GF(4)'s addition whose only failing axiom is
+    <0x+b> = b (0*2 = 0*3 = 1): T1, T3, T4 and T5 hold, so only the
+    shortcut's T2 check can reject it."""
+    K = make_field(2, 2)
+    mul = (0, 0, 1, 1,
+           0, 1, 2, 3,
+           0, 2, 0, 2,
+           0, 3, 3, 0)
+    T = linear_ring(K.add_table, mul, 4)
+    assert check_ternary_axioms(T).witnesses == {"T2": (2, 0)}
+    assert assert_validate_agrees(T) is False
 
 
 def test_affine_multiplications_agree():
