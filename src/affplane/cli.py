@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -22,7 +23,10 @@ from .quasifield import LEFT_AXIOMS, RIGHT_AXIOMS, check_vw, from_ternary
 from .ternary import check_ternary_axioms, find_isomorphism, find_isotopism, validate
 
 
+@functools.cache
 def _build_parser():
+    """The `afp` parser, built once per process: parsing leaves it as it
+    was, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="afp",
         description="Build, check, coordinatize, and classify finite "

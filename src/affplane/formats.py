@@ -14,6 +14,9 @@ order so that write-then-read is byte-stable.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, count, islice
+from operator import ge
+
 from .errors import FormatError
 from .plane import AffinePlane
 from .quasifield import QuasiField
@@ -29,9 +32,10 @@ def _read_lines(path):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    for i, line in enumerate(lines, start=1):
-        if line != line.rstrip() or "\r" in line:
-            raise FormatError("trailing whitespace or CR", path=path, line_no=i)
+    if "\r" in text or list(map(str.rstrip, lines)) != lines:
+        for i, line in enumerate(lines, start=1):
+            if line != line.rstrip() or "\r" in line:
+                raise FormatError("trailing whitespace or CR", path=path, line_no=i)
     return lines
 
 
@@ -63,6 +67,12 @@ class _Cursor:
                               path=self.path, line_no=self.pos + 1)
 
 
+def _is_number(text):
+    """True iff text is a non-empty run of ASCII digits.  `str.isdigit`
+    alone also takes other Unicode digits, some of which `int` rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _expect_magic(cur, magic):
     line = cur.next(f"header `{magic}`")
     if line != magic:
@@ -72,7 +82,7 @@ def _expect_magic(cur, magic):
 def _expect_int_field(cur, key, minimum=0):
     line = cur.next(f"`{key} <value>`")
     parts = line.split(" ")
-    if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != key or not _is_number(parts[1]):
         cur.fail(f"expected `{key} <integer>`, got `{line}`")
     value = int(parts[1])
     if value < minimum:
@@ -82,7 +92,7 @@ def _expect_int_field(cur, key, minimum=0):
 
 def _expect_value(cur, q, what):
     line = cur.next(what)
-    if not line.isdigit():
+    if not _is_number(line):
         cur.fail(f"expected a {what}, got `{line}`")
     v = int(line)
     if not 0 <= v < q:
@@ -90,11 +100,24 @@ def _expect_value(cur, q, what):
     return v
 
 
+def _expect_values(cur, count, q, what):
+    """The next `count` lines as values in 0..q-1, parsed as one block;
+    when the block is bad, `_expect_value` reads it line by line to name
+    the first bad line."""
+    block = cur.lines[cur.pos:cur.pos + count]
+    if len(block) == count and "" not in block and _is_number("".join(block)):
+        values = tuple(map(int, block))
+        if max(values) < q:
+            cur.pos += count
+            return values
+    return tuple(_expect_value(cur, q, what) for _ in range(count))
+
+
 def read_trs(path):
     cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "TRS 1")
     q = _expect_int_field(cur, "q", minimum=2)
-    table = tuple(_expect_value(cur, q, "table value") for _ in range(q ** 3))
+    table = _expect_values(cur, q ** 3, q, "table value")
     cur.done()
     return TernaryRing(q, table)
 
@@ -109,8 +132,8 @@ def read_qf(path):
     cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "QF 1")
     q = _expect_int_field(cur, "q", minimum=2)
-    add = tuple(_expect_value(cur, q, "addition value") for _ in range(q * q))
-    mul = tuple(_expect_value(cur, q, "multiplication value") for _ in range(q * q))
+    add = _expect_values(cur, q * q, q, "addition value")
+    mul = _expect_values(cur, q * q, q, "multiplication value")
     cur.done()
     return QuasiField(q, add, mul)
 
@@ -122,23 +145,52 @@ def write_qf(path, Q):
     _write_lines(path, lines)
 
 
+def _point_block(block, n):
+    """The lines of an APLANE block as tuples of point indices, parsed as
+    one block, or None unless every line holds strictly increasing indices
+    below n in the decimal form `write_plane` gives them; the block is
+    then read line by line, which names the first bad line."""
+    tokens = " ".join(block).split(" ")
+    if n > len(tokens):  # the index below costs n; no plane is so sparse
+        return None
+    index = {str(p): p for p in range(n)}
+    try:
+        points = list(map(index.__getitem__, tokens))
+    except KeyError:
+        return None
+    sizes = [raw.count(" ") + 1 for raw in block]
+    # a point that is not above the one before it must start a line
+    starts = set(accumulate(sizes, initial=0))
+    if not set(compress(count(1), map(ge, points, islice(points, 1, None)))) <= starts:
+        return None
+    points = iter(points)
+    return [tuple(islice(points, size)) for size in sizes]
+
+
+def _expect_point_line(cur, n):
+    raw = cur.next("a line of point indices")
+    parts = raw.split(" ")
+    if not parts or any(not _is_number(p) for p in parts):
+        cur.fail(f"expected space-separated point indices, got `{raw}`")
+    points = tuple(int(p) for p in parts)
+    if any(not 0 <= p < n for p in points):
+        cur.fail("point index out of range")
+    if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
+        cur.fail("point indices must be strictly increasing")
+    return points
+
+
 def read_plane(path):
     cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "APLANE 1")
     n = _expect_int_field(cur, "points", minimum=1)
     m = _expect_int_field(cur, "lines", minimum=0)
-    lines = []
-    for _ in range(m):
-        raw = cur.next("a line of point indices")
-        parts = raw.split(" ")
-        if not parts or any(not p.isdigit() for p in parts):
-            cur.fail(f"expected space-separated point indices, got `{raw}`")
-        points = tuple(int(p) for p in parts)
-        if any(not 0 <= p < n for p in points):
-            cur.fail("point index out of range")
-        if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
-            cur.fail("point indices must be strictly increasing")
-        lines.append(points)
+    block = cur.lines[cur.pos:cur.pos + m]
+    lines = _point_block(block, n) if len(block) == m else None
+    if lines is None:
+        lines = [_expect_point_line(cur, n) for _ in range(m)]
+    else:
+        cur.pos += m
     if lines != sorted(lines):
         cur.fail("lines are not in canonical lexicographic order")
     cur.done()
@@ -160,7 +212,7 @@ def read_coll(path):
         raw = cur.next("a mapping line `i -> p`")
         parts = raw.split(" ")
         if (len(parts) != 3 or parts[1] != "->"
-                or not parts[0].isdigit() or not parts[2].isdigit()):
+                or not _is_number(parts[0]) or not _is_number(parts[2])):
             cur.fail(f"expected `{i} -> <point>`, got `{raw}`")
         if int(parts[0]) != i:
             cur.fail(f"expected source point {i}, got {parts[0]}")

@@ -2,56 +2,65 @@
 
 Points are integers 0..n-1; lines are strictly increasing tuples of point
 indices, and the line list is sorted lexicographically so serialization
-is canonical.  Each line is also held as an int bitmask of its points,
-and the parallel relation is built once per plane from those masks; every
-incidence query reads these two.  Planes built from a ternary ring of
-order q encode the point (x, y) as x*q + y.
+is canonical.  Each line is also held as an int bitmask of its points
+(`masks`), and each point as the bitmask of the line indices through it
+(`through`), both built once in `from_lines`.  The parallel relation is
+built once per plane from them, and every incidence query reads these
+masks.  Planes built from a ternary ring of order q encode the point
+(x, y) as x*q + y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import or_
 
 from .errors import InputError
 from .ternary import AxiomReport, Isotopism, TernaryRing, validate
+
+_BIT = (1).__lshift__  # p -> the bitmask 1 << p
 
 
 @dataclass(frozen=True)
 class AffinePlane:
     n: int
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
-    point_lines: tuple  # per point, sorted tuple of incident line indices
     masks: tuple  # per line, the int bitmask of its points
+    through: tuple  # per point, the int bitmask of its line indices
     order: int = None  # q, when built from a ternary ring
     source: TernaryRing = None
 
     @classmethod
     def from_lines(cls, n, lines, order=None, source=None):
-        lines = tuple(sorted(tuple(sorted(line)) for line in lines))
-        for line in lines:
-            if any(not 0 <= p < n for p in line):
-                raise InputError("line contains an out-of-range point")
-            if len(set(line)) != len(line):
-                raise InputError("line contains a repeated point")
-        incident = [[] for _ in range(n)]
+        lines = tuple(sorted(map(tuple, map(sorted, lines))))
+        points = list(chain.from_iterable(lines))
+        masks = ()
+        if not points or (min(points) >= 0 and max(points) < n):
+            masks = tuple(map(sum, map(map, repeat(_BIT), lines)))
+        # a sum of distinct powers of two has one bit per term; a repeated
+        # point carries, and leaves fewer bits than points
+        if list(map(int.bit_count, masks)) != list(map(len, lines)):
+            for line in lines:  # name the fault of the first bad line
+                if any(not 0 <= p < n for p in line):
+                    raise InputError("line contains an out-of-range point")
+                if len(set(line)) != len(line):
+                    raise InputError("line contains a repeated point")
+        through = [0] * n
         for i, line in enumerate(lines):
+            bit = 1 << i
             for p in line:
-                incident[p].append(i)
-        masks = tuple(sum(1 << p for p in line) for line in lines)
-        return cls(n, lines, tuple(tuple(ls) for ls in incident), masks,
-                   order, source)
+                through[p] |= bit
+        return cls(n, lines, masks, tuple(through), order, source)
 
     @cached_property
     def parallel(self):
         """Per line, the bitmask of the line indices equal or disjoint to it."""
-        through = _lines_through(self)
         every = (1 << len(self.lines)) - 1
         out = []
         for i, line in enumerate(self.lines):
-            meets = 0
-            for p in line:
-                meets |= through[p]
+            meets = reduce(or_, map(self.through.__getitem__, line), 0)
             out.append(every & ~meets | 1 << i)
         return tuple(out)
 
@@ -87,17 +96,12 @@ def _bits(mask):
         mask ^= low
 
 
-def _lines_through(P):
-    """Per point, the bitmask of the line indices through it."""
-    return [sum(1 << li for li in lines) for lines in P.point_lines]
-
-
 def _a1_sweep(P):
     # A1: every point pair on exactly one line
     every = (1 << P.n) - 1
     for p in range(P.n):
         once = twice = 0
-        for li in P.point_lines[p]:
+        for li in _bits(P.through[p]):
             twice |= once & P.masks[li]
             once |= P.masks[li]
         for p2 in _bits((every & ~once | twice) >> p + 1):
@@ -105,12 +109,21 @@ def _a1_sweep(P):
 
 
 def _a2_sweep(P):
-    # A2: unique parallel through an external point
-    through = _lines_through(P)
+    # A2: unique parallel through an external point, that is, the lines
+    # parallel to li cover each point off li exactly once.  The cover
+    # depends only on the parallel mask (li itself covers only its own
+    # points), so each parallel class is covered once
+    every = (1 << P.n) - 1
+    uncovered = {}
     for li, (mask, par) in enumerate(zip(P.masks, P.parallel)):
-        for p in range(P.n):
-            if not mask >> p & 1 and (par & through[p]).bit_count() != 1:
-                yield (li, p)
+        if par not in uncovered:
+            once = twice = 0
+            for mi in _bits(par):
+                twice |= once & P.masks[mi]
+                once |= P.masks[mi]
+            uncovered[par] = every & ~once | twice
+        for p in _bits(uncovered[par] & ~mask):
+            yield (li, p)
 
 
 def _a3_sweep(P):
@@ -119,20 +132,22 @@ def _a3_sweep(P):
     for p in range(P.n):
         for q2 in range(p + 1, P.n):
             on_join = 1 << p | 1 << q2
-            for li in P.point_lines[p]:
-                if P.masks[li] >> q2 & 1:
-                    on_join |= P.masks[li]
+            for li in _bits(P.through[p] & P.through[q2]):
+                on_join |= P.masks[li]
             if on_join != every:
                 return
     yield ()
 
 
 def _parallel_sweep(P):
-    # parallelism (equal or disjoint) must be an equivalence relation
+    # parallelism (equal or disjoint) must be an equivalence relation: each
+    # line parallel to i must have i's parallel mask
+    members = {}  # parallel mask -> the lines that have it
+    for j, par in enumerate(P.parallel):
+        members[par] = members.get(par, 0) | 1 << j
     for i, par in enumerate(P.parallel):
-        for j in _bits(par):
-            if P.parallel[j] != par:
-                yield (i, j)
+        for j in _bits(par & ~members[par]):
+            yield (i, j)
 
 
 def check_plane_axioms(P):
@@ -150,20 +165,20 @@ def line_through(P, p1, p2):
     """Index of the unique line through two distinct points."""
     if p1 == p2:
         raise InputError("points must be distinct")
-    hits = [li for li in P.point_lines[p1] if P.masks[li] >> p2 & 1]
-    if len(hits) != 1:
-        raise InputError(f"points {p1},{p2} lie on {len(hits)} common lines")
-    return hits[0]
+    hits = P.through[p1] & P.through[p2]
+    if hits.bit_count() != 1:
+        raise InputError(f"points {p1},{p2} lie on {hits.bit_count()} common lines")
+    return hits.bit_length() - 1
 
 
 def parallel_through(P, l, p):
     """Index of the unique line through p parallel to l (l itself if p in l)."""
     if P.masks[l] >> p & 1:
         return l
-    hits = [mi for mi in P.point_lines[p] if P.parallel[l] >> mi & 1]
-    if len(hits) != 1:
+    hits = P.parallel[l] & P.through[p]
+    if hits.bit_count() != 1:
         raise InputError(f"parallel axiom violated at line {l}, point {p}")
-    return hits[0]
+    return hits.bit_length() - 1
 
 
 def intersection(P, l1, l2):
@@ -286,7 +301,7 @@ def coordinatize(P, frame):
         line_slopes[li] = coord_of[hit][1]
 
     origin_line_of_slope = {}
-    for li in P.point_lines[origin]:
+    for li in _bits(P.through[origin]):
         if li == m:
             continue
         origin_line_of_slope[line_slopes[li]] = li
@@ -320,7 +335,7 @@ def isotopism_from_frames(P, frame1, frame2):
     G = tuple(label2_axis1[c1.axis1_points[x]] for x in range(q))
     H = tuple(label2_axis2[c1.axis2_points[y]] for y in range(q))
     F = [None] * q
-    for li in P.point_lines[c1.origin]:
+    for li in _bits(P.through[c1.origin]):
         if li == frame1.m:
             continue
         F[c1.line_slopes[li]] = c2.line_slopes[li]

@@ -6,6 +6,8 @@ tuples, one frozenset at a time, and are kept only so that the tests can
 require the bitmask versions to agree with them on every argument.
 """
 
+import functools
+
 from affplane.errors import InputError
 from affplane.plane import PLANE_AXIOMS
 from affplane.ternary import AxiomReport
@@ -13,6 +15,17 @@ from affplane.ternary import AxiomReport
 
 def _sets(P):
     return [frozenset(line) for line in P.lines]
+
+
+def point_lines(P):
+    """Per point, the indices of the lines holding it, in increasing order."""
+    return _point_lines(P.n, P.lines)
+
+
+@functools.lru_cache(maxsize=4)
+def _point_lines(n, lines):
+    return tuple(tuple(li for li, line in enumerate(lines) if p in line)
+                 for p in range(n))
 
 
 def _a1_sweep(n, lines):
@@ -68,8 +81,8 @@ def check_plane_axioms(P):
     n, sets = P.n, _sets(P)
     report = AxiomReport(PLANE_AXIOMS)
     report.record("A1", _a1_sweep(n, P.lines))
-    report.record("A2", _a2_sweep(n, sets, P.point_lines))
-    report.record("A3", _a3_sweep(n, sets, P.point_lines))
+    report.record("A2", _a2_sweep(n, sets, point_lines(P)))
+    report.record("A3", _a3_sweep(n, sets, point_lines(P)))
     report.record("parallel-transitive", _parallel_sweep(sets))
     return report
 
@@ -77,7 +90,7 @@ def check_plane_axioms(P):
 def line_through(P, p1, p2):
     if p1 == p2:
         raise InputError("points must be distinct")
-    hits = [li for li in P.point_lines[p1] if p2 in set(P.lines[li])]
+    hits = [li for li in point_lines(P)[p1] if p2 in set(P.lines[li])]
     if len(hits) != 1:
         raise InputError(f"points {p1},{p2} lie on {len(hits)} common lines")
     return hits[0]
@@ -87,7 +100,7 @@ def parallel_through(P, l, p):
     lset = frozenset(P.lines[l])
     if p in lset:
         return l
-    hits = [mi for mi in P.point_lines[p] if not frozenset(P.lines[mi]) & lset]
+    hits = [mi for mi in point_lines(P)[p] if not frozenset(P.lines[mi]) & lset]
     if len(hits) != 1:
         raise InputError(f"parallel axiom violated at line {l}, point {p}")
     return hits[0]

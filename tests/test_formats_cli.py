@@ -79,6 +79,77 @@ def test_plane_rejects_unsorted_lines(tmp_path):
         formats.read_plane(path)
 
 
+@pytest.mark.parametrize("kind,reader,content,line_no", [
+    ("ternary", formats.read_trs, "TRS 1\nq \u00b2\n", 2),
+    ("quasifield", formats.read_qf, "QF 1\nq 2\n0\n1\n\u00b2\n" + "0\n" * 5, 5),
+    ("plane", formats.read_plane, "APLANE 1\npoints 3\nlines 1\n0 1 \u00b2\n", 4),
+    (None, formats.read_coll, "COLL 1\npoints 2\n0 -> \u00b2\n1 -> 0\n", 3),
+])
+def test_readers_take_ascii_digits_only(tmp_path, capsys, kind, reader, content, line_no):
+    """`str.isdigit` accepts the superscript two, which `int` rejects: each
+    reader names the line, and `afp` exits 2 (no command reads COLL)."""
+    path = tmp_path / "bad"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        reader(path)
+    assert exc.value.line_no == line_no
+    if kind is not None:
+        assert main(["check", kind, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+
+
+def _outcome(read, path):
+    try:
+        return "returns", read(path)
+    except FormatError as exc:
+        return "raises", str(exc), exc.line_no
+
+
+def _line_by_line(monkeypatch, read, path):
+    """read(path) with the bulk parsers turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_point_block", lambda block, n: None)
+        m.setattr(formats, "_expect_values", lambda cur, count, q, what: tuple(
+            formats._expect_value(cur, q, what) for _ in range(count)))
+        return _outcome(read, path)
+
+
+BAD_LINES = ["", "0", "9", "0 0", "1 0", "00 1 2", "0 01", "0  1", " 0 1",
+             "0 1 \u00b2", "\u0663", "+1", "-1", "1_0", "0 1 2 3", "x 1"]
+
+
+def test_bulk_plane_reader_agrees_line_by_line(tmp_path, monkeypatch, p3):
+    """Every single-line change of an order-3 plane file, a lost line and
+    a repeated line read alike in bulk and line by line: the same lines,
+    or the same message at the same line."""
+    path = tmp_path / "p.aplane"
+    formats.write_plane(path, p3)
+    good = path.read_text().split("\n")[:-1]
+    variants = [good[:-1], good + good[-1:]]
+    for i in range(1, len(good)):
+        variants += [good[:i] + [bad] + good[i + 1:] for bad in BAD_LINES]
+    outcomes = set()
+    for lines in variants:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        outcome = _outcome(formats.read_plane, path)
+        assert outcome == _line_by_line(monkeypatch, formats.read_plane, path)
+        outcomes.add(outcome[0] if outcome[0] == "returns" else outcome[1].split(": ")[-1])
+    assert "returns" in outcomes and len(outcomes) > 8
+
+
+def test_bulk_table_reader_agrees_line_by_line(tmp_path, monkeypatch, t3):
+    path = tmp_path / "t.trs"
+    formats.write_trs(path, t3)
+    good = path.read_text().split("\n")[:-1]
+    variants = [good[:-1], good + good[-1:]]
+    for i in range(2, len(good)):
+        variants += [good[:i] + [bad] + good[i + 1:] for bad in BAD_LINES + ["02", "3"]]
+    for lines in variants:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        outcome = _outcome(lambda p: formats.read_trs(p).table, path)
+        assert outcome == _line_by_line(monkeypatch, lambda p: formats.read_trs(p).table, path)
+
+
 def test_coll_rejects_non_permutation(tmp_path):
     path = tmp_path / "bad.coll"
     path.write_text("COLL 1\npoints 2\n0 -> 0\n1 -> 0\n")

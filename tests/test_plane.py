@@ -19,13 +19,27 @@ def test_counts_gf3(p3):
     assert p3.n == 9
     assert len(p3.lines) == 12
     assert all(len(line) == 3 for line in p3.lines)
-    assert all(len(ls) == 4 for ls in p3.point_lines)
+    assert all(lines.bit_count() == 4 for lines in p3.through)
 
 
 def test_counts_andre9(andre9_plane):
     assert andre9_plane.n == 81
     assert len(andre9_plane.lines) == 90
     assert all(len(line) == 9 for line in andre9_plane.lines)
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([(0, 1), (2, 2)], "repeated"),
+    ([(0, 3), (1, 1)], "out-of-range"),
+    ([(0, 0), (1, 3)], "repeated"),
+    ([(1, 3), (0, 0)], "repeated"),
+    ([(0, -1)], "out-of-range"),
+])
+def test_from_lines_names_the_first_bad_line(lines, message):
+    """Lines are sorted first; the first bad line's fault is raised, an
+    out-of-range point before a repeated one."""
+    with pytest.raises(InputError, match=f"^line contains an? {message} point$"):
+        AffinePlane.from_lines(3, lines)
 
 
 def test_requires_validated_ring(t3):

@@ -1,8 +1,10 @@
 """The bitmask plane layer agrees with the set-based reference loops.
 
-Every axiom flag and witness, every parallel partition and every return
-value or raised `InputError` of `line_through`, `parallel_through` and
-`intersection`, on every argument, must match `plane_reference`.
+Every axiom flag and witness, the full witness sequences of the A2 cover
+and the parallel sweep, the point-to-line index `through`, every parallel
+partition and every return value or raised `InputError` of
+`line_through`, `parallel_through` and `intersection`, on every argument,
+must match `plane_reference`.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import plane_reference as ref
 from affplane import (AffinePlane, check_plane_axioms, intersection,
                       line_through, parallel_classes, parallel_through)
+from affplane import plane
 from affplane.errors import InputError
 from test_witnesses import cases
 
@@ -27,6 +30,12 @@ def assert_agrees(P):
     new, old = check_plane_axioms(P), ref.check_plane_axioms(P)
     assert new.flags() == old.flags()
     assert new.witnesses == old.witnesses
+    sets = ref._sets(P)
+    assert P.through == tuple(sum(1 << li for li in lines)
+                              for lines in ref.point_lines(P))
+    assert (list(plane._a2_sweep(P))
+            == list(ref._a2_sweep(P.n, sets, ref.point_lines(P))))
+    assert list(plane._parallel_sweep(P)) == list(ref._parallel_sweep(sets))
     assert _outcome(parallel_classes, P) == _outcome(ref.parallel_classes, P)
     points, lines = range(P.n), range(len(P.lines))
     for p1 in points:
