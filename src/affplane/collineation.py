@@ -98,10 +98,9 @@ def no_fixed_points(cert):
 def _left_plane(Q):
     """The plane of Q, after checking that Q satisfies the left axiom set;
     memoized, since the plane depends only on Q's tables."""
-    report = check_vw(Q)
-    if not report.passes(*LEFT_AXIOMS):
+    if not check_vw(Q).passes(*LEFT_AXIOMS):
         raise InputError("tables fail the left quasi-field axioms")
-    return plane_from_ternary(to_ternary(Q, report), check=False)
+    return plane_from_ternary(to_ternary(Q), check=False)
 
 
 def translation_from_shift(Q, c, d):

@@ -14,6 +14,7 @@ order so that write-then-read is byte-stable.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, compress, count, islice
 from operator import ge
 
@@ -67,10 +68,17 @@ class _Cursor:
                               path=self.path, line_no=self.pos + 1)
 
 
-def _is_number(text):
+def _is_digits(text):
     """True iff text is a non-empty run of ASCII digits.  `str.isdigit`
     alone also takes other Unicode digits, some of which `int` rejects."""
     return text.isascii() and text.isdigit()
+
+
+def _is_number(text):
+    """True iff text is a run of ASCII digits that `int` parses: `int`
+    rejects more digits than `sys.get_int_max_str_digits()` (0: no bound)."""
+    limit = sys.get_int_max_str_digits()
+    return _is_digits(text) and not 0 < limit < len(text)
 
 
 def _expect_magic(cur, magic):
@@ -105,9 +113,12 @@ def _expect_values(cur, count, q, what):
     when the block is bad, `_expect_value` reads it line by line to name
     the first bad line."""
     block = cur.lines[cur.pos:cur.pos + count]
-    if len(block) == count and "" not in block and _is_number("".join(block)):
-        values = tuple(map(int, block))
-        if max(values) < q:
+    if len(block) == count and "" not in block and _is_digits("".join(block)):
+        try:
+            values = tuple(map(int, block))
+        except ValueError:  # a line longer than `int` takes
+            values = None
+        if values and max(values) < q:
             cur.pos += count
             return values
     return tuple(_expect_value(cur, q, what) for _ in range(count))

@@ -7,10 +7,19 @@ VW5-r); witnesses are lexicographically smallest in quantification order.
 
 The O(q^3) sweeps compare whole table rows, by tuple comparison, by an
 `itemgetter` gather or by the size of a set of q differences, and look
-at single entries only inside a row that differs; so they yield the same witnesses, in the same order, as a sweep
-entry by entry.  `check_vw` computes one report per `QuasiField` and
-keeps it on the quasi-field: later calls, `build_left`/`build_right`'s
-callers and `to_ternary` reuse it.
+at single entries only inside a row that differs; so they yield the same
+witnesses, in the same order, as a sweep entry by entry.  `check_vw`
+computes one report per `QuasiField` and keeps it on the quasi-field:
+later calls, `build_left`/`build_right`'s callers and `to_ternary` reuse
+it.
+
+That report is also the certificate of the linear ternary ring
+<ax+b> = ax + b: the ring satisfies T1-T5 exactly when the report passes
+`LINEAR_RING_AXIOMS` (see `ternary.validate`).  The left set implies
+them, since VW4 and VW2 make a -> ax - ax' = a(x - x') a bijection for
+x != x' (VW5-r); so does the right set, since VW4-r and VW2 make
+x -> ax - a'x = (a - a')x a bijection for a != a' (VW5).  `to_ternary`
+therefore marks the ring validated from the kept report alone.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import InputError
-from .ternary import AxiomReport, TernaryRing, validate
+from .ternary import AxiomReport, TernaryRing
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,9 @@ def from_field(K):
 VW_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5", "VW4-r", "VW5-r")
 LEFT_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5")
 RIGHT_AXIOMS = ("VW1", "VW2", "VW3", "VW4-r", "VW5-r")
+# what the linear ternary ring of a quasi-field needs for T1-T5; both
+# LEFT_AXIOMS and RIGHT_AXIOMS imply it
+LINEAR_RING_AXIOMS = ("VW1", "VW3", "VW5", "VW5-r")
 
 
 def _rows(table, q):
@@ -214,12 +226,18 @@ def _linear_table(q, add_table, mul_table):
 
 
 def to_ternary(Q, report=None):
-    """The linear ternary ring <ax+b> = ax + b of a (left or right) quasi-field."""
-    if report is None:
-        report = check_vw(Q)
+    """The validated linear ternary ring <ax+b> = ax + b of a (left or
+    right) quasi-field.
+
+    Q's own kept `check_vw` report certifies the ring (module docstring),
+    so no axiom is swept again.  `report` is ignored: a report passed in
+    by the caller certifies nothing.
+    """
+    report = check_vw(Q)
     if not (report.passes(*LEFT_AXIOMS) or report.passes(*RIGHT_AXIOMS)):
         raise InputError("tables pass neither the left nor the right axiom set")
-    return validate(TernaryRing(Q.q, _linear_table(Q.q, Q.add_table, Q.mul_table)))
+    return TernaryRing(Q.q, _linear_table(Q.q, Q.add_table, Q.mul_table),
+                       validated=True)
 
 
 def from_ternary(T):

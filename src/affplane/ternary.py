@@ -9,10 +9,12 @@ that yields its counterexamples in that order, and `AxiomReport.record`
 keeps the first; the quasi-field and plane checkers use the same idiom.
 
 `validate` certifies a linear ring <ax+b> = ax + b (with y + b = <1y+b>
-and ax = <ax+0>) whose addition is a group in O(q^3): there T4 holds iff
-x -> -(a'x) + ax is a bijection for every a != a', and T5 iff
-a -> ax' - ax is a bijection for every x != x'.  Any other ring, and any
-ring this check rejects, goes to the O(q^4) sweeps of
+and ax = <ax+0>) through the quasi-field `from_ternary` reads off it:
+when its addition is an abelian group, the ring satisfies T1-T5 exactly
+when that quasi-field's `check_vw` report passes VW1, VW3, VW5 and VW5-r
+(`quasifield.LINEAR_RING_AXIOMS`), in O(q^3).  Any other ring (a linear
+ring whose addition is a non-abelian group, if one exists, among them),
+and any ring that report rejects, goes to the O(q^4) sweeps of
 `check_ternary_axioms`, so error messages come from those alone.  Those
 sweeps decide T3 per b-row and T4 and T5 per pair of rows or columns,
 comparing whole rows, and count entry by entry only in a row or pair that
@@ -216,70 +218,33 @@ def _is_linear(T):
             and all(t[i:i + q] == rows[t[i]] for i in range(0, q ** 3, q)))
 
 
-def _linear_verdict(T):
-    """T1-T5 for a linear ring whose addition is a group, in O(q^3).
-
-    Returns None when the shortcut does not apply: T is not linear
-    (`_is_linear`), or (T, +) with y + b = <1y+b> is not a group with
-    identity 0.  Otherwise returns whether T1-T5 all hold.  With
-    ax = <ax+0>, linearity gives <ax+b> = ax + b, so in the group
-    b -> ax + b is a bijection and T3 holds without a sweep;
-    <ax+b> = <a'x+b'> iff -(a'x) + ax = b' - b, and T4 holds iff
-    x -> -(a'x) + ax is a bijection for every a != a'; likewise
-    <ax+b> = y and <ax'+b> = y' iff b = -(ax) + y and ax' - ax = y' - y,
-    so T5 holds iff a -> ax' - ax is a bijection for every x != x'.
-    Operands stay in this order, since (T, +) need not be abelian.
-    """
-    if not _is_linear(T):
-        return None
-    q, t, at = T.q, T.table, T.at
-    add = [t[(q + y) * q:(q + y + 1) * q] for y in range(q)]
-    # identity 0 (y + 0 = y is part of linearity), associativity, and a
-    # right inverse of every element, which makes the monoid a group
-    if add[0] != tuple(range(q)):
-        return None
-    for y in range(q):
-        row = add[y]
-        for b in range(q):
-            if add[row[b]] != tuple(map(row.__getitem__, add[b])):
-                return None
-    if any(0 not in row for row in add):
-        return None
-    neg = [row.index(0) for row in add]
-
-    if any(next(sweep(q, at), None) is not None
-           for sweep in (_t1_sweep, _t2_sweep)):
-        return False
-    mul = [t[a * q * q:(a + 1) * q * q:q] for a in range(q)]  # mul[a][x] = ax
-    for a in range(q):
-        for a2 in range(q):
-            if a2 != a and len({add[neg[m2]][m]
-                                for m, m2 in zip(mul[a], mul[a2])}) != q:
-                return False
-    cols = list(zip(*mul))  # cols[x][a] = ax
-    for x in range(q):
-        for x2 in range(q):
-            if x2 != x and len({add[m2][neg[m]]
-                                for m, m2 in zip(cols[x], cols[x2])}) != q:
-                return False
-    return True
-
-
 def validate(T):
     """Return a validated copy of T, or raise with the failing axioms.
 
-    A linear ring (<ax+b> = <1<ax+0>+b>, <1y+0> = y) whose addition
-    y + b = <1y+b> is a group is certified in O(q^3) by `_linear_verdict`:
-    T1 and T2 are swept, T3 holds because b -> <ax+0> + b is a bijection
-    of the group, T4 holds iff x -> -(a'x) + ax is a bijection for
-    every a != a', and T5 iff a -> ax' - ax is a bijection for every
-    x != x' (ax = <ax+0>).  Any other ring, and any ring that this check
-    rejects, goes through the full sweeps of `check_ternary_axioms`,
-    which name the failing axioms.
+    A linear ring (<ax+b> = <1<ax+0>+b>) whose addition y + b = <1y+b>
+    is an abelian group satisfies T1-T5 exactly when the quasi-field
+    Q = `from_ternary(T)` (a + b = <1a+b>, ab = <ab+0>) passes VW1, VW3,
+    VW5 and VW5-r:
+    - T1 and T2 are the identities 1x = x1 = x, 0x = x0 = 0 and
+      x + 0 = 0 + x = x of VW3 (0 + b = <1*0+b> = b is T2 at a = 1).
+    - T3 holds because b -> ax + b is a bijection of the group.
+    - <ax+b> = <a'x+b'> iff ax - a'x = b' - b, so T4 holds iff
+      x -> ax - a'x is a bijection for every a != a': that is VW5.
+    - <ax+b> = y and <ax'+b> = y' iff b = y - ax and ax - ax' = y - y',
+      so T5 holds iff a -> ax - ax' is a bijection for every x != x':
+      that is VW5-r.
+    Every other ring goes through the full sweeps of
+    `check_ternary_axioms`, which name the failing axioms: a non-linear
+    ring, one whose addition is not an abelian group (a linear ring with
+    a non-abelian additive group, if one exists, among them), and one
+    the VW report rejects.
     """
     if T.validated:
         return T
-    if not _linear_verdict(T):
+    # imported here, not at the top: quasifield imports this module
+    from .quasifield import LINEAR_RING_AXIOMS, check_vw, from_ternary
+    Q = from_ternary(T)
+    if Q is None or not check_vw(Q).passes(*LINEAR_RING_AXIOMS):
         report = check_ternary_axioms(T)
         if not report.all_pass:
             failing = [k for k, ok in report.flags().items() if not ok]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from affplane import formats, from_field, make_field, plane_from_ternary, to_ternary
@@ -96,6 +98,36 @@ def test_readers_take_ascii_digits_only(tmp_path, capsys, kind, reader, content,
     if kind is not None:
         assert main(["check", kind, str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+
+
+LONG = "0" * 4300 + "1"  # more digits than `int` takes by default
+
+
+@pytest.mark.parametrize("kind,reader,content,line_no", [
+    ("ternary", formats.read_trs, f"TRS 1\nq {LONG}\n", 2),
+    ("ternary", formats.read_trs, "TRS 1\nq 2\n" + "0\n" * 3 + LONG + "\n" + "0\n" * 4, 6),
+    ("quasifield", formats.read_qf, "QF 1\nq 2\n0\n1\n1\n" + LONG + "\n" + "0\n" * 4, 6),
+    ("plane", formats.read_plane, f"APLANE 1\npoints 3\nlines 1\n0 1 {LONG}\n", 4),
+    (None, formats.read_coll, f"COLL 1\npoints 2\n0 -> {LONG}\n1 -> 0\n", 3),
+], ids=["trs-q", "trs-value", "qf-value", "aplane-point", "coll-image"])
+def test_readers_reject_numbers_longer_than_int_takes(tmp_path, capsys, kind, reader,
+                                                      content, line_no):
+    """A token of more digits than `sys.get_int_max_str_digits()` makes
+    `int` raise ValueError: each reader names the line instead, and `afp`
+    exits 2 (no command reads COLL)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = tmp_path / "bad"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert exc.value.line_no == line_no
+        if kind is not None:
+            assert main(["check", kind, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _outcome(read, path):

@@ -1,11 +1,12 @@
 import pytest
 
-from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, QuasiField,
-                      associativity_witness, check_vector_space, check_vw,
-                      from_field, from_ternary, make_field, opposite,
-                      to_ternary)
+from affplane import (LEFT_AXIOMS, LINEAR_RING_AXIOMS, RIGHT_AXIOMS,
+                      QuasiField, associativity_witness, check_vector_space,
+                      check_vw, from_field, from_ternary, make_field,
+                      opposite, to_ternary)
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
+from test_quasifield_reference import BUILDS
 
 
 def test_fields_pass_all_seven_flags():
@@ -114,6 +115,20 @@ def test_prop3_vw1_to_vw4_imply_vw5(andre9, andre16):
         report = check_vw(Q)
         if report.passes("VW1", "VW2", "VW3", "VW4"):
             assert report.passes("VW5")
+
+
+def test_either_axiom_set_implies_the_linear_ring_axioms():
+    """`to_ternary` marks its ring validated from the kept report, since
+    the left and the right axiom set each imply LINEAR_RING_AXIOMS: on
+    every field and André build of order <= 27 and its opposite."""
+    passing = 0
+    for Q, _ in BUILDS.values():
+        for R in (Q, opposite(Q)):
+            report = check_vw(R)
+            if report.passes(*LEFT_AXIOMS) or report.passes(*RIGHT_AXIOMS):
+                assert report.passes(*LINEAR_RING_AXIOMS)
+                passing += 1
+    assert len(BUILDS) == 75 and passing == 150
 
 
 def test_vector_space_over_fixed_subfield(andre9):

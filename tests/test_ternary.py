@@ -1,3 +1,4 @@
+import fnmatch
 import itertools
 import random
 
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affplane import (Isotopism, TernaryRing, associativity_witness,
-                      build_left, check_ternary_axioms, complete_isotopism,
-                      compose_isotopisms, enumerate_phi, find_isomorphism,
-                      find_isotopism, from_field, galois_subgroup,
+from affplane import (LINEAR_RING_AXIOMS, Isotopism, TernaryRing,
+                      associativity_witness, build_left, check_ternary_axioms,
+                      check_vw, complete_isotopism, compose_isotopisms,
+                      enumerate_phi, find_isomorphism, find_isotopism,
+                      from_field, from_ternary, galois_subgroup,
                       is_isomorphism, is_isotopism, make_field, opposite,
                       to_ternary, validate)
-from affplane import ternary
+from affplane import quasifield, ternary
 from affplane.errors import InputError, SearchBoundExceeded
-from affplane.ternary import _linear_verdict, isomorphism_failure
+from affplane.ternary import isomorphism_failure
 from test_witnesses import cases as witness_cases
 
 
@@ -258,7 +260,8 @@ def test_h_permutation_isotopism_verification_matches_definition(rest):
 
 
 # ---------------------------------------------------------------------------
-# the O(q^3) certificate of linear rings in `validate`
+# the O(q^3) certificate of linear rings in `validate`: the VW report of
+# the quasi-field `from_ternary` reads off the ring
 
 def linear_ring(add, mul, q):
     """The unvalidated table <ax+b> = ax + b of flat addition and
@@ -281,13 +284,26 @@ def left_quasifields(max_q):
                                 enumerate_phi(K, galois_subgroup(K, d)))
 
 
+def vw_route(T):
+    """The VW report of T's quasi-field, or None when T is not linear."""
+    Q = from_ternary(T)
+    return None if Q is None else check_vw(Q)
+
+
 def assert_validate_agrees(T):
-    """The shortcut, when it applies, agrees with the full sweeps, and
-    `validate` accepts or raises exactly as the full sweeps dictate.
-    Returns the shortcut's verdict."""
+    """The VW route accepts only rings the full sweeps accept, and agrees
+    with them whenever VW1 holds; `validate` accepts or raises exactly as
+    the full sweeps dictate.  Returns the route's verdict, or None when
+    it does not apply: T is not linear, or its addition is not an abelian
+    group."""
     report = check_ternary_axioms(T)
-    verdict = _linear_verdict(T)
-    assert verdict is None or verdict == report.all_pass
+    vw = vw_route(T)
+    if vw is not None and vw.passes(*LINEAR_RING_AXIOMS):
+        assert report.all_pass
+    verdict = None
+    if vw is not None and vw.passes("VW1"):
+        verdict = vw.passes(*LINEAR_RING_AXIOMS)
+        assert verdict == report.all_pass
     if report.all_pass:
         assert validate(T).validated
     else:
@@ -317,7 +333,7 @@ def test_seeded_ternary_mutants_agree():
 @pytest.mark.parametrize("p", [2, 5])
 def test_row_swaps_agree(p):
     """Swapping two b-rows of <ax+.> with a != 1 keeps the ring linear
-    with the same addition, so the shortcut applies; it accepts and
+    with the same addition, so the VW route applies; it accepts and
     rejects."""
     K = make_field(p, 2 if p == 2 else 1)
     q = K.q
@@ -334,8 +350,8 @@ def test_row_swaps_agree(p):
 
 def test_zero_times_x_failure_agrees():
     """A linear ring over GF(4)'s addition whose only failing axiom is
-    <0x+b> = b (0*2 = 0*3 = 1): T1, T3, T4 and T5 hold, so only the
-    shortcut's T2 check can reject it."""
+    <0x+b> = b (0*2 = 0*3 = 1): T1, T3, T4 and T5 hold, so on the VW
+    route only VW3 (0x = 0) can reject it."""
     K = make_field(2, 2)
     mul = (0, 0, 1, 1,
            0, 1, 2, 3,
@@ -383,7 +399,8 @@ def loops(q):
 
 def test_loop_additions_agree():
     """The field multiplication of GF(5) over each of the 56 loops of
-    order 5: the shortcut applies only to the 6 groups among them."""
+    order 5: the VW route applies only to the 6 groups among them (every
+    group of order 5 is abelian)."""
     K = make_field(5, 1)
     verdicts = [assert_validate_agrees(linear_ring(add, K.mul_table, 5))
                 for add in loops(5)]
@@ -423,16 +440,25 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
     spec = enumerate_phi(K, galois_subgroup(K, 1))[-1]
     Q = build_left(spec)
     assert associativity_witness(Q) is not None
+    check_vw(Q)
 
     def refuse(*args):
         raise AssertionError("a sweep runs")
 
-    monkeypatch.setattr(ternary, "check_ternary_axioms", refuse)
-    assert to_ternary(Q).validated
-    # T3 follows from linearity and the additive group, unswept
+    # to_ternary marks the ring validated from Q's kept report
     with monkeypatch.context() as m:
-        m.setattr(ternary, "_t3_sweep", refuse)
+        for module, pattern in ((ternary, "_t*_sweep"), (quasifield, "_vw*_sweep")):
+            for name in fnmatch.filter(dir(module), pattern):
+                m.setattr(module, name, refuse)
+        m.setattr(ternary, "check_ternary_axioms", refuse)
         assert to_ternary(Q).validated
+    # validate certifies the same, unvalidated, table through the VW
+    # report of its quasi-field; T3 follows from the additive group
+    T = TernaryRing(Q.q, to_ternary(Q).table)
+    with monkeypatch.context() as m:
+        m.setattr(ternary, "check_ternary_axioms", refuse)
+        m.setattr(ternary, "_t3_sweep", refuse)
+        assert validate(T).validated
 
     # swapping the rows of <2x+.> at x = 2 and x = 3 breaks T4 and T5
     calls = []
@@ -447,7 +473,8 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
     r, s = (2 * 5 + 2) * 5, (2 * 5 + 3) * 5
     table[r:r + 5], table[s:s + 5] = table[s:s + 5], table[r:r + 5]
     T = TernaryRing(5, tuple(table))
-    assert _linear_verdict(T) is False
+    vw = vw_route(T)
+    assert vw.passes("VW1") and not vw.passes(*LINEAR_RING_AXIOMS)
     with pytest.raises(InputError, match=r"^ternary axioms fail: T4, T5$"):
         validate(T)
     assert calls == [T]
