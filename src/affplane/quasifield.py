@@ -13,6 +13,15 @@ computes one report per `QuasiField` and keeps it on the quasi-field:
 later calls, `build_left`/`build_right`'s callers and `to_ternary` reuse
 it.
 
+Under VW1, where addition is an abelian group, VW5 and VW5-r pass or
+fail together.  VW5 fails exactly when ax - a'x = ax' - a'x' for some
+a != a' and x != x'; adding a'x - ax' to both sides turns that into
+ax - ax' = a'x - a'x', a failure of VW5-r at (x, x'), and back.  So
+`check_vw` sweeps the columns for VW5-r only when VW5 has a witness, and
+only to name VW5-r's.  Each sweep also checks each unordered pair once:
+a'x - ax = -(ax - a'x) and negation is a bijection, so (a, a') fails
+exactly when (a', a) does.
+
 That report is also the certificate of the linear ternary ring
 <ax+b> = ax + b: the ring satisfies T1-T5 exactly when the report passes
 `LINEAR_RING_AXIOMS` (see `ternary.validate`).  The left set implies
@@ -27,7 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .errors import InputError
 from .ternary import AxiomReport, TernaryRing
@@ -162,23 +171,36 @@ def _vw4_sweep(add, mul):
 
 
 def _vw4r_sweep(add, mul):
-    # VW4-r: (x+y)a = xa + ya; over a, (x+y)a is the row of x+y
+    # VW4-r: (x+y)a = xa + ya; over a, (x+y)a is the row of x+y, and
+    # xa + ya is the addition row of xa read at ya.  Rows are compared as
+    # lists: a tuple built from a map is resized, and freeing it fills the
+    # interpreter's free list for its final size when that is below 20.
+    mul_lists = [list(row) for row in mul]
     for x, (sums, mul_x) in enumerate(zip(add, mul)):
+        sums_x = list(map(add.__getitem__, mul_x))  # sums_x[a] = xa + (.)
         for y, xy in enumerate(sums):
-            left = mul[xy]
-            right = tuple([add[u][v] for u, v in zip(mul_x, mul[y])])
+            left = mul_lists[xy]
+            right = list(map(getitem, sums_x, mul[y]))
             if left != right:
                 yield from _mismatches((x, y), left, right)
 
 
 def _vw5_sweep(add, rows, neg):
     # VW5: for a != a', x -> ax - a'x is a bijection; VW5-r is the same
-    # sweep over the columns of the multiplication
+    # sweep over the columns of the multiplication.  Under VW1 the pair
+    # (a, a') fails exactly when (a', a) does (module docstring), so only
+    # a < a' is swept, and each failing (a, a') is yielded again as
+    # (a', a) when row a' comes up.
     q = len(rows)
-    negated = [[neg[v] for v in row] for row in rows]
+    negated = [list(map(neg.__getitem__, row)) for row in rows]
+    below = [[] for _ in rows]  # below[a']: each a < a' with (a, a') failing
     for a, row in enumerate(rows):
-        for a2, negated_a2 in enumerate(negated):
-            if a2 != a and len({add[u][v] for u, v in zip(row, negated_a2)}) != q:
+        for a2 in below[a]:
+            yield (a, a2)
+        sums_a = list(map(add.__getitem__, row))  # sums_a[x] = ax + (.)
+        for a2 in range(a + 1, q):
+            if len(set(map(getitem, sums_a, negated[a2]))) != q:
+                below[a2].append(a)
                 yield (a, a2)
 
 
@@ -192,10 +214,13 @@ def _vw_report(Q):
     report.record("VW3", _vw3_sweep(add, mul))
     report.record("VW4", _vw4_sweep(add, mul))
     report.record("VW4-r", _vw4r_sweep(add, mul))
-    # VW5 / VW5-r need subtraction, hence VW1
+    # VW5 / VW5-r need subtraction, hence VW1; under VW1 they pass or fail
+    # together (module docstring), so the columns are swept only to name
+    # VW5-r's witness
     if report.passes("VW1"):
         report.record("VW5", _vw5_sweep(add, mul, Q.neg_table))
-        report.record("VW5-r", _vw5_sweep(add, cols, Q.neg_table))
+        if not report.passes("VW5"):
+            report.record("VW5-r", _vw5_sweep(add, cols, Q.neg_table))
     else:
         report.unchecked = ("VW5", "VW5-r")
     return report

@@ -233,6 +233,9 @@ def validate(T):
     - <ax+b> = y and <ax'+b> = y' iff b = y - ax and ax - ax' = y - y',
       so T5 holds iff a -> ax - ax' is a bijection for every x != x':
       that is VW5-r.
+    Under VW1, VW5 and VW5-r pass or fail together (`quasifield` module
+    docstring), so the report sweeps VW5-r only when VW5 fails: T5 costs
+    nothing beyond T4 for a ring that passes.
     Every other ring goes through the full sweeps of
     `check_ternary_axioms`, which name the failing axioms: a non-linear
     ring, one whose addition is not an abelian group (a linear ring with

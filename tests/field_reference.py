@@ -1,16 +1,27 @@
-"""Reference versions of the field and automorphism checks.
+"""Reference versions of the field build and the field and automorphism
+checks.
 
-These are the checks `gf` used before the O(n q^2) structural
-certificate: a sweep of the field axioms over all q^3 triples (all q^2
-pairs for an automorphism) up to EXHAUSTIVE_CHECK_BOUND, and over a
-deterministic sample above it.  They are kept only so that the tests can
-require the certificate to agree with them where they are exhaustive, and
-show what the sample missed where they are not.
+`verify_field_tables` and `_is_automorphism` are the checks `gf` used
+before the O(n q^2) structural certificate: a sweep of the field axioms
+over all q^3 triples (all q^2 pairs for an automorphism) up to
+EXHAUSTIVE_CHECK_BOUND, and over a deterministic sample above it.  They
+are kept only so that the tests can require the certificate to agree
+with them where they are exhaustive, and show what the sample missed
+where they are not.
+
+`make_field` is the build `gf` used before it built its tables by rows:
+one polynomial product and remainder per pair, and neg, inv and the
+generator read off the tables.  `verify_field_tables_by_entry` is the
+O(n q^2) certificate as it was before it compared whole rows: the same
+premises in the same order, entry by entry.  They are kept so that the
+tests can require the same tables and the same error messages.
 """
 
 import itertools
 
 from affplane.errors import InternalCheckError
+from affplane.gf import (FiniteField, _decode, _encode, _poly_mul, _poly_rem,
+                         smallest_irreducible)
 
 # full q^3 sweeps over the axioms stay cheap up to this order; bigger
 # fields get structural checks plus a deterministic sample instead
@@ -74,3 +85,86 @@ def _is_automorphism(K, perm, exhaustive):
         if perm[K.mul(x, y)] != K.mul(perm[x], perm[y]):
             return False
     return True
+
+
+def make_field(p, n):
+    """GF(p^n) with one polynomial product per unordered pair; unverified."""
+    q = p ** n
+    modulus = smallest_irreducible(p, n)
+    polys = [_decode(e, p) for e in range(q)]
+    add = [0] * (q * q)
+    mul = [0] * (q * q)
+    for a in range(q):
+        pa = polys[a]
+        for b in range(a, q):
+            pb = polys[b]
+            s = [0] * max(len(pa), len(pb))
+            for i, c in enumerate(pa):
+                s[i] = c
+            for i, c in enumerate(pb):
+                s[i] = (s[i] + c) % p
+            v = _encode(s, p)
+            add[a * q + b] = v
+            add[b * q + a] = v
+            m = _encode(_poly_rem(_poly_mul(pa, pb, p), modulus, p), p)
+            mul[a * q + b] = m
+            mul[b * q + a] = m
+    neg = [0] * q
+    inv = [0] * q
+    for a in range(q):
+        for b in range(q):
+            if add[a * q + b] == 0:
+                neg[a] = b
+            if a and mul[a * q + b] == 1:
+                inv[a] = b
+    generator, exp = _find_generator(q, mul)
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return FiniteField(p, n, q, modulus, tuple(add), tuple(mul), tuple(neg),
+                       tuple(inv), generator, tuple(exp), tuple(log))
+
+
+def _find_generator(q, mul):
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = mul[x * q + g]
+        if len(powers) == q - 1:
+            return g, powers
+    raise InternalCheckError("no multiplicative generator found")
+
+
+def verify_field_tables_by_entry(K):
+    """The O(n q^2) field certificate, one entry at a time."""
+    q, p, m = K.q, K.p, K.q - 1
+    add, mul, exp, log = K.add_table, K.mul_table, K.exp_table, K.log_table
+    if K.add(0, 0) != 0 or K.mul(1, 1) != 1:
+        raise InternalCheckError("0/1 encoding broken")
+    for a in range(q):
+        if K.mul(a, 0) != 0 or K.mul(0, a) != 0:
+            raise InternalCheckError(f"0 does not annihilate at {a}")
+        if K.add(a, K.neg(a)) != 0:
+            raise InternalCheckError(f"missing additive inverse for {a}")
+        if a and K.mul(a, K.inv_table[a]) != 1:
+            raise InternalCheckError(f"missing multiplicative inverse for {a}")
+    digits = [(_decode(e, p) + [0] * K.n)[:K.n] for e in range(q)]
+    for a in range(q):
+        for b in range(q):
+            s = [(x + y) % p for x, y in zip(digits[a], digits[b])]
+            if add[a * q + b] != _encode(s, p):
+                raise InternalCheckError(f"addition is not digitwise at ({a},{b})")
+    if (sorted(exp) != list(range(1, q)) or exp[1 % m] != K.generator
+            or any(log[v] != i for i, v in enumerate(exp))):
+        raise InternalCheckError("exp/log tables are not a generator's powers")
+    for a in range(1, q):
+        for b in range(1, q):
+            if mul[a * q + b] != exp[(log[a] + log[b]) % m]:
+                raise InternalCheckError(f"multiplication leaves exp/log at ({a},{b})")
+    for a in range(q):
+        row = mul[a * q:(a + 1) * q]
+        for x in range(q):
+            if row[add[x * q + 1]] != add[row[x] * q + row[1]]:
+                raise InternalCheckError(f"distributivity fails at ({a},{x},1)")

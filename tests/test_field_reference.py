@@ -1,4 +1,5 @@
-"""The O(n q^2) field and automorphism certificates against the old sweeps.
+"""The O(n q^2) field and automorphism certificates against the old sweeps,
+and the row-level field build and certificate against the per-pair ones.
 
 `field_reference` keeps the checks the certificates replaced: a sweep of
 all q^3 triples (q^2 pairs for an automorphism) up to q = 64 and a
@@ -6,6 +7,12 @@ deterministic sample above it.  Where the sweeps are exhaustive, both
 versions must accept every field and Galois permutation and reject the
 same corruptions; above q = 64 the certificates must also reject what
 the sample let through.
+
+It also keeps the per-pair polynomial build of `make_field` and the
+certificate as it was entry by entry.  The row-level build must give the
+same tables, generator and modulus at every prime power up to 256, and
+the row-level certificate the same error on every single-entry
+corruption of the add, mul, neg, inv and exp tables at q <= 16.
 """
 
 import dataclasses
@@ -18,9 +25,12 @@ from hypothesis import strategies as st
 
 import field_reference as ref
 from affplane.errors import InternalCheckError
-from affplane.gf import (_is_automorphism, galois_subgroup, make_field,
-                         verify_field_tables)
+from affplane.gf import (_is_automorphism, _is_prime, galois_subgroup,
+                         make_field, verify_field_tables)
 from test_gf import FIELD_ORDERS
+
+PRIME_POWERS = [(p, n) for p in range(2, 257) if _is_prime(p)
+                for n in range(1, 9) if p ** n <= 256]
 
 field = functools.cache(make_field)
 
@@ -61,6 +71,8 @@ def test_both_accept_every_field_and_galois_permutation(p, n):
 def test_both_reject_every_single_entry_corruption(p, n, table):
     K = field(p, n)
     for i, v in enumerate(getattr(K, table)):
+        if (table, i) == ("inv_table", 0):
+            continue  # the 0 sentinel, which neither certificate reads
         for w in range(K.q):
             if w != v:
                 bad = _corrupt(K, table, [(i, w)])
@@ -193,3 +205,44 @@ def test_off_sample_image_swaps_are_rejected(p, n, x, y, sample_accepts):
     swapped = _swap(galois_subgroup(K, 1).perms[1], x, y)
     assert ref._is_automorphism(K, swapped, False) == sample_accepts
     assert not _is_automorphism(K, swapped)
+
+
+@pytest.mark.parametrize("p,n", PRIME_POWERS)
+def test_rows_build_the_reference_tables(p, n):
+    # dataclass equality: p, n, q, modulus, generator and all six tables
+    assert make_field(p, n) == ref.make_field(p, n)
+
+
+def _error(verify, K):
+    try:
+        verify(K)
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table", "neg_table",
+                                   "inv_table", "exp_table"])
+@pytest.mark.parametrize("p,n", [pn for pn in PRIME_POWERS if pn[0] ** pn[1] <= 16])
+def test_rows_and_entries_name_the_same_failure(p, n, table):
+    K = field(p, n)
+    for i, v in enumerate(getattr(K, table)):
+        if (table, i) == ("inv_table", 0):
+            continue  # the 0 sentinel, which neither certificate reads
+        for w in range(K.q):
+            if w != v:
+                bad = _corrupt(K, table, [(i, w)])
+                error = _error(verify_field_tables, bad)
+                assert error is not None
+                assert error == _error(ref.verify_field_tables_by_entry, bad)
+
+
+@pytest.mark.parametrize("corrupt", [_zero_row_is_identity, _left_projection,
+                                     _powers_of_another_generator,
+                                     _log_shifted_by_half, _two_powers_swapped])
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (5, 2)])
+def test_rows_and_entries_name_the_same_failing_premise(p, n, corrupt):
+    bad = corrupt(field(p, n))
+    error = _error(verify_field_tables, bad)
+    assert error is not None
+    assert error == _error(ref.verify_field_tables_by_entry, bad)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affplane import gf
 from affplane.errors import InputError
 from affplane.gf import (FiniteField, field_arith, fixed_field,
                          galois_subgroup, is_irreducible, make_field, norm,
@@ -91,6 +92,17 @@ def test_make_field_rejects_bad_input():
         make_field(2, 0)
     with pytest.raises(InputError):
         make_field(2, 13)  # 8192 > default bound
+
+
+def test_order_above_the_bound_is_rejected_before_any_build(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("make_field built a field above its bound")
+
+    monkeypatch.setattr(gf, "smallest_irreducible", no_build)
+    monkeypatch.setattr(gf, "_digit_blocks", no_build)
+    assert gf.DEFAULT_MAX_ORDER == 2048
+    with pytest.raises(InputError, match="order 4096 exceeds the configured bound 2048"):
+        make_field(2, 12)
 
 
 def test_generator_spans_nonzero(k9):

@@ -8,9 +8,18 @@ same associativity witness and vector-space verdict, and build the same
 ternary table, on every field and André build of order <= 27 (left,
 right and opposite), on every single-entry change of the tables at
 q <= 5, and on Hypothesis corruptions at q = 8, 9 and 16.
+
+Under VW1, VW5 and VW5-r pass or fail together, and `check_vw` sweeps
+VW5-r only when VW5 fails (`quasifield` module docstring).  So the
+multiplication is also corrupted alone, over the addition of a field or
+André build, by single entries and by swapped rows and columns, which
+keep VW5: the VW5 sweep must find a witness over the rows exactly when
+it finds one over the columns, and the report must still equal the
+reference's, VW5-r witness included.
 """
 
 import functools
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -162,3 +171,60 @@ def test_sweeps_run_once_per_quasifield(monkeypatch, k9):
     # an equal quasi-field is another object with its own report
     assert check_vw(QuasiField(Q.q, Q.add_table, Q.mul_table)) is not report
     assert len(calls) == 2
+
+
+def _swapped(Q, axis, u, v):
+    """Q with rows (axis 0) or columns (axis 1) u and v of its
+    multiplication swapped."""
+    mul = [list(row) for row in qf._rows(Q.mul_table, Q.q)]
+    if axis == 0:
+        mul[u], mul[v] = mul[v], mul[u]
+    else:
+        for row in mul:
+            row[u], row[v] = row[v], row[u]
+    return QuasiField(Q.q, Q.add_table, tuple(chain.from_iterable(mul)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vw5_and_vw5r_pass_together_under_vw1(data):
+    Q, _ = data.draw(st.sampled_from(BASES))
+    q = Q.q
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            Q = _changed(Q, "mul_table", data.draw(st.integers(0, q * q - 1)),
+                         data.draw(st.integers(0, q - 1)))
+        else:
+            Q = _swapped(Q, data.draw(st.integers(0, 1)),
+                         data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
+    add, mul = qf._rows(Q.add_table, q), qf._rows(Q.mul_table, q)
+    cols = list(zip(*mul))
+    over_rows = next(qf._vw5_sweep(add, mul, Q.neg_table), None)
+    over_cols = next(qf._vw5_sweep(add, cols, Q.neg_table), None)
+    assert (over_rows is None) == (over_cols is None)
+    report, expected = check_vw(QuasiField(q, Q.add_table, Q.mul_table)), ref.check_vw(Q)
+    assert report.passes("VW1") and not report.unchecked
+    assert report.witnesses == expected.witnesses
+    assert list(report.witnesses) == list(expected.witnesses)
+
+
+@pytest.mark.parametrize("change,vw5_passes", [
+    (lambda Q: Q, True),
+    (lambda Q: _swapped(Q, 0, 1, 2), True),
+    (lambda Q: _swapped(Q, 1, 1, 2), True),
+    (lambda Q: _changed(Q, "mul_table", 9 * 4 + 5, 0), False),
+])
+def test_vw5_sweep_runs_twice_only_when_vw5_fails(monkeypatch, andre9, change, vw5_passes):
+    Q = change(andre9)
+    Q = QuasiField(Q.q, Q.add_table, Q.mul_table)  # no kept report
+    calls = []
+    sweep = qf._vw5_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(qf, "_vw5_sweep", counted)
+    report = check_vw(Q)
+    assert report.passes("VW5") == report.passes("VW5-r") == vw5_passes
+    assert len(calls) == (1 if vw5_passes else 2)
