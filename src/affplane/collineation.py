@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 
 from .errors import InputError
 from .gf import make_field
-from .plane import (canonical_frame, intersection, line_through,
+from .plane import (_BIT, _bits, canonical_frame, intersection, line_through,
                     parallel_classes, parallel_through, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
                          from_field, to_ternary)
@@ -35,7 +37,8 @@ def _induced_line_map(P, perm):
     if sorted(perm) != list(range(P.n)):
         return None
     index = {mask: i for i, mask in enumerate(P.masks)}
-    line_map = [index.get(sum(1 << perm[p] for p in line)) for line in P.lines]
+    bits = list(map(_BIT, perm))  # bits[p]: the bit of p's image
+    line_map = list(map(index.get, map(sum, map(map, repeat(bits.__getitem__), P.lines))))
     if None in line_map or sorted(line_map) != list(range(len(P.lines))):
         return None
     return tuple(line_map)
@@ -71,18 +74,22 @@ class TranslationCertificate:
 
 def is_translation(P, perm):
     """Certificate if perm is a collineation sending each line to a
-    parallel line and fixing at least one parallel class linewise."""
+    parallel line and fixing at least one parallel class linewise.
+
+    Once parallelism is known to be transitive (`parallel_classes`), two
+    lines are parallel exactly when their parallel masks are equal, so
+    the images are checked by comparing masks."""
     line_map = _induced_line_map(P, perm)
     if line_map is None:
         return None
     classes = parallel_classes(P)
-    if any(not P.parallel[li] >> mi & 1 for li, mi in enumerate(line_map)):
+    if tuple(map(P.parallel.__getitem__, line_map)) != P.parallel:
         return None
     traces = tuple(ci for ci, cls in enumerate(classes)
-                   if all(line_map[li] == li for li in cls))
+                   if all(map(eq, map(line_map.__getitem__, cls), cls)))
     if not traces:
         return None
-    fixed_free = all(perm[p] != p for p in range(P.n))
+    fixed_free = not any(map(eq, perm, range(P.n)))
     return TranslationCertificate(Collineation(tuple(perm), line_map),
                                   traces, fixed_free)
 
@@ -123,6 +130,36 @@ def translation_from_shift(Q, c, d):
     return cert
 
 
+def _off_line_images(P, perm, z, z2, L):
+    """Fill perm at each point p off L with the meet of the parallel to
+    line zp through z2 and the parallel to L through p, line by line
+    through z; False where an incidence query of that construction would
+    fail: p on other than one line with z, or a parallel or a meet that
+    is not unique."""
+    through, masks = P.through, P.masks
+    on_L, along = masks[L], P.parallel[L]
+    left = P.n - on_L.bit_count()  # points off L still to place
+    for li in _bits(through[z] & ~(1 << L)):
+        off = masks[li] & ~on_L
+        if not off:
+            continue
+        try:
+            image = masks[parallel_through(P, li, z2)]
+        except InputError:
+            return False
+        bit = 1 << li
+        for p in _bits(off):
+            row = along & through[p]  # the parallels to L through p
+            if through[z] & through[p] != bit or row.bit_count() != 1:
+                return False
+            meet = image & masks[row.bit_length() - 1]
+            if meet.bit_count() != 1:
+                return False
+            perm[p] = meet.bit_length() - 1
+            left -= 1
+    return left == 0
+
+
 def translation_candidate(P, z, z2, aux=None):
     """The unique candidate translation taking z to z2, verified.
 
@@ -131,6 +168,7 @@ def translation_candidate(P, z, z2, aux=None):
     translation exists.  Points off the trace line map through a
     parallelogram; points on it route through an auxiliary off-line
     point (smallest index by default; the result never depends on it).
+    A failing incidence query means no candidate, hence None.
     """
     if z == z2:
         raise InputError("source and target must differ")
@@ -143,18 +181,12 @@ def translation_candidate(P, z, z2, aux=None):
     elif on_L >> aux & 1:
         raise InputError("auxiliary point must lie off the trace line")
 
-    def off_line_image(p):
-        through = line_through(P, z, p)
-        return intersection(P, parallel_through(P, through, z2),
-                            parallel_through(P, L, p))
-
     perm = [None] * P.n
     perm[z] = z2
+    if not _off_line_images(P, perm, z, z2, L):
+        return None
+    aux_image = perm[aux]
     try:
-        for p in range(P.n):
-            if not on_L >> p & 1:
-                perm[p] = off_line_image(p)
-        aux_image = perm[aux]
         for p in P.lines[L]:
             if p == z:
                 continue

@@ -15,7 +15,7 @@ order so that write-then-read is byte-stable.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 from operator import ge
 
 from .errors import FormatError
@@ -42,8 +42,7 @@ def _read_lines(path):
 
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 class _Cursor:
@@ -135,7 +134,7 @@ def read_trs(path):
 
 def write_trs(path, T):
     lines = ["TRS 1", f"q {T.q}"]
-    lines.extend(str(v) for v in T.table)
+    lines.extend(map(str, T.table))
     _write_lines(path, lines)
 
 
@@ -151,8 +150,8 @@ def read_qf(path):
 
 def write_qf(path, Q):
     lines = ["QF 1", f"q {Q.q}"]
-    lines.extend(str(v) for v in Q.add_table)
-    lines.extend(str(v) for v in Q.mul_table)
+    lines.extend(map(str, Q.add_table))
+    lines.extend(map(str, Q.mul_table))
     _write_lines(path, lines)
 
 
@@ -205,12 +204,13 @@ def read_plane(path):
     if lines != sorted(lines):
         cur.fail("lines are not in canonical lexicographic order")
     cur.done()
-    return AffinePlane.from_lines(n, lines)
+    # each line is strictly increasing, and the lines are sorted
+    return AffinePlane.from_sorted_lines(n, tuple(lines))
 
 
 def write_plane(path, P):
     lines = ["APLANE 1", f"points {P.n}", f"lines {len(P.lines)}"]
-    lines.extend(" ".join(str(p) for p in line) for line in P.lines)
+    lines.extend(map(" ".join, map(map, repeat(str), P.lines)))
     _write_lines(path, lines)
 
 
@@ -240,5 +240,5 @@ def read_coll(path):
 
 def write_coll(path, perm):
     lines = ["COLL 1", f"points {len(perm)}"]
-    lines.extend(f"{i} -> {v}" for i, v in enumerate(perm))
+    lines.extend(map("{} -> {}".format, count(), perm))
     _write_lines(path, lines)

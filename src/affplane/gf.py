@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from .errors import InputError, InternalCheckError
 
 # measured with a capped address space on a 2-vCPU host (Python 3.11):
-# make_field takes 0.6 s and 49 MB peak RSS at q = 1024, and 2.6 s and
-# 155 MB at q = 2048; q = 4096 would take about four times both
+# make_field takes 0.6 s and 32 MB peak RSS at q = 1024, and 2.5 s and
+# 88 MB at q = 2048 (16 MB of it the interpreter, about 67 MB the two
+# flat tables); q = 4096 would take about four times both
 DEFAULT_MAX_ORDER = 2048
 
 
@@ -179,8 +180,10 @@ def make_field(p, n, max_order=DEFAULT_MAX_ORDER):
     a time (`_digit_row`).  The generator is the least element of order
     q - 1, found by polynomial products, one per power (`_find_generator`),
     and the product row of a != 0 is its exp table rotated by log a, read
-    at log b.  neg comes from the addition rows and inv from the logs.
-    `verify_field_tables` then certifies every table in full.
+    at log b.  Each table is flattened as its rows are made, so no list
+    of all its rows is kept next to the flat tables.  neg comes from the
+    addition table and inv from the logs.  `verify_field_tables` then certifies every table in
+    full.
     """
     if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
@@ -191,10 +194,8 @@ def make_field(p, n, max_order=DEFAULT_MAX_ORDER):
         raise InputError(f"order {q} exceeds the configured bound {max_order}")
 
     modulus = smallest_irreducible(p, n)
-    blocks = _digit_blocks(p, q)
-    add = [list(range(q))]
-    for a in range(1, q):
-        add.append(_digit_row(blocks, a, add[a // p]))
+    add = tuple(itertools.chain.from_iterable(_addition_rows(p, q)))
+    neg = [add.index(0, i, i + q) - i for i in range(0, q * q, q)]
 
     m = q - 1
     generator, exp = _find_generator(p, n, modulus)
@@ -204,13 +205,11 @@ def make_field(p, n, max_order=DEFAULT_MAX_ORDER):
     exp2 = exp + exp
     logs = log[1:]
     # row a != 0: 0, then exp[log a + log b] over b != 0
-    mul = [(0,) * q] + [(0, *map(exp2[i:i + m].__getitem__, logs)) for i in logs]
-
-    neg = [row.index(0) for row in add]
+    mul = tuple(itertools.chain((0,) * q, itertools.chain.from_iterable(
+        (0, *map(exp2[i:i + m].__getitem__, logs)) for i in logs)))
     inv = [0] + [exp[-i % m] for i in logs]
 
-    K = FiniteField(p, n, q, modulus, tuple(itertools.chain.from_iterable(add)),
-                    tuple(itertools.chain.from_iterable(mul)), tuple(neg), tuple(inv),
+    K = FiniteField(p, n, q, modulus, add, mul, tuple(neg), tuple(inv),
                     generator, tuple(exp), tuple(log))
     verify_field_tables(K)
     return K
@@ -221,6 +220,19 @@ def _digit_blocks(p, q):
     # the sums of a = a0 + p a' and b = b0 + p b' with a' + b' = h
     return [[[(a0 + b0) % p + p * h for b0 in range(p)] for h in range(q // p)]
             for a0 in range(p)]
+
+
+def _addition_rows(p, q):
+    # the rows of the addition in turn: 0..q-1, then for a = a0 + p a' the
+    # `_digit_row` of row a'; a later row reads only the first q/p entries
+    # of a row below q/p, so only those are kept
+    blocks, head = _digit_blocks(p, q), q // p
+    heads = []
+    for a in range(q):
+        row = _digit_row(blocks, a, heads[a // p]) if a else list(range(q))
+        if a < head:
+            heads.append(row[:head])
+        yield row
 
 
 def _digit_row(blocks, a, row):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import or_
+from operator import add, or_, sub, xor
 
 from .errors import InputError
 from .ternary import AxiomReport, Isotopism, TernaryRing, validate
@@ -34,11 +34,20 @@ class AffinePlane:
 
     @classmethod
     def from_lines(cls, n, lines, order=None, source=None):
-        lines = tuple(sorted(map(tuple, map(sorted, lines))))
+        return cls.from_sorted_lines(
+            n, tuple(sorted(map(tuple, map(sorted, lines)))), order, source)
+
+    @classmethod
+    def from_sorted_lines(cls, n, lines, order=None, source=None):
+        """`from_lines` for lines already in canonical order: each line a
+        sorted tuple, and the tuple of lines sorted.  The readers and
+        `plane_from_ternary` produce that order, so nothing is sorted
+        again."""
         points = list(chain.from_iterable(lines))
         masks = ()
         if not points or (min(points) >= 0 and max(points) < n):
-            masks = tuple(map(sum, map(map, repeat(_BIT), lines)))
+            bits = list(map(_BIT, range(n)))
+            masks = tuple(map(sum, map(map, repeat(bits.__getitem__), lines)))
         # a sum of distinct powers of two has one bit per term; a repeated
         # point carries, and leaves fewer bits than points
         if list(map(int.bit_count, masks)) != list(map(len, lines)):
@@ -56,13 +65,23 @@ class AffinePlane:
 
     @cached_property
     def parallel(self):
-        """Per line, the bitmask of the line indices equal or disjoint to it."""
-        every = (1 << len(self.lines)) - 1
-        out = []
-        for i, line in enumerate(self.lines):
-            meets = reduce(or_, map(self.through.__getitem__, line), 0)
-            out.append(every & ~meets | 1 << i)
-        return tuple(out)
+        """Per line, the bitmask of the line indices equal or disjoint to it:
+        the lines through none of its points, and itself."""
+        m = len(self.lines)
+        # the lines through a point of each line; each is among all m, so
+        # the xor with all of them leaves the rest
+        meets = map(reduce, repeat(or_), map(map, repeat(self.through.__getitem__), self.lines),
+                    repeat(0))
+        return tuple(map(or_, map(xor, meets, repeat((1 << m) - 1)), map(_BIT, range(m))))
+
+    @cached_property
+    def classes(self):
+        """The partition of the line indices by the parallel relation, each
+        class in increasing order and the classes by their first line; None
+        when parallelism is not transitive."""
+        if next(_parallel_sweep(self), None) is not None:
+            return None
+        return tuple(tuple(_bits(par)) for par in dict.fromkeys(self.parallel))
 
     def __repr__(self):
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
@@ -73,11 +92,14 @@ def plane_from_ternary(T, check=True):
     if check and not T.validated:
         raise InputError("ternary ring must be validated first")
     q = T.q
-    lines = {tuple(x0 * q + y for y in range(q)) for x0 in range(q)}
-    for a in range(q):
-        for b in range(q):
-            lines.add(tuple(sorted(x * q + T.at(a, x, b) for x in range(q))))
-    P = AffinePlane.from_lines(q * q, lines, order=q, source=T)
+    qq = q * q
+    # the vertical x = x0, and the graph of (a, b): the column of b in the
+    # block of a, x*q + <ax+b> over x, already increasing
+    xq = range(0, qq, q)
+    lines = {tuple(range(x0, x0 + q)) for x0 in xq}
+    lines.update(tuple(map(add, xq, T.table[block + b:block + qq:q]))
+                 for block in range(0, q * qq, qq) for b in range(q))
+    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)), order=q, source=T)
     if check:
         report = check_plane_axioms(P)
         if not report.all_pass:
@@ -191,9 +213,9 @@ def intersection(P, l1, l2):
 
 def parallel_classes(P):
     """Partition of the line indices by the parallel relation."""
-    if next(_parallel_sweep(P), None) is not None:
+    if P.classes is None:
         raise InputError("parallelism is not transitive")
-    return tuple(tuple(_bits(par)) for par in dict.fromkeys(P.parallel))
+    return P.classes
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +268,39 @@ def _validate_frame(P, frame):
         raise InputError("frame unit point lies on an axis")
 
 
+def _class_coordinates(P, k, axis, value):
+    """Per point p, value[the point where the line through p parallel to
+    k meets axis], read off k's parallel mask; None unless the lines of
+    that mask partition the points and each meets axis in one point, so
+    that `parallel_through` and `intersection` would answer the same."""
+    out = [None] * P.n
+    covered = 0
+    for li in _bits(P.parallel[k]):
+        mask = P.masks[li]
+        foot = mask & P.masks[axis]
+        if covered & mask or foot.bit_count() != 1:
+            return None
+        covered |= mask
+        v = value[foot.bit_length() - 1]
+        for p in P.lines[li]:
+            out[p] = v
+    return out if covered == (1 << P.n) - 1 else None
+
+
+def _point_coordinates(P, l, m, x_value, y_value):
+    """Per point, x*q + y from the incidence queries, point by point, with
+    the first failing query or repeated coordinate raised."""
+    coords, seen = [], set()
+    for p in range(P.n):
+        c = (x_value[intersection(P, parallel_through(P, m, p), l)]
+             + y_value[intersection(P, parallel_through(P, l, p), m)])
+        if c in seen:
+            raise InputError("coordinate assignment is not a bijection")
+        seen.add(c)
+        coords.append(c)
+    return coords
+
+
 def coordinatize(P, frame):
     """Coordinatize the plane over the given frame.
 
@@ -254,6 +309,15 @@ def coordinatize(P, frame):
     are labeled in increasing point-index order (the choice is free; a
     fixed convention keeps output deterministic).  The returned ring is
     validated against the five ternary axioms.
+
+    A point's x is read off the line of the second axis's parallel class
+    through it, and its y off the first axis's class; slopes are taken
+    once per parallel mask, and the lines of slope a, each sorted by
+    coordinates, fill a's block of the table side by side.  Where a class
+    does not partition the points, or coordinates repeat, the coordinates
+    come from the incidence queries point by point, and where a table
+    line has two points over one x, its block is written point by point.
+    So a broken plane raises the same error at the same step.
     """
     _validate_frame(P, frame)
     l, m = frame.l, frame.m
@@ -265,7 +329,6 @@ def coordinatize(P, frame):
     unit_foot = intersection(P, parallel_through(P, m, frame.z), l)
     rest = sorted(p for p in P.lines[l] if p not in (origin, unit_foot))
     axis1_points = (origin, unit_foot, *rest)
-    axis1_label = {p: i for i, p in enumerate(axis1_points)}
 
     diagonal = line_through(P, origin, frame.z)
 
@@ -277,28 +340,35 @@ def coordinatize(P, frame):
     if sorted(axis2_points) != sorted(P.lines[m]):
         raise InputError("axis transfer is not a bijection")
     axis2_points = tuple(axis2_points)
-    axis2_label = {p: t for t, p in enumerate(axis2_points)}
 
+    # coords[p] = x*q + y
+    x_value = {p: i * q for i, p in enumerate(axis1_points)}
+    y_value = {p: t for t, p in enumerate(axis2_points)}
+    xs = _class_coordinates(P, m, l, x_value)
+    ys = xs and _class_coordinates(P, l, m, y_value)
+    coords = ys and list(map(add, xs, ys))
+    if not coords or len(set(coords)) != P.n:
+        coords = _point_coordinates(P, l, m, x_value, y_value)
     point_of = [None] * (q * q)
-    coord_of = {}
-    for p in range(P.n):
-        x = axis1_label[intersection(P, parallel_through(P, m, p), l)]
-        y = axis2_label[intersection(P, parallel_through(P, l, p), m)]
-        if point_of[x * q + y] is not None:
-            raise InputError("coordinate assignment is not a bijection")
-        point_of[x * q + y] = p
-        coord_of[p] = (x, y)
+    for p, c in enumerate(coords):
+        point_of[c] = p
+    coord_of = dict(zip(range(P.n), map(divmod, coords, repeat(q))))
 
     # slopes: intersect the parallel through the origin with the vertical
-    # line over the carrier point labeled 1
+    # line over the carrier point labeled 1.  When `parallel_through`
+    # answers for li, its parallel mask holds exactly one line through the
+    # origin (li itself, if it passes there), and that is its answer for
+    # every line with the same mask: the slope is taken once per mask
     unit_vertical = parallel_through(P, m, axis1_points[1])
     line_slopes = {}
-    for li in range(len(P.lines)):
+    slope_of = {}  # parallel mask -> the slope of its lines
+    for li, par in enumerate(P.parallel):
         if P.parallel[m] >> li & 1:
             continue  # vertical: slope is infinite
-        through_origin = parallel_through(P, li, origin)
-        hit = intersection(P, through_origin, unit_vertical)
-        line_slopes[li] = coord_of[hit][1]
+        if par not in slope_of:
+            through_origin = parallel_through(P, li, origin)
+            slope_of[par] = coords[intersection(P, through_origin, unit_vertical)] % q
+        line_slopes[li] = slope_of[par]
 
     origin_line_of_slope = {}
     for li in _bits(P.through[origin]):
@@ -308,15 +378,23 @@ def coordinatize(P, frame):
     if sorted(origin_line_of_slope) != list(range(q)):
         raise InputError("slopes through the origin do not cover the carrier")
 
-    table = [0] * (q ** 3)
+    # the line of slope a through (0, b): its coordinates, sorted, are
+    # x*q + <ax+b> over x = 0..q-1 when it has one point per x, and then
+    # the block of a is these q columns side by side
+    table = []
+    xq = range(0, q * q, q)
     for a in range(q):
         base = origin_line_of_slope[a]
-        for b in range(q):
-            L = parallel_through(P, base, axis2_points[b])
-            for p in P.lines[L]:
-                x, y = coord_of[p]
-                table[(a * q + x) * q + b] = y
-
+        lines = [P.lines[parallel_through(P, base, axis2_points[b])] for b in range(q)]
+        block = list(chain.from_iterable(zip(*(
+            map(sub, sorted(map(coords.__getitem__, line)), xq) for line in lines))))
+        if min(block) < 0 or max(block) >= q:  # a line with two points on one x
+            block = [0] * (q * q)
+            for b, line in enumerate(lines):
+                for p in line:
+                    x, y = coord_of[p]
+                    block[x * q + b] = y
+        table += block
     ring = validate(TernaryRing(q, tuple(table)))
     return Coordinatization(ring, frame, origin, axis1_points, axis2_points,
                             tuple(point_of), coord_of, line_slopes)

@@ -226,6 +226,17 @@ def _vw_report(Q):
     return report
 
 
+def passes_linear_ring_axioms(Q):
+    """True iff Q passes `LINEAR_RING_AXIOMS`, decided by the VW3, VW1
+    and VW5 sweeps alone: under VW1, VW5-r holds exactly when VW5 does
+    (module docstring).  Q's kept report is neither read nor set."""
+    q = Q.q
+    add, mul = _rows(Q.add_table, q), _rows(Q.mul_table, q)
+    return (next(_vw3_sweep(add, mul), None) is None
+            and next(_vw1_sweep(add), None) is None
+            and next(_vw5_sweep(add, mul, Q.neg_table), None) is None)
+
+
 def check_vw(Q):
     """Exhaustive evaluation of all seven quasi-field axiom flags.
 

@@ -11,8 +11,9 @@ keeps the first; the quasi-field and plane checkers use the same idiom.
 `validate` certifies a linear ring <ax+b> = ax + b (with y + b = <1y+b>
 and ax = <ax+0>) through the quasi-field `from_ternary` reads off it:
 when its addition is an abelian group, the ring satisfies T1-T5 exactly
-when that quasi-field's `check_vw` report passes VW1, VW3, VW5 and VW5-r
-(`quasifield.LINEAR_RING_AXIOMS`), in O(q^3).  Any other ring (a linear
+when that quasi-field passes VW1, VW3, VW5 and VW5-r
+(`quasifield.LINEAR_RING_AXIOMS`), which its VW1, VW3 and VW5 sweeps
+decide in O(q^3).  Any other ring (a linear
 ring whose addition is a non-abelian group, if one exists, among them),
 and any ring that report rejects, goes to the O(q^4) sweeps of
 `check_ternary_axioms`, so error messages come from those alone.  Those
@@ -234,20 +235,21 @@ def validate(T):
       so T5 holds iff a -> ax - ax' is a bijection for every x != x':
       that is VW5-r.
     Under VW1, VW5 and VW5-r pass or fail together (`quasifield` module
-    docstring), so the report sweeps VW5-r only when VW5 fails: T5 costs
-    nothing beyond T4 for a ring that passes.
+    docstring), so T1-T5 need only VW1, VW3 and VW5 of a linear ring, and
+    those three sweeps are all that run: VW2, VW4 and VW4-r, which only
+    the left and right axiom sets need, are not swept.
     Every other ring goes through the full sweeps of
     `check_ternary_axioms`, which name the failing axioms: a non-linear
     ring, one whose addition is not an abelian group (a linear ring with
     a non-abelian additive group, if one exists, among them), and one
-    the VW report rejects.
+    that fails VW3 or VW5.
     """
     if T.validated:
         return T
     # imported here, not at the top: quasifield imports this module
-    from .quasifield import LINEAR_RING_AXIOMS, check_vw, from_ternary
+    from .quasifield import from_ternary, passes_linear_ring_axioms
     Q = from_ternary(T)
-    if Q is None or not check_vw(Q).passes(*LINEAR_RING_AXIOMS):
+    if Q is None or not passes_linear_ring_axioms(Q):
         report = check_ternary_axioms(T)
         if not report.all_pass:
             failing = [k for k, ok in report.flags().items() if not ok]

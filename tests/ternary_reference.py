@@ -1,11 +1,19 @@
-"""Reference versions of the T3, T4 and T5 sweeps.
+"""Reference versions of the T3, T4 and T5 sweeps, and of `validate`.
 
-These are the count loops `check_ternary_axioms` ran on every triple
+The sweeps are the count loops `check_ternary_axioms` ran on every triple
 before it decided whole rows at once.  They read the table one entry at
 a time through `at` and yield every counterexample in lexicographic
-order.  They are kept only so that the tests can require the row-level
-sweeps to yield the same witness sequences on every table.
+order.  `validate` is the version that certified a linear ring from the
+full seven-axiom VW report of its quasi-field.  They are kept only so
+that the tests can require the row-level sweeps to yield the same
+witness sequences, and `validate` the same verdicts, on every table.
 """
+
+from dataclasses import replace
+
+from affplane.errors import InputError
+from affplane.quasifield import LINEAR_RING_AXIOMS, check_vw, from_ternary
+from affplane.ternary import check_ternary_axioms
 
 
 def _t3_sweep(q, at):
@@ -60,3 +68,17 @@ def _t5_sweep(q, at):
             for i in range(q * q):
                 if counts[i] != 1:
                     yield (x, x2, i // q, i % q)
+
+
+def validate(T):
+    """`ternary.validate` with the linear ring's quasi-field checked by
+    `check_vw`, all seven VW sweeps."""
+    if T.validated:
+        return T
+    Q = from_ternary(T)
+    if Q is None or not check_vw(Q).passes(*LINEAR_RING_AXIOMS):
+        report = check_ternary_axioms(T)
+        if not report.all_pass:
+            failing = [k for k, ok in report.flags().items() if not ok]
+            raise InputError(f"ternary axioms fail: {', '.join(failing)}")
+    return replace(T, validated=True)

@@ -17,6 +17,7 @@ from affplane import quasifield, ternary
 from affplane.errors import InputError, SearchBoundExceeded
 from affplane.ternary import isomorphism_failure
 from test_witnesses import cases as witness_cases
+import ternary_reference
 
 
 def mutate(T, a, x, b, value):
@@ -478,3 +479,52 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
     with pytest.raises(InputError, match=r"^ternary axioms fail: T4, T5$"):
         validate(T)
     assert calls == [T]
+
+
+LINEAR_RINGS_9 = [linear_ring(R.add_table, R.mul_table, R.q)
+                  for Q in left_quasifields(9) for R in (Q, opposite(Q))]
+
+
+def test_validate_sweeps_only_vw1_vw3_vw5(monkeypatch):
+    """A fresh linear ring is certified without the VW2, VW4 and VW4-r
+    sweeps, which only the left and right axiom sets need."""
+    def refuse(*args):
+        raise AssertionError("a sweep runs")
+
+    swept = []
+    for name in ("_vw1_sweep", "_vw3_sweep", "_vw5_sweep"):
+        sweep = getattr(quasifield, name)
+        monkeypatch.setattr(quasifield, name, lambda *args, name=name, sweep=sweep:
+                            swept.append(name) or sweep(*args))
+    for name in ("_vw2_sweep", "_vw4_sweep", "_vw4r_sweep"):
+        monkeypatch.setattr(quasifield, name, refuse)
+    monkeypatch.setattr(ternary, "check_ternary_axioms", refuse)
+    for T in LINEAR_RINGS_9:
+        assert validate(T).validated
+    assert set(swept) == {"_vw1_sweep", "_vw3_sweep", "_vw5_sweep"}
+
+
+def _verdict(validate_fn, T):
+    try:
+        return validate_fn(T)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(LINEAR_RINGS_9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_corruptions_match_the_full_report(T, data):
+    """Every linear ring of order <= 9 with one entry changed, or with two
+    b-rows of <ax+.> (a != 1) swapped, which keeps it linear: `validate`
+    accepts, or raises the same text, exactly as the version that checked
+    all seven VW axioms."""
+    q = T.q
+    table = list(T.table)
+    if data.draw(st.booleans()):
+        table[data.draw(st.integers(0, q ** 3 - 1))] = data.draw(st.integers(0, q - 1))
+    else:
+        rows = st.sampled_from([i for i in range(q * q) if i // q != 1])
+        r, s = (data.draw(rows) * q for _ in range(2))
+        table[r:r + q], table[s:s + q] = table[s:s + q], table[r:r + q]
+    U = TernaryRing(q, tuple(table))
+    assert _verdict(validate, U) == _verdict(ternary_reference.validate, U)
