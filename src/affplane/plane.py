@@ -380,14 +380,14 @@ def coordinatize(P, frame):
 
     # the line of slope a through (0, b): its coordinates, sorted, are
     # x*q + <ax+b> over x = 0..q-1 when it has one point per x, and then
-    # the block of a is these q columns side by side
+    # the block of a is these q columns side by side, less x*q
     table = []
-    xq = range(0, q * q, q)
+    xq = [x for x in range(0, q * q, q) for _ in range(q)]
     for a in range(q):
         base = origin_line_of_slope[a]
         lines = [P.lines[parallel_through(P, base, axis2_points[b])] for b in range(q)]
-        block = list(chain.from_iterable(zip(*(
-            map(sub, sorted(map(coords.__getitem__, line)), xq) for line in lines))))
+        columns = [sorted(map(coords.__getitem__, line)) for line in lines]
+        block = list(map(sub, chain.from_iterable(zip(*columns)), xq))
         if min(block) < 0 or max(block) >= q:  # a line with two points on one x
             block = [0] * (q * q)
             for b, line in enumerate(lines):

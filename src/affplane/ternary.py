@@ -24,7 +24,8 @@ fails, to name its witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, itemgetter
 
@@ -254,7 +255,10 @@ def validate(T):
         if not report.all_pass:
             failing = [k for k, ok in report.flags().items() if not ok]
             raise InputError(f"ternary axioms fail: {', '.join(failing)}")
-    return replace(T, validated=True)
+    # T passed the constructor's range checks; its copy is not checked again
+    out = copy(T)
+    object.__setattr__(out, "validated", True)
+    return out
 
 
 # ---------------------------------------------------------------------------
