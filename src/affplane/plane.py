@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import add, or_, sub, xor
+from operator import add, or_, xor
 
 from .errors import InputError
 from .ternary import AxiomReport, Isotopism, TernaryRing, validate
@@ -311,13 +311,11 @@ def coordinatize(P, frame):
     validated against the five ternary axioms.
 
     A point's x is read off the line of the second axis's parallel class
-    through it, and its y off the first axis's class; slopes are taken
-    once per parallel mask, and the lines of slope a, each sorted by
-    coordinates, fill a's block of the table side by side.  Where a class
-    does not partition the points, or coordinates repeat, the coordinates
-    come from the incidence queries point by point, and where a table
-    line has two points over one x, its block is written point by point.
-    So a broken plane raises the same error at the same step.
+    through it, and its y off the first axis's class, and slopes are
+    taken once per parallel mask.  Where a class does not partition the
+    points, or coordinates repeat, the coordinates come from the
+    incidence queries point by point, so a broken plane raises the same
+    error at the same step.
     """
     _validate_frame(P, frame)
     l, m = frame.l, frame.m
@@ -378,23 +376,19 @@ def coordinatize(P, frame):
     if sorted(origin_line_of_slope) != list(range(q)):
         raise InputError("slopes through the origin do not cover the carrier")
 
-    # the line of slope a through (0, b): its coordinates, sorted, are
-    # x*q + <ax+b> over x = 0..q-1 when it has one point per x, and then
-    # the block of a is these q columns side by side, less x*q
+    # the line of slope a through (0, b) holds y = <ax+b> at each of its
+    # points (x, y); a later point over the same x overwrites an earlier one
+    x_cell = [c - c % q for c in coords]  # x*q, the point's row in a block
+    y_of = [c % q for c in coords]
     table = []
-    xq = [x for x in range(0, q * q, q) for _ in range(q)]
     for a in range(q):
         base = origin_line_of_slope[a]
-        lines = [P.lines[parallel_through(P, base, axis2_points[b])] for b in range(q)]
-        columns = [sorted(map(coords.__getitem__, line)) for line in lines]
-        block = list(map(sub, chain.from_iterable(zip(*columns)), xq))
-        if min(block) < 0 or max(block) >= q:  # a line with two points on one x
-            block = [0] * (q * q)
-            for b, line in enumerate(lines):
-                for p in line:
-                    x, y = coord_of[p]
-                    block[x * q + b] = y
+        block = [0] * (q * q)
+        for b in range(q):
+            for p in P.lines[parallel_through(P, base, axis2_points[b])]:
+                block[x_cell[p] + b] = y_of[p]
         table += block
+
     ring = validate(TernaryRing(q, tuple(table)))
     return Coordinatization(ring, frame, origin, axis1_points, axis2_points,
                             tuple(point_of), coord_of, line_slopes)
