@@ -40,7 +40,7 @@ class AffinePlane:
     @classmethod
     def from_sorted_lines(cls, n, lines, order=None, source=None):
         """`from_lines` for lines already in canonical order: each line a
-        sorted tuple, and the tuple of lines sorted.  The readers and
+        sorted tuple, and the tuple of lines sorted.  `read_plane` and
         `plane_from_ternary` produce that order, so nothing is sorted
         again."""
         points = list(chain.from_iterable(lines))

@@ -24,8 +24,7 @@ fails, to name its witnesses.
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import add, itemgetter
 
@@ -255,10 +254,7 @@ def validate(T):
         if not report.all_pass:
             failing = [k for k, ok in report.flags().items() if not ok]
             raise InputError(f"ternary axioms fail: {', '.join(failing)}")
-    # T passed the constructor's range checks; its copy is not checked again
-    out = copy(T)
-    object.__setattr__(out, "validated", True)
-    return out
+    return replace(T, validated=True)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_aux_and_failing_queries(p3):
 @st.composite
 def swapped_planes(draw, P):
     """P after one to three exchanges of a point of one line with a point
-    of another, and the index of the first line of the last exchange."""
+    of another, and the index in the result of the first line drawn last."""
     lines = [list(line) for line in P.lines]
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.lists(st.sampled_from(range(len(lines))), min_size=2,
