@@ -75,14 +75,14 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
     return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, tuple(alpha))
 
 
-def enumerate_phi(K, G, max_count=DEFAULT_ENUM_BOUND):
+def enumerate_phi(K, G):
     """All |G|^(|image|-1) specs with phi(1) = identity, in lexicographic
     order over the remaining norm-image elements sorted by encoding."""
     fixed, image = make_spec(K, G)
     count = G.order ** (len(image) - 1)
-    if count > max_count:
+    if count > DEFAULT_ENUM_BOUND:
         raise SearchBoundExceeded(
-            f"{count} phi maps exceed the configured bound {max_count}")
+            f"{count} phi maps exceed the configured bound {DEFAULT_ENUM_BOUND}")
     specs = []
     for rest in itertools.product(range(G.order), repeat=len(image) - 1):
         specs.append(spec_from_exponents(K, G, (0,) + rest, fixed, image))

@@ -107,7 +107,7 @@ def _left_plane(Q):
     memoized, since the plane depends only on Q's tables."""
     if not check_vw(Q).passes(*LEFT_AXIOMS):
         raise InputError("tables fail the left quasi-field axioms")
-    return plane_from_ternary(to_ternary(Q), check=False)
+    return plane_from_ternary(to_ternary(Q))
 
 
 def translation_from_shift(Q, c, d):
@@ -130,27 +130,29 @@ def translation_from_shift(Q, c, d):
     return cert
 
 
-def _off_line_images(P, perm, z, z2, L):
-    """Fill perm at each point p off L with the meet of the parallel to
-    line zp through z2 and the parallel to L through p, line by line
-    through z; False where an incidence query of that construction would
-    fail: p on other than one line with z, or a parallel or a meet that
-    is not unique."""
+def _place_images(P, perm, c, c2, L, todo):
+    """Fill perm at each point p of the mask todo with the meet of the
+    parallel to line cp through c2 and the parallel to L through p (L
+    itself when p is on L), line by line through c; False where an
+    incidence query of that construction would fail: p on other than one
+    line with c, or a parallel or a meet that is not unique."""
     through, masks = P.through, P.masks
-    on_L, along = masks[L], P.parallel[L]
-    left = P.n - on_L.bit_count()  # points off L still to place
-    for li in _bits(through[z] & ~(1 << L)):
-        off = masks[li] & ~on_L
-        if not off:
+    along = P.parallel[L]
+    left = todo.bit_count()  # points still to place
+    for li in _bits(through[c]):
+        points = masks[li] & todo
+        if not points:
             continue
         try:
-            image = masks[parallel_through(P, li, z2)]
+            image = masks[parallel_through(P, li, c2)]
         except InputError:
             return False
         bit = 1 << li
-        for p in _bits(off):
-            row = along & through[p]  # the parallels to L through p
-            if through[z] & through[p] != bit or row.bit_count() != 1:
+        for p in _bits(points):
+            # the parallels to L through p: L alone when p is on L, since
+            # a line parallel to L and other than L misses it
+            row = along & through[p]
+            if through[c] & through[p] != bit or row.bit_count() != 1:
                 return False
             meet = image & masks[row.bit_length() - 1]
             if meet.bit_count() != 1:
@@ -160,39 +162,29 @@ def _off_line_images(P, perm, z, z2, L):
     return left == 0
 
 
-def translation_candidate(P, z, z2, aux=None):
+def translation_candidate(P, z, z2):
     """The unique candidate translation taking z to z2, verified.
 
     There is at most one translation with a given point image, so a
     verification failure of the constructed map certifies that no such
-    translation exists.  Points off the trace line map through a
-    parallelogram; points on it route through an auxiliary off-line
-    point (smallest index by default; the result never depends on it).
-    A failing incidence query means no candidate, hence None.
+    translation exists.  Points off the trace line L = zz2 map through a
+    parallelogram on z; points on L map the same way through the
+    smallest point off L, aux, and its image (the result never depends
+    on which point off L is used).  A failing incidence query means no
+    candidate, hence None.
     """
     if z == z2:
         raise InputError("source and target must differ")
     L = line_through(P, z, z2)
-    on_L = P.masks[L]
-    if aux is None:
-        aux = next((p for p in range(P.n) if not on_L >> p & 1), None)
-        if aux is None:
-            raise InputError("every point lies on the trace line")
-    elif on_L >> aux & 1:
-        raise InputError("auxiliary point must lie off the trace line")
+    off_L = (1 << P.n) - 1 & ~P.masks[L]
+    if not off_L:
+        raise InputError("every point lies on the trace line")
+    aux = (off_L & -off_L).bit_length() - 1
 
     perm = [None] * P.n
     perm[z] = z2
-    if not _off_line_images(P, perm, z, z2, L):
-        return None
-    aux_image = perm[aux]
-    try:
-        for p in P.lines[L]:
-            if p == z:
-                continue
-            through = line_through(P, aux, p)
-            perm[p] = intersection(P, parallel_through(P, through, aux_image), L)
-    except InputError:
+    if not (_place_images(P, perm, z, z2, L, off_L)
+            and _place_images(P, perm, aux, perm[aux], L, P.masks[L] & ~(1 << z))):
         return None
     return is_translation(P, perm)
 
@@ -270,7 +262,7 @@ def frame_mover(K, l2, m2):
     that the target lines move onto the axes, then inverting.
     """
     T = to_ternary(from_field(K))
-    P = plane_from_ternary(T, check=False)
+    P = plane_from_ternary(T)
     q = K.q
     if not (0 <= l2 < len(P.lines) and 0 <= m2 < len(P.lines)):
         raise InputError("line index out of range")

@@ -172,7 +172,7 @@ class FiniteField:
         return f"FiniteField(p={self.p}, n={self.n}, q={self.q})"
 
 
-def make_field(p, n, max_order=DEFAULT_MAX_ORDER):
+def make_field(p, n):
     """Build GF(p^n) with the lexicographically smallest irreducible modulus.
 
     The tables are built by rows, with no product per pair.  The addition
@@ -190,8 +190,8 @@ def make_field(p, n, max_order=DEFAULT_MAX_ORDER):
     if n < 1:
         raise InputError(f"extension degree must be >= 1, got {n}")
     q = p ** n
-    if q > max_order:
-        raise InputError(f"order {q} exceeds the configured bound {max_order}")
+    if q > DEFAULT_MAX_ORDER:
+        raise InputError(f"order {q} exceeds the configured bound {DEFAULT_MAX_ORDER}")
 
     modulus = smallest_irreducible(p, n)
     add = tuple(itertools.chain.from_iterable(_addition_rows(p, q)))

@@ -8,17 +8,26 @@ is canonical.  Each line is also held as an int bitmask of its points
 built once per plane from them, and every incidence query reads these
 masks.  Planes built from a ternary ring of order q encode the point
 (x, y) as x*q + y.
+
+Each plane is certified at most once.  `AffinePlane.certified` is set
+by `plane_from_ternary`, because the plane of a validated ternary ring
+is affine (proof in its docstring), and otherwise by the first
+`coordinatize` call, which sweeps `check_plane_axioms` once and raises
+with the failing axioms instead when the plane is broken.  The ring
+that `coordinatize` reads off a certified plane is validated without a
+sweep, because an affine plane's coordinate ring satisfies T1-T5 (proof
+in its docstring).  `check_plane_axioms` itself always sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import add, or_, xor
 
 from .errors import InputError
-from .ternary import AxiomReport, Isotopism, TernaryRing, validate
+from .ternary import AxiomReport, Isotopism, TernaryRing
 
 _BIT = (1).__lshift__  # p -> the bitmask 1 << p
 
@@ -30,15 +39,15 @@ class AffinePlane:
     masks: tuple  # per line, the int bitmask of its points
     through: tuple  # per point, the int bitmask of its line indices
     order: int = None  # q, when built from a ternary ring
-    source: TernaryRing = None
+    # A1-A3 and transitive parallelism are known to hold (module docstring)
+    certified: bool = field(init=False, default=False, compare=False)
 
     @classmethod
-    def from_lines(cls, n, lines, order=None, source=None):
-        return cls.from_sorted_lines(
-            n, tuple(sorted(map(tuple, map(sorted, lines)))), order, source)
+    def from_lines(cls, n, lines):
+        return cls.from_sorted_lines(n, tuple(sorted(map(tuple, map(sorted, lines)))))
 
     @classmethod
-    def from_sorted_lines(cls, n, lines, order=None, source=None):
+    def from_sorted_lines(cls, n, lines, order=None):
         """`from_lines` for lines already in canonical order: each line a
         sorted tuple, and the tuple of lines sorted.  `read_plane` and
         `plane_from_ternary` produce that order, so nothing is sorted
@@ -61,7 +70,7 @@ class AffinePlane:
             bit = 1 << i
             for p in line:
                 through[p] |= bit
-        return cls(n, lines, masks, tuple(through), order, source)
+        return cls(n, lines, masks, tuple(through), order)
 
     @cached_property
     def parallel(self):
@@ -87,9 +96,28 @@ class AffinePlane:
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
 
 
-def plane_from_ternary(T, check=True):
-    """The plane on q^2 points with verticals x = x0 and graphs y = <ax+b>."""
-    if check and not T.validated:
+def plane_from_ternary(T):
+    """The plane on q^2 points with verticals x = x0 and graphs y = <ax+b>,
+    certified without a sweep.
+
+    T must be validated, and T3-T5 make the plane affine (T1 and T2 are
+    not needed):
+    - The q^2 graphs are distinct lines: two with a != a' agree at one x
+      only (T4, and q >= 2), two with a = a', b != b' at none (T3).
+    - A1: two points over the same x lie on that vertical and on no graph,
+      which has one point over each x; two over x != x' lie on no common
+      vertical and on the graph of exactly one (a, b) (T5).
+    - Parallelism: verticals are pairwise disjoint and meet every graph;
+      graphs with a = a' are disjoint (T3), and with a != a' meet (T4).
+      So two lines are parallel exactly when both are vertical or they
+      share a, which is an equivalence relation.
+    - A2: through a point (x, y) off a line, the one parallel is the
+      vertical over x when the line is vertical, and otherwise the graph
+      of (a, b') for the unique b' with <ax+b'> = y (T3).
+    - A3: (0, 0), (0, 1) and (1, 0) are not collinear, since the one line
+      through the first two is the vertical x = 0.
+    """
+    if not T.validated:
         raise InputError("ternary ring must be validated first")
     q = T.q
     qq = q * q
@@ -99,11 +127,8 @@ def plane_from_ternary(T, check=True):
     lines = {tuple(range(x0, x0 + q)) for x0 in xq}
     lines.update(tuple(map(add, xq, T.table[block + b:block + qq:q]))
                  for block in range(0, q * qq, qq) for b in range(q))
-    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)), order=q, source=T)
-    if check:
-        report = check_plane_axioms(P)
-        if not report.all_pass:
-            raise InputError(f"constructed plane fails axioms: {report.flags()}")
+    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)), order=q)
+    object.__setattr__(P, "certified", True)
     return P
 
 
@@ -269,36 +294,15 @@ def _validate_frame(P, frame):
 
 
 def _class_coordinates(P, k, axis, value):
-    """Per point p, value[the point where the line through p parallel to
-    k meets axis], read off k's parallel mask; None unless the lines of
-    that mask partition the points and each meets axis in one point, so
-    that `parallel_through` and `intersection` would answer the same."""
+    """Per point p, value[the point where the line of k's parallel class
+    through p meets axis]; on a certified plane the class partitions the
+    points and each of its lines meets axis once, when k and axis meet."""
     out = [None] * P.n
-    covered = 0
     for li in _bits(P.parallel[k]):
-        mask = P.masks[li]
-        foot = mask & P.masks[axis]
-        if covered & mask or foot.bit_count() != 1:
-            return None
-        covered |= mask
-        v = value[foot.bit_length() - 1]
+        v = value[(P.masks[li] & P.masks[axis]).bit_length() - 1]
         for p in P.lines[li]:
             out[p] = v
-    return out if covered == (1 << P.n) - 1 else None
-
-
-def _point_coordinates(P, l, m, x_value, y_value):
-    """Per point, x*q + y from the incidence queries, point by point, with
-    the first failing query or repeated coordinate raised."""
-    coords, seen = [], set()
-    for p in range(P.n):
-        c = (x_value[intersection(P, parallel_through(P, m, p), l)]
-             + y_value[intersection(P, parallel_through(P, l, p), m)])
-        if c in seen:
-            raise InputError("coordinate assignment is not a bijection")
-        seen.add(c)
-        coords.append(c)
-    return coords
+    return out
 
 
 def coordinatize(P, frame):
@@ -307,89 +311,90 @@ def coordinatize(P, frame):
     The carrier is the set of points of the first axis: the origin gets
     label 0, the point under the unit point gets label 1, and the rest
     are labeled in increasing point-index order (the choice is free; a
-    fixed convention keeps output deterministic).  The returned ring is
-    validated against the five ternary axioms.
+    fixed convention keeps output deterministic).  A point's x is read
+    off the line of the second axis's parallel class through it, and its
+    y off the first axis's class, and slopes are taken once per parallel
+    mask.
 
-    A point's x is read off the line of the second axis's parallel class
-    through it, and its y off the first axis's class, and slopes are
-    taken once per parallel mask.  Where a class does not partition the
-    points, or coordinates repeat, the coordinates come from the
-    incidence queries point by point, so a broken plane raises the same
-    error at the same step.
+    A plane not yet certified is swept once by `check_plane_axioms`, and
+    rejected with the failing axioms.  The ring of a certified plane is
+    returned validated, without a sweep, because it satisfies T1-T5.
+    Proof: by A1, distinct lines share at most one point, so two lines
+    that are not parallel (equal or disjoint) meet in exactly one point.
+    By A2 and transitivity each parallel class holds exactly one line
+    through each point.  Call the lines of the second axis's class
+    verticals and those of the first axis's class horizontals; each
+    vertical meets each horizontal once.  So the axes meet in the origin,
+    x and y are well defined, and (x, y) is a bijection from the points
+    to the pairs of labels: the diagonal (origin to unit point) is
+    parallel to neither axis, so carrying the labels of the first axis
+    along the verticals to the diagonal and along the horizontals to the
+    second axis is a bijection, and it puts (t, t) on the diagonal.  Each
+    point (1, a) of the unit vertical x = 1 lies on one line through the
+    origin, not the second axis, which the unit vertical misses; a is the
+    slope of that line and of its class.  Two lines through the origin
+    cannot meet x = 1 in one point, since the origin is not on it, so the
+    slopes name the q non-vertical classes once each.  A non-vertical
+    line meets each vertical once, so <ax+b>, the y over x of the line of
+    slope a through (0, b), is defined for all a, x, b.  Then:
+    - T1: <1x+0> = x on the diagonal, and <x1+0> = x by the slope of x.
+    - T2: <a0+b> = b at (0, b), and the slope-0 lines are the
+      horizontals, so <0x+b> = b.
+    - T3: through (x, y) there is one line of slope a, and it meets the
+      second axis in one (0, b).
+    - T4: lines of slopes a != a' are not parallel, so the lines through
+      (0, b) and (0, b') meet over exactly one x.
+    - T5: for x != x', the points (x, y) and (x', y') lie on one line,
+      which is not vertical and so has one slope a and one (0, b).
     """
     _validate_frame(P, frame)
+    if not P.certified:
+        report = check_plane_axioms(P)
+        if not report.all_pass:
+            failing = [k for k, ok in report.flags().items() if not ok]
+            raise InputError(f"plane axioms fail: {', '.join(failing)}")
+        object.__setattr__(P, "certified", True)
     l, m = frame.l, frame.m
     origin = intersection(P, l, m)
     q = len(P.lines[l])
-    if any(len(line) != q for line in P.lines):
-        raise InputError("plane lines have unequal sizes")
 
     unit_foot = intersection(P, parallel_through(P, m, frame.z), l)
     rest = sorted(p for p in P.lines[l] if p not in (origin, unit_foot))
     axis1_points = (origin, unit_foot, *rest)
 
-    diagonal = line_through(P, origin, frame.z)
-
-    # transfer the labeling to the second axis through the diagonal
-    axis2_points = []
-    for t in range(q):
-        zt = intersection(P, parallel_through(P, m, axis1_points[t]), diagonal)
-        axis2_points.append(intersection(P, parallel_through(P, l, zt), m))
-    if sorted(axis2_points) != sorted(P.lines[m]):
-        raise InputError("axis transfer is not a bijection")
+    # per point x*q, and its foot on the second axis along the first
+    # axis's class; the diagonal's point with x = t has y = t, which
+    # carries the labels to the second axis
+    xqs = _class_coordinates(P, m, l, {p: x * q for x, p in enumerate(axis1_points)})
+    feet = _class_coordinates(P, l, m, range(P.n))
+    axis2_points = [None] * q
+    for p in P.lines[line_through(P, origin, frame.z)]:
+        axis2_points[xqs[p] // q] = feet[p]
     axis2_points = tuple(axis2_points)
-
-    # coords[p] = x*q + y
-    x_value = {p: i * q for i, p in enumerate(axis1_points)}
-    y_value = {p: t for t, p in enumerate(axis2_points)}
-    xs = _class_coordinates(P, m, l, x_value)
-    ys = xs and _class_coordinates(P, l, m, y_value)
-    coords = ys and list(map(add, xs, ys))
-    if not coords or len(set(coords)) != P.n:
-        coords = _point_coordinates(P, l, m, x_value, y_value)
+    ys = list(map({p: y for y, p in enumerate(axis2_points)}.__getitem__, feet))
+    coords = list(map(add, xqs, ys))  # x*q + y
     point_of = [None] * (q * q)
     for p, c in enumerate(coords):
         point_of[c] = p
     coord_of = dict(zip(range(P.n), map(divmod, coords, repeat(q))))
 
-    # slopes: intersect the parallel through the origin with the vertical
-    # line over the carrier point labeled 1.  When `parallel_through`
-    # answers for li, its parallel mask holds exactly one line through the
-    # origin (li itself, if it passes there), and that is its answer for
-    # every line with the same mask: the slope is taken once per mask
-    unit_vertical = parallel_through(P, m, axis1_points[1])
-    line_slopes = {}
+    # slopes: the y where a line through the origin meets the vertical
+    # x = 1, shared by every line of its parallel mask; the line of slope
+    # a through (0, b) holds y = <ax+b> at each of its points (x, y)
+    unit_vertical = P.masks[parallel_through(P, m, unit_foot)]
     slope_of = {}  # parallel mask -> the slope of its lines
-    for li, par in enumerate(P.parallel):
-        if P.parallel[m] >> li & 1:
-            continue  # vertical: slope is infinite
-        if par not in slope_of:
-            through_origin = parallel_through(P, li, origin)
-            slope_of[par] = coords[intersection(P, through_origin, unit_vertical)] % q
-        line_slopes[li] = slope_of[par]
+    table = [0] * (q * q * q)
+    for li in _bits(P.through[origin] & ~(1 << m)):
+        a = ys[(P.masks[li] & unit_vertical).bit_length() - 1]
+        slope_of[P.parallel[li]] = a
+        for lj in _bits(P.parallel[li]):
+            cell = a * q * q + ys[(P.masks[lj] & P.masks[m]).bit_length() - 1]  # <a0+b>
+            for p in P.lines[lj]:
+                table[cell + xqs[p]] = ys[p]
+    line_slopes = {li: slope_of[par] for li, par in enumerate(P.parallel)
+                   if par in slope_of}  # verticals absent
 
-    origin_line_of_slope = {}
-    for li in _bits(P.through[origin]):
-        if li == m:
-            continue
-        origin_line_of_slope[line_slopes[li]] = li
-    if sorted(origin_line_of_slope) != list(range(q)):
-        raise InputError("slopes through the origin do not cover the carrier")
-
-    # the line of slope a through (0, b) holds y = <ax+b> at each of its
-    # points (x, y); a later point over the same x overwrites an earlier one
-    x_cell = [c - c % q for c in coords]  # x*q, the point's row in a block
-    y_of = [c % q for c in coords]
-    table = []
-    for a in range(q):
-        base = origin_line_of_slope[a]
-        block = [0] * (q * q)
-        for b in range(q):
-            for p in P.lines[parallel_through(P, base, axis2_points[b])]:
-                block[x_cell[p] + b] = y_of[p]
-        table += block
-
-    ring = validate(TernaryRing(q, tuple(table)))
+    ring = TernaryRing(q, tuple(table), validated=True)
     return Coordinatization(ring, frame, origin, axis1_points, axis2_points,
                             tuple(point_of), coord_of, line_slopes)
 

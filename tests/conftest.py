@@ -63,4 +63,4 @@ def andre9_ring(andre9):
 
 @pytest.fixture(scope="session")
 def andre9_plane(andre9_ring):
-    return plane_from_ternary(andre9_ring, check=False)
+    return plane_from_ternary(andre9_ring)

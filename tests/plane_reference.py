@@ -6,9 +6,11 @@ lines were held as point bitmasks.  They recompute every incidence fact
 from the line tuples, one frozenset at a time.  `coordinatize` and
 `translation_candidate` are the point-by-point versions that called the
 incidence queries once per point before the plane layer read coordinates
-and translations off whole parallel classes.  All are kept only so that
-the tests can require the faster versions to agree with them on every
-argument.
+and translations off whole parallel classes; this `coordinatize` ends in
+`validate` and, on a broken plane, raises at the first failing query.
+All are kept only so that the tests can require the faster versions to
+agree with them on every argument (on every certified plane, for
+`coordinatize`).
 """
 
 import functools
@@ -17,7 +19,7 @@ from affplane import plane
 from affplane.collineation import Collineation, TranslationCertificate
 from affplane.errors import InputError
 from affplane.plane import PLANE_AXIOMS
-from affplane.ternary import AxiomReport, TernaryRing
+from affplane.ternary import AxiomReport, TernaryRing, validate
 
 
 def _sets(P):
@@ -209,7 +211,7 @@ def coordinatize(P, frame):
                 x, y = coord_of[p]
                 table[(a * q + x) * q + b] = y
 
-    ring = plane.validate(TernaryRing(q, tuple(table)))
+    ring = validate(TernaryRing(q, tuple(table)))
     return plane.Coordinatization(ring, frame, origin, axis1_points, axis2_points,
                                   tuple(point_of), coord_of, line_slopes)
 

@@ -19,6 +19,7 @@ from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
 from affplane.cli import main
 from affplane.plane import AffinePlane
 from affplane.ternary import TernaryRing
+from tests_support import table_plane
 
 FIELD_SUITE = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (2, 4), (5, 2), (3, 3)]
@@ -125,19 +126,19 @@ def suite_rings():
 
 def test_criterion_06_plane_axioms_and_mutations():
     ok = True
-    planes = [plane_from_ternary(T) for T in suite_rings()]
+    rings = suite_rings()
+    planes = [plane_from_ternary(T) for T in rings]
     for P in planes:
         if not check_plane_axioms(P).all_pass:
             ok = False
-    P = planes[1]  # order 3
+    T, P = rings[1], planes[1]  # order 3
     mutants = [
         AffinePlane.from_lines(P.n, P.lines[1:]),
         AffinePlane.from_lines(P.n, P.lines + (P.lines[0],)),
     ]
-    T = P.source
     table = list(T.table)
     table[13] = (table[13] + 1) % 3
-    mutants.append(plane_from_ternary(TernaryRing(3, tuple(table)), check=False))
+    mutants.append(table_plane(TernaryRing(3, tuple(table))))
     for M in mutants:
         rep = check_plane_axioms(M)
         if rep.all_pass or not rep.witnesses:
@@ -244,7 +245,7 @@ def test_criterion_13_automorphism_families(andre9):
                 ok = False
     for p, n in [(3, 1), (2, 2), (5, 1)]:
         K = make_field(p, n)
-        P = plane_from_ternary(to_ternary(from_field(K)), check=False)
+        P = plane_from_ternary(to_ternary(from_field(K)))
         if not is_collineation(P, swap_map(K)):
             ok = False
         for c, d in itertools.product(range(K.q), repeat=2):

@@ -5,6 +5,7 @@ from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, associativity_witness,
                       galois_subgroup, make_field, make_spec, norm, opposite,
                       predicts_associative, predicts_right_distributive,
                       right_divide, spec_from_exponents)
+from affplane import andre
 from affplane.errors import InputError, SearchBoundExceeded
 
 SUITE = [(3, 2, 1, 2), (2, 4, 2, 4), (5, 2, 1, 8), (3, 3, 1, 3)]
@@ -19,10 +20,11 @@ def test_enumeration_counts(p, n, d, count):
     assert G.order ** (len(specs[0].image) - 1) == count
 
 
-def test_enumeration_bound(k9):
+def test_enumeration_bound(k9, monkeypatch):
+    monkeypatch.setattr(andre, "DEFAULT_ENUM_BOUND", 1)
     G = galois_subgroup(k9, 1)
     with pytest.raises(SearchBoundExceeded):
-        enumerate_phi(k9, G, max_count=1)
+        enumerate_phi(k9, G)
 
 
 def test_spec_validation(k9):

@@ -7,8 +7,11 @@ from affplane import (AffinePlane, CoordinateFrame, build_left,
                       parallel_classes, parallel_through, plane_from_ternary,
                       spec_from_exponents, to_ternary, translation_candidate,
                       validate)
+from affplane import plane
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
+from test_witnesses import _plane_mutants
+from tests_support import table_plane
 
 
 def field_plane(p, n):
@@ -44,9 +47,8 @@ def test_from_lines_names_the_first_bad_line(lines, message):
 
 def test_requires_validated_ring(t3):
     unvalidated = TernaryRing(t3.q, t3.table)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^ternary ring must be validated first$"):
         plane_from_ternary(unvalidated)
-    assert plane_from_ternary(unvalidated, check=False).n == 9
 
 
 def test_diagonal_line(p3):
@@ -81,7 +83,7 @@ def test_duplicated_line_breaks_a1(p3):
 def test_corrupted_entry_breaks_axioms(t3):
     table = list(t3.table)
     table[(1 * 3 + 1) * 3 + 1] = (table[13] + 1) % 3
-    broken = plane_from_ternary(TernaryRing(3, tuple(table)), check=False)
+    broken = table_plane(TernaryRing(3, tuple(table)))
     report = check_plane_axioms(broken)
     assert not report.all_pass
     assert report.witnesses
@@ -124,7 +126,8 @@ def test_checked_andre_planes_of_order_25_and_27(p, n, phi):
     # a non-commutative coordinate quasi-field is no field: non-Desarguesian
     assert any(Q.mul(a, b) != Q.mul(b, a) for a in range(q) for b in range(q))
     T = to_ternary(Q)
-    P = plane_from_ternary(T, check=True)
+    P = plane_from_ternary(T)
+    assert check_plane_axioms(P).all_pass
     classes = parallel_classes(P)
     assert len(classes) == q + 1
     assert all(len(c) == q for c in classes)
@@ -230,7 +233,74 @@ def test_rebuilt_plane_matches(andre9_plane):
     """Building a plane from a coordinatization's ring gives the original
     plane back up to the recorded point labeling."""
     coord = coordinatize(andre9_plane, canonical_frame(andre9_plane))
-    rebuilt = plane_from_ternary(coord.ring, check=False)
+    rebuilt = plane_from_ternary(coord.ring)
     mapped = {tuple(sorted(coord.point_of[p] for p in line))
               for line in rebuilt.lines}
     assert mapped == set(andre9_plane.lines)
+
+
+# ---------------------------------------------------------------------------
+# certification: each plane swept at most once
+
+def _counted_sweeps(monkeypatch):
+    calls = []
+    sweep = plane.check_plane_axioms
+
+    def counted(P):
+        calls.append(P)
+        return sweep(P)
+
+    monkeypatch.setattr(plane, "check_plane_axioms", counted)
+    return calls
+
+
+def _frames(P, count):
+    """The first `count` frames: axis pairs in index order, each with the
+    first point off both axes."""
+    out = []
+    for l in range(len(P.lines)):
+        for m in range(len(P.lines)):
+            if l != m and P.masks[l] & P.masks[m]:
+                z = next(z for z in range(P.n)
+                         if not (P.masks[l] | P.masks[m]) >> z & 1)
+                out.append(CoordinateFrame(l, m, z))
+                if len(out) == count:
+                    return out
+    return out
+
+
+def test_a_read_plane_is_swept_once(monkeypatch, andre9_plane):
+    calls = _counted_sweeps(monkeypatch)
+    P = AffinePlane.from_lines(andre9_plane.n, andre9_plane.lines)
+    assert not P.certified
+    frames = _frames(P, 5)
+    rings = [coordinatize(P, frame).ring for frame in frames]
+    l, m, z = frames[0].l, frames[0].m, frames[0].z
+    isotopism_from_frames(P, frames[0], CoordinateFrame(l, m, z + 1))
+    assert calls == [P] and P.certified
+    assert all(ring.validated for ring in rings)
+
+
+def test_a_built_plane_is_never_swept(monkeypatch, andre9_ring):
+    calls = _counted_sweeps(monkeypatch)
+    P = plane_from_ternary(andre9_ring)
+    assert P.certified
+    for frame in _frames(P, 5):
+        coordinatize(P, frame)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutants_name_their_failing_axioms(seed, p3, andre9_plane, andre16):
+    """Every deleted, duplicated and swapped mutant is rejected at a valid
+    frame with exactly the axioms `check_plane_axioms` fails."""
+    for P in (p3, andre9_plane, plane_from_ternary(to_ternary(andre16))):
+        for kind, lines in _plane_mutants(P, seed).items():
+            M = AffinePlane.from_lines(P.n, lines)
+            failing = [k for k, ok in check_plane_axioms(M).flags().items() if not ok]
+            assert failing, kind
+            for frame in _frames(M, 2):
+                with pytest.raises(InputError) as exc:
+                    coordinatize(M, frame)
+                assert str(exc.value) == f"plane axioms fail: {', '.join(failing)}"
+            assert not M.certified

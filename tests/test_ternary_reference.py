@@ -92,7 +92,7 @@ def _seeded_frame(rng, P):
 def test_seeded_coordinatizations_agree(p, n, d, phi):
     K = field(p, n)
     Q = opposite(build_left(spec_from_exponents(K, galois_subgroup(K, d), phi)))
-    P = plane_from_ternary(to_ternary(Q), check=False)
+    P = plane_from_ternary(to_ternary(Q))
     rng = random.Random(p ** n)
     nonlinear = 0
     for _ in range(4):

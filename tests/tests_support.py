@@ -1,5 +1,6 @@
 """Helpers shared by several test modules."""
 
+from affplane.plane import AffinePlane
 from affplane.ternary import TernaryRing
 
 
@@ -16,3 +17,13 @@ def relabel_ring(T, perm):
                 table[(perm[a] * q + perm[x]) * q + perm[b]] = \
                     perm[T.at(a, x, b)]
     return TernaryRing(q, tuple(table))
+
+
+def table_plane(T):
+    """The verticals and graphs of T's table as a plane, whether or not T
+    satisfies T1-T5: `plane_from_ternary` takes validated rings only."""
+    q = T.q
+    lines = {tuple(range(x * q, (x + 1) * q)) for x in range(q)}
+    lines.update(tuple(x * q + T.at(a, x, b) for x in range(q))
+                 for a in range(q) for b in range(q))
+    return AffinePlane.from_lines(q * q, lines)
