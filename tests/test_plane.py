@@ -275,8 +275,10 @@ def test_a_read_plane_is_swept_once(monkeypatch, andre9_plane):
     assert not P.certified
     frames = _frames(P, 5)
     rings = [coordinatize(P, frame).ring for frame in frames]
-    l, m, z = frames[0].l, frames[0].m, frames[0].z
-    isotopism_from_frames(P, frames[0], CoordinateFrame(l, m, z + 1))
+    l, m = frames[0].l, frames[0].m
+    z2 = next(z for z in range(frames[0].z + 1, P.n)
+              if not (P.masks[l] | P.masks[m]) >> z & 1)
+    isotopism_from_frames(P, frames[0], CoordinateFrame(l, m, z2))
     assert calls == [P] and P.certified
     assert all(ring.validated for ring in rings)
 
