@@ -12,8 +12,8 @@ from operator import eq
 
 from .errors import InputError
 from .gf import make_field
-from .plane import (_BIT, _bits, canonical_frame, intersection, line_through,
-                    parallel_classes, parallel_through, plane_from_ternary)
+from .plane import (_BIT, _bits, intersection, line_through, parallel_classes,
+                    parallel_through, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
                          from_field, to_ternary)
 from .ternary import find_isomorphism
@@ -232,69 +232,38 @@ def shear_horizontal_map(K, c):
     return _field_perm(K, lambda x, y: K.sub(x, K.mul(c, y)) * K.q + y)
 
 
-def _compose_perms(first, second):
-    return tuple(second[v] for v in first)
-
-
-def _invert_perm(perm):
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
-
-
-def _line_shape(K, line):
-    """(None, x0) for the vertical x = x0, else (slope, intercept)."""
-    q = K.q
-    x1, y1 = divmod(line[0], q)
-    x2, y2 = divmod(line[1], q)
-    if x1 == x2:
-        return None, x1
-    a = K.mul(K.sub(y2, y1), K.inv(K.sub(x2, x1)))
-    return a, K.sub(y1, K.mul(a, x1))
-
-
 def frame_mover(K, l2, m2):
     """A verified collineation of the field plane taking the first axis
-    to line l2 and the second axis to line m2.
+    (y = 0) to line l2 and the second axis (x = 0) to line m2.
 
-    Built by composing a shift, an axis swap, and the two shear maps so
-    that the target lines move onto the axes, then inverting.
+    It is the affine map (x, y) -> p0 + x u + y w, where p0 is the meet
+    of l2 and m2 and u and w are their directions: (0, 1) for a vertical
+    line, and (1, a) for a line of slope a.  It takes (x, 0) to the point
+    p0 + x u of l2 and (0, y) to the point p0 + y w of m2, so the axes go
+    to l2 and m2.  u and w are independent, since l2 and m2 are not
+    parallel, so the map is an affine bijection of K^2;
+    `as_collineation` verifies that it takes lines to lines.
     """
-    T = to_ternary(from_field(K))
-    P = plane_from_ternary(T)
+    P = _left_plane(from_field(K))
     q = K.q
     if not (0 <= l2 < len(P.lines) and 0 <= m2 < len(P.lines)):
         raise InputError("line index out of range")
     if l2 == m2 or not P.masks[l2] & P.masks[m2]:
         raise InputError("target lines must be distinct and non-parallel")
 
-    # move l2 and m2 onto the axes, tracking their shapes as we go
-    p0 = intersection(P, l2, m2)
-    c0, d0 = divmod(p0, q)
-    perm = shift_map(K, K.neg(c0), K.neg(d0))
+    def direction(line):
+        # a graph has one point over each x, so its two smallest points lie
+        # over x = 0 and x = 1, and their y differ by the slope
+        (x0, y0), (x1, y1) = divmod(line[0], q), divmod(line[1], q)
+        return (0, 1) if x0 == x1 else (1, K.sub(y1, y0))
 
-    def shape_after(line_index):
-        return _line_shape(K, sorted(perm[p] for p in P.lines[line_index]))
-
-    a_l, _ = shape_after(l2)
-    if a_l is None:
-        perm = _compose_perms(perm, swap_map(K))
-        a_l, _ = shape_after(l2)
-    if a_l != 0:
-        perm = _compose_perms(perm, shear_vertical_map(K, a_l))
-    a_m, _ = shape_after(m2)
-    if a_m is not None:
-        if a_m == 0:
-            raise InputError("target lines collapsed to parallels")
-        perm = _compose_perms(perm, shear_horizontal_map(K, K.inv(a_m)))
-
-    mover = as_collineation(P, _invert_perm(perm))
-
-    axes = canonical_frame(P)
-    if mover.line_map[axes.l] != l2 or mover.line_map[axes.m] != m2:
-        raise InputError("frame mover failed to hit the target lines")
-    return mover
+    c0, d0 = divmod(intersection(P, l2, m2), q)
+    (u1, u2), (w1, w2) = direction(P.lines[l2]), direction(P.lines[m2])
+    add, mul = K.add, K.mul
+    perm = tuple(add(c0, add(mul(x, u1), mul(y, w1))) * q
+                 + add(d0, add(mul(x, u2), mul(y, w2)))
+                 for x in range(q) for y in range(q))
+    return as_collineation(P, perm)
 
 
 # ---------------------------------------------------------------------------

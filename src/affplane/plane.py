@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, repeat
+from math import isqrt
 from operator import add, or_, xor
 
 from .errors import InputError
@@ -38,7 +39,6 @@ class AffinePlane:
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
     masks: tuple  # per line, the int bitmask of its points
     through: tuple  # per point, the int bitmask of its line indices
-    order: int = None  # q, when built from a ternary ring
     # A1-A3 and transitive parallelism are known to hold (module docstring)
     certified: bool = field(init=False, default=False, compare=False)
 
@@ -47,7 +47,7 @@ class AffinePlane:
         return cls.from_sorted_lines(n, tuple(sorted(map(tuple, map(sorted, lines)))))
 
     @classmethod
-    def from_sorted_lines(cls, n, lines, order=None):
+    def from_sorted_lines(cls, n, lines):
         """`from_lines` for lines already in canonical order: each line a
         sorted tuple, and the tuple of lines sorted.  `read_plane` and
         `plane_from_ternary` produce that order, so nothing is sorted
@@ -70,7 +70,7 @@ class AffinePlane:
             bit = 1 << i
             for p in line:
                 through[p] |= bit
-        return cls(n, lines, masks, tuple(through), order)
+        return cls(n, lines, masks, tuple(through))
 
     @cached_property
     def parallel(self):
@@ -127,7 +127,7 @@ def plane_from_ternary(T):
     lines = {tuple(range(x0, x0 + q)) for x0 in xq}
     lines.update(tuple(map(add, xq, T.table[block + b:block + qq:q]))
                  for block in range(0, q * qq, qq) for b in range(q))
-    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)), order=q)
+    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)))
     object.__setattr__(P, "certified", True)
     return P
 
@@ -257,12 +257,14 @@ class CoordinateFrame:
 
 def canonical_frame(P):
     """The frame that reproduces the source ternary ring of a built plane:
-    first axis y = 0, second axis x = 0, unit point (1, 1)."""
-    if P.order is None:
-        raise InputError("plane has no order provenance")
-    q = P.order
-    horiz = tuple(sorted(x * q for x in range(q)))
-    vert = tuple(range(q))
+    first axis y = 0, second axis x = 0, unit point (1, 1), with the point
+    (x, y) at x*q + y and q the square root of the number of points."""
+    q = isqrt(P.n)
+    if q < 2 or q * q != P.n:
+        raise InputError(f"{P.n} points are not q^2 points for an order q >= 2")
+    horiz, vert = tuple(range(0, P.n, q)), tuple(range(q))  # y = 0, x = 0
+    if horiz not in P.lines or vert not in P.lines:
+        raise InputError("plane has no line y = 0 or x = 0 on the points x*q + y")
     return CoordinateFrame(P.lines.index(horiz), P.lines.index(vert), q + 1)
 
 

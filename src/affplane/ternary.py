@@ -344,8 +344,6 @@ def find_isomorphism(T, U):
         perm[e] = -1
         return False
 
-    if q == 2:
-        return (0, 1) if is_isomorphism(T, U, (0, 1)) else None
     if search(2):
         return tuple(perm)
     return None

@@ -15,13 +15,23 @@ generator read off the tables.  `verify_field_tables_by_entry` is the
 O(n q^2) certificate as it was before it compared whole rows: the same
 premises in the same order, entry by entry.  They are kept so that the
 tests can require the same tables and the same error messages.
+
+`galois_subgroup`, `fixed_field`, `norm_image` and `spec_from_exponents`
+are the versions that re-checked, at run time, what `gf` and `andre` now
+derive from the field and Frobenius certificates: that the group closes,
+that the fixed points form a subfield of order p^d, that the norm image
+is a subgroup of its multiplicative group, and that alpha is constant on
+orbits.  They are kept so that the tests can require the same values and
+that none of these checks ever fails.
 """
 
 import itertools
 
-from affplane.errors import InternalCheckError
-from affplane.gf import (FiniteField, _decode, _encode, _poly_mul, _poly_rem,
-                         smallest_irreducible)
+from affplane.andre import AndreSpec
+from affplane.errors import InputError, InternalCheckError
+from affplane.gf import (FiniteField, GaloisGroup, _decode, _encode,
+                         _is_automorphism as _is_certified_automorphism,
+                         _poly_mul, _poly_rem, norm, smallest_irreducible)
 
 # full q^3 sweeps over the axioms stay cheap up to this order; bigger
 # fields get structural checks plus a deterministic sample instead
@@ -168,3 +178,101 @@ def verify_field_tables_by_entry(K):
         for x in range(q):
             if row[add[x * q + 1]] != add[row[x] * q + row[1]]:
                 raise InternalCheckError(f"distributivity fails at ({a},{x},1)")
+
+
+def galois_subgroup(K, d):
+    """The cyclic automorphism group generated by x -> x^(p^d).
+
+    Only the generator is certified: its powers are automorphisms, and
+    frob^order = id closes them into a group."""
+    if d < 1 or K.n % d != 0:
+        raise InputError(f"{d} does not divide the extension degree {K.n}")
+    order = K.n // d
+    identity = tuple(range(K.q))
+    frob = tuple(K.pow(x, K.p ** d) for x in range(K.q))
+    if not _is_certified_automorphism(K, frob):
+        raise InternalCheckError("stored permutation is not a field automorphism")
+    perms = [identity]
+    cur = identity
+    for _ in range(1, order):
+        cur = tuple(frob[cur[x]] for x in range(K.q))
+        perms.append(cur)
+    if tuple(frob[cur[x]] for x in range(K.q)) != identity:
+        raise InternalCheckError("automorphism set not closed under composition")
+    return GaloisGroup(K, d, order, tuple(perms))
+
+
+def fixed_field(K, G):
+    """Elements fixed by every automorphism in G; verified to be a subfield."""
+    fixed = tuple(x for x in range(K.q)
+                  if all(g[x] == x for g in G.perms))
+    expected = K.p ** G.d
+    if len(fixed) != expected:
+        raise InternalCheckError(
+            f"fixed field has {len(fixed)} elements, expected {expected}")
+    members = set(fixed)
+    for x in fixed:
+        if K.neg(x) not in members:
+            raise InternalCheckError("fixed field not closed under negation")
+        if x and K.inv(x) not in members:
+            raise InternalCheckError("fixed field not closed under inversion")
+        for y in fixed:
+            if K.add(x, y) not in members or K.mul(x, y) not in members:
+                raise InternalCheckError("fixed field not closed under +/*")
+    return fixed
+
+
+def norm_image(K, G):
+    """The image of the nonzero elements under the norm map, sorted.
+
+    Verified to be a subgroup of the multiplicative group of the fixed
+    field.
+    """
+    image = sorted({norm(K, G, x) for x in range(1, K.q)})
+    members = set(image)
+    if 1 not in members or 0 in members:
+        raise InternalCheckError("norm image is not a subgroup of F*")
+    for u in image:
+        if K.inv(u) not in members:
+            raise InternalCheckError("norm image not closed under inversion")
+        for v in image:
+            if K.mul(u, v) not in members:
+                raise InternalCheckError("norm image not closed under products")
+    fixed = set(fixed_field(K, G))
+    if not members <= fixed:
+        raise InternalCheckError("norm image leaves the fixed field")
+    return tuple(image)
+
+
+def make_spec(K, G):
+    """Shared norm data for building specs over (K, G)."""
+    return fixed_field(K, G), norm_image(K, G)
+
+
+def spec_from_exponents(K, G, exponents, fixed=None, image=None):
+    """Build a spec from the exponent sequence of phi.
+
+    exponents[i] is the generator exponent assigned to the i-th norm-image
+    element (ascending encoding); the first entry must be 0 so that
+    phi(1) is the identity automorphism.
+    """
+    if fixed is None or image is None:
+        fixed, image = make_spec(K, G)
+    exponents = tuple(exponents)
+    if len(exponents) != len(image):
+        raise InputError(
+            f"phi needs {len(image)} entries (one per norm-image element), "
+            f"got {len(exponents)}")
+    if any(not 0 <= e < G.order for e in exponents):
+        raise InputError(f"phi exponents must lie in 0..{G.order - 1}")
+    if exponents[0] != 0:
+        raise InputError("the first phi entry must be 0: phi(1) is the identity")
+    index = {v: i for i, v in enumerate(image)}
+    alpha = [0] * K.q
+    for x in range(1, K.q):
+        alpha[x] = exponents[index[norm(K, G, x)]]
+    for x in range(K.q):
+        for g in G.perms:
+            if alpha[g[x]] != alpha[x]:
+                raise InternalCheckError("alpha is not constant on orbits")
+    return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, tuple(alpha))

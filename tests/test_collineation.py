@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 import plane_reference
-from affplane import (as_collineation, build_left, check_vw, classify,
-                      classify_ternary, diag_automorphism, frame_mover, from_field,
+from affplane import (as_collineation, build_left, canonical_frame, check_vw,
+                      classify, classify_ternary, diag_automorphism,
+                      frame_mover, from_field,
                       is_collineation, is_translation, line_through,
                       make_field, no_fixed_points, opposite,
                       plane_from_ternary, to_ternary, translation_candidate,
@@ -200,14 +203,19 @@ def test_frame_mover_to_diagonal(p3, k3):
     assert mover.line_map[vert] == vert
 
 
-def test_frame_mover_all_pairs(k3, p3):
-    sets = p3.masks
-    for l2 in range(12):
-        for m2 in range(12):
-            if l2 == m2 or not sets[l2] & sets[m2]:
-                continue
-            mover = frame_mover(k3, l2, m2)
-            assert is_collineation(p3, mover.perm)
+def test_frame_mover_all_pairs():
+    """At each order up to 9, for every ordered pair (l2, m2) of
+    non-parallel lines, the mover is a collineation taking the first axis
+    to l2 and the second to m2."""
+    for p, n in [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
+        K = make_field(p, n)
+        P = plane_from_ternary(to_ternary(from_field(K)))
+        axes = canonical_frame(P)
+        for l2, m2 in itertools.permutations(range(len(P.lines)), 2):
+            if P.masks[l2] & P.masks[m2]:
+                mover = frame_mover(K, l2, m2)
+                assert is_collineation(P, mover.perm)
+                assert (mover.line_map[axes.l], mover.line_map[axes.m]) == (l2, m2)
 
 
 def test_frame_mover_rejects_parallel(k3, p3):

@@ -13,11 +13,17 @@ certificate as it was entry by entry.  The row-level build must give the
 same tables, generator and modulus at every prime power up to 256, and
 the row-level certificate the same error on every single-entry
 corruption of the add, mul, neg, inv and exp tables at q <= 16.
+
+And it keeps the Galois-layer functions as they were when they checked
+at run time what is now derived by theorem.  At every (p, n, d) with
+d | n and q <= 256, their checks must all pass and their values must
+equal the derived ones.
 """
 
 import dataclasses
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +31,10 @@ from hypothesis import strategies as st
 
 import field_reference as ref
 from affplane.errors import InternalCheckError
-from affplane.gf import (_is_automorphism, _is_prime, galois_subgroup,
-                         make_field, verify_field_tables)
+from affplane.andre import spec_from_exponents
+from affplane.gf import (_is_automorphism, _is_prime, fixed_field,
+                         galois_subgroup, make_field, norm_image,
+                         verify_field_tables)
 from test_gf import FIELD_ORDERS
 
 PRIME_POWERS = [(p, n) for p in range(2, 257) if _is_prime(p)
@@ -246,3 +254,26 @@ def test_rows_and_entries_name_the_same_failing_premise(p, n, corrupt):
     error = _error(verify_field_tables, bad)
     assert error is not None
     assert error == _error(ref.verify_field_tables_by_entry, bad)
+
+
+GALOIS_DEGREES = [(p, n, d) for p, n in PRIME_POWERS
+                  for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("p,n,d", GALOIS_DEGREES)
+def test_derived_structures_match_the_checked_references(p, n, d):
+    """The group, fixed field, norm image and spec that `gf` and `andre`
+    derive by theorem equal those of the references, whose run-time
+    checks of the same facts all pass (d = n included)."""
+    K = field(p, n)
+    G = galois_subgroup(K, d)
+    assert G == ref.galois_subgroup(K, d)
+    fixed = fixed_field(K, G)
+    assert fixed == ref.fixed_field(K, G)
+    image = norm_image(K, G)
+    assert image == ref.norm_image(K, G)
+    rng = random.Random(K.q * 16 + d)
+    for rest in ((0,) * (len(image) - 1),
+                 tuple(rng.randrange(G.order) for _ in image[1:])):
+        assert (spec_from_exponents(K, G, (0, *rest))
+                == ref.spec_from_exponents(K, G, (0, *rest), fixed, image))

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from affplane import formats, from_field, make_field, plane_from_ternary, to_ternary
+from affplane import (canonical_frame, formats, from_field, make_field,
+                      plane_from_ternary, to_ternary)
 from affplane.cli import main
 from affplane.errors import FormatError
 from affplane.ternary import TernaryRing
@@ -36,7 +37,8 @@ def test_plane_round_trip(tmp_path, p3):
     path = tmp_path / "a.aplane"
     formats.write_plane(path, p3)
     back = formats.read_plane(path)
-    assert back.n == p3.n and back.lines == p3.lines
+    assert back == p3
+    assert canonical_frame(back) == canonical_frame(p3)
 
 
 def test_coll_round_trip(tmp_path):

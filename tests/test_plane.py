@@ -194,6 +194,17 @@ def test_frame_validation(p3):
         coordinatize(p3, CoordinateFrame(vert0, vert1, 8))
 
 
+def test_canonical_frame_needs_the_axes(p3):
+    """A plane on a non-square number of points, or without the lines
+    y = 0 and x = 0 on the points x*q + y, has no canonical frame."""
+    shifted = [[(p + 1) % 9 for p in line] for line in p3.lines]  # no x = 0
+    for P in (AffinePlane.from_lines(9, shifted),
+              AffinePlane.from_lines(8, [(0, 1), (2, 3)]),
+              AffinePlane.from_lines(1, [(0,)])):
+        with pytest.raises(InputError):
+            canonical_frame(P)
+
+
 def test_equal_slopes_iff_parallel(andre9_plane):
     coord = coordinatize(andre9_plane, canonical_frame(andre9_plane))
     slopes = coord.line_slopes

@@ -140,15 +140,19 @@ def test_find_isomorphism_absent(t3, andre9_ring):
         find_isomorphism(t3, T9)
 
 
-def test_find_isomorphism_verifies_every_leaf(t3):
-    """Two order-3 tables that differ only at <0*0+1>: the pruning never
-    looks at that triple, so the leaf (0, 1, 2) must be rejected by the
-    full check."""
-    U = mutate(t3, 0, 0, 1, 2)
-    assert not is_isomorphism(t3, U, (0, 1, 2))
-    assert find_isomorphism(t3, U) is None
-    assert find_isomorphism(U, t3) is None
-    assert find_isomorphism(U, U) == (0, 1, 2)
+def test_find_isomorphism_verifies_every_leaf():
+    """Two order-q tables that differ only at <0*0+1>: the pruning never
+    looks at that triple, so the identity leaf must be rejected by the
+    full check.  At q = 2 the identity is the only leaf, reached at once."""
+    for q in (2, 3):
+        T = to_ternary(from_field(make_field(q, 1)))
+        U = mutate(T, 0, 0, 1, 2 % q)
+        identity = tuple(range(q))
+        assert find_isomorphism(T, T) == identity
+        assert not is_isomorphism(T, U, identity)
+        assert find_isomorphism(T, U) is None
+        assert find_isomorphism(U, T) is None
+        assert find_isomorphism(U, U) == identity
 
 
 def test_isomorphism_failure_is_the_first_failing_triple():
