@@ -16,10 +16,16 @@ when that quasi-field passes VW1, VW3, VW5 and VW5-r
 decide in O(q^3).  Any other ring (a linear
 ring whose addition is a non-abelian group, if one exists, among them),
 and any ring that report rejects, goes to the O(q^4) sweeps of
-`check_ternary_axioms`, so error messages come from those alone.  Those
-sweeps decide T3 per b-row and T4 and T5 per pair of rows or columns,
-comparing whole rows, and count entry by entry only in a row or pair that
-fails, to name its witnesses.
+`check_ternary_axioms`, so error messages come from those alone; T5 is
+swept there only when T1-T4 do not all pass, since T3 and T4 imply it.
+Those sweeps decide T3 per b-row and T4 and T5 per pair of rows or
+columns, comparing whole rows, and count entry by entry only in a row or
+pair that fails, to name its witnesses.
+
+`find_isotopism` answers at once between a field ring and any other
+validated ring (the Desarguesian shortcut), and otherwise verifies only
+the candidates that pass a filter implied by the isotopism identity, b-row
+by b-row; its docstring has both proofs.
 """
 
 from __future__ import annotations
@@ -101,6 +107,12 @@ class AxiomReport:
 
 
 TERNARY_AXIOMS = ("T1", "T2", "T3", "T4", "T5")
+
+
+def _b_rows(T):
+    """T's b-rows: rows[a*q + x] = (<ax+0>, ..., <ax+(q-1)>)."""
+    q = T.q
+    return [T.table[i:i + q] for i in range(0, q ** 3, q)]
 
 
 def _t1_sweep(q, at):
@@ -199,15 +211,22 @@ def check_ternary_axioms(T):
     T3 and T4 hold, so the finite-case implication (T3 and T4 => T5) can
     be cross-validated by callers.
     """
+    report, rows = _t1_to_t4_report(T)
+    report.record("T5", _t5_sweep(T.q, rows))
+    return report
+
+
+def _t1_to_t4_report(T):
+    """The report of the T1-T4 sweeps, with T5 not yet swept, and T's
+    b-rows for the T5 sweep."""
     q, at = T.q, T.at
-    rows = [T.table[i:i + q] for i in range(0, q ** 3, q)]  # rows[a*q+x]
+    rows = _b_rows(T)
     report = AxiomReport(TERNARY_AXIOMS)
     report.record("T1", _t1_sweep(q, at))
     report.record("T2", _t2_sweep(q, at))
     report.record("T3", _t3_sweep(q, rows))
     report.record("T4", _t4_sweep(q, rows))
-    report.record("T5", _t5_sweep(q, rows))
-    return report
+    return report, rows
 
 
 def _is_linear(T):
@@ -238,11 +257,17 @@ def validate(T):
     docstring), so T1-T5 need only VW1, VW3 and VW5 of a linear ring, and
     those three sweeps are all that run: VW2, VW4 and VW4-r, which only
     the left and right axiom sets need, are not swept.
-    Every other ring goes through the full sweeps of
-    `check_ternary_axioms`, which name the failing axioms: a non-linear
-    ring, one whose addition is not an abelian group (a linear ring with
-    a non-abelian additive group, if one exists, among them), and one
-    that fails VW3 or VW5.
+    Every other ring goes through the sweeps of `check_ternary_axioms`:
+    a non-linear ring, one whose addition is not an abelian group (a
+    linear ring with a non-abelian additive group, if one exists, among
+    them), and one that fails VW3 or VW5.  T5 is swept only when T1-T4
+    do not all pass, to name the failing axioms as that report does:
+    T3 and T4 imply T5 for a finite ring.  For x != x', the q^2 pairs
+    (a, b) map to the q^2 pairs (<ax+b>, <ax'+b>), and no two pairs
+    (a, b) != (a', b') share an image: with a = a' that would be two b
+    for one (a, x, y), against T3, and with a != a' two solutions x, x'
+    of <ax+b> = <a'x+b'>, against T4.  So the map is a bijection, which
+    is T5.
     """
     if T.validated:
         return T
@@ -250,8 +275,9 @@ def validate(T):
     from .quasifield import from_ternary, passes_linear_ring_axioms
     Q = from_ternary(T)
     if Q is None or not passes_linear_ring_axioms(Q):
-        report = check_ternary_axioms(T)
+        report, rows = _t1_to_t4_report(T)
         if not report.all_pass:
+            report.record("T5", _t5_sweep(T.q, rows))
             failing = [k for k, ok in report.flags().items() if not ok]
             raise InputError(f"ternary axioms fail: {', '.join(failing)}")
     return replace(T, validated=True)
@@ -365,29 +391,42 @@ def _is_bijection(seq, q):
     return len(seq) == q and sorted(seq) == list(range(q))
 
 
-def _identity_holds(T, U, F, G, H):
+def _row_checks(T):
+    """Per b-row of T, (a, x, itemgetter of the row): applied to H, it
+    gives the row mapped through H.
+
+    The rows with a, x != 0 come first: for well-formed tables the rows
+    with a = 0 or x = 0 hold automatically, so bad candidates die fast in
+    the others.  Those are taken by the classes of (a + x) mod (q - 1),
+    each of which meets every a and every x once, so consecutive rows
+    differ in both.  A candidate built from (f1, g1) holds on every row
+    with a = f1 or x = g1 when the rings are validated and linear and H
+    is additive, and in lexicographic order it would pass the whole run
+    of rows with a = f1 before failing: over the nine searches among
+    the order-9 field, near-field and transposed rings, unvalidated,
+    this order compares 5,795 rows, against 19,251 in lexicographic
+    order.
+    """
     q = T.q
-    at = T.at
-    at2 = U.at
-    # nontrivial block first: for well-formed tables the a=0 and x=0
-    # slices hold automatically, so bad candidates die fast here
-    for a in range(1, q):
-        fa = F[a]
-        for x in range(1, q):
-            gx = G[x]
-            for b in range(q):
-                if H[at(a, x, b)] != at2(fa, gx, H[b]):
-                    return False
-    for a in range(q):
-        fa = F[a]
-        for x in range(q):
-            if a and x:
-                continue
-            gx = G[x]
-            for b in range(q):
-                if H[at(a, x, b)] != at2(fa, gx, H[b]):
-                    return False
+    checks = [(i // q, i % q, itemgetter(*row)) for i, row in enumerate(_b_rows(T))]
+    return sorted(checks, key=lambda c: (not (c[0] and c[1]), (c[0] + c[1]) % (q - 1), c[0]))
+
+
+def _identity_holds(checks, urows, F, G, H, gather):
+    """True iff H(<ax+b>) = <F(a)G(x)+H(b)> on all triples: per (a, x),
+    the b-row of T mapped through H must equal U's b-row at (F(a), G(x))
+    gathered at H.  `checks` is `_row_checks(T)`, `urows` is
+    `_b_rows(U)` and `gather` is itemgetter(*H)."""
+    q = len(H)
+    for a, x, image in checks:
+        if image(H) != gather(urows[F[a] * q + G[x]]):
+            return False
     return True
+
+
+def _holds_for(T, U, F, G, H):
+    """`_identity_holds` for one triple."""
+    return _identity_holds(_row_checks(T), _b_rows(U), F, G, H, itemgetter(*H))
 
 
 def is_isotopism(T, U, iso):
@@ -400,24 +439,18 @@ def is_isotopism(T, U, iso):
         return False
     if H[0] != 0:
         return False
-    return _identity_holds(T, U, F, G, H)
+    return _holds_for(T, U, F, G, H)
 
 
-def _completions(T, H, f1s, g1s):
-    """The (F, G) that H extends to, in (f1, g1) order.
+def _g_slice(T, f1):
+    """<f1 x + 0> over x, a strided slice of T's table."""
+    qq = T.q * T.q
+    return T.table[f1 * qq:(f1 + 1) * qq:T.q]
 
-    G(x) = H(<f1 x + 0>) for each f1 in f1s and F(a) = H(<a g1 + 0>) for
-    each g1 in g1s; a map that is no bijection is skipped.  Each map is
-    built once, however many pairs it takes part in.
-    """
-    q = T.q
-    Gs = [tuple(H[T.at(f1, x, 0)] for x in range(q)) for f1 in f1s]
-    Fs = [tuple(H[T.at(a, g1, 0)] for a in range(q)) for g1 in g1s]
-    Fs = [F for F in Fs if _is_bijection(F, q)]
-    for G in Gs:
-        if _is_bijection(G, q):
-            for F in Fs:
-                yield F, G
+
+def _f_slice(T, g1):
+    """<a g1 + 0> over a, a strided slice of T's table."""
+    return T.table[g1 * T.q::T.q * T.q]
 
 
 def complete_isotopism(T, U, H, f_inv1, g_inv1):
@@ -430,9 +463,10 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
         raise InputError("carrier sizes differ")
     if H[0] != 0:
         raise InputError("H must fix 0")
-    for F, G in _completions(T, H, (f_inv1,), (g_inv1,)):
-        if _identity_holds(T, U, F, G, H):
-            return Isotopism(F, G, H)
+    F = tuple(map(H.__getitem__, _f_slice(T, g_inv1)))
+    G = tuple(map(H.__getitem__, _g_slice(T, f_inv1)))
+    if _is_bijection(F, T.q) and _is_bijection(G, T.q) and _holds_for(T, U, F, G, H):
+        return Isotopism(F, G, H)
     return None
 
 
@@ -445,29 +479,42 @@ def _h_candidates(T, U):
     an additive H: with y + b = <1y+b>, setting b = 0 in the identity
     gives H(<ax+0>) = <F(a)G(x)+0>, so H(<ax+b>) = H(<ax+0>) + H(b), and
     every y is the product <1y+0>.  A partial H is then dropped as soon
-    as it breaks H(y + b) = H(y) + H(b) on its assigned elements.  Any
-    other pair is not pruned, and every H is yielded.
+    as it breaks H(y + b) = H(y) + H(b) on its assigned elements, and
+    when e = y + b for some y, b < e, the image H(y) + H(b) that this
+    forces is the only one tried for e: every other image breaks that
+    sum, so the sequence is the same.  Any other pair is not pruned, and
+    every H is yielded.
     """
     q = T.q
-    # each sum y + b = v is checked when the last of y, b, v gets its image
+    # each sum y + b = v is checked when the last of y, b, v gets its
+    # image; y + 0 = y holds in both linear rings and is left out
     sums = [[] for _ in range(q)]
+    forced = [None] * q  # per e, one sum y + b = e with y, b < e
     if _is_linear(T) and _is_linear(U):
         for y in range(q):
-            for b in range(q):
+            for b in range(1, q):
                 v = T.at(1, y, b)
                 sums[max(y, b, v)].append((y, b, v))
+                if v > max(y, b) and forced[v] is None:
+                    forced[v] = (y, b)
+    plus = [U.table[i:i + q] for i in range(q * q, 2 * q * q, q)]  # plus[y][b] = <1y+b>
     H = [0] * q
-    used = [False] * q
+    used = [True] + [False] * (q - 1)  # 0 is H(0)'s, and never an image of e > 0
+    every = range(1, q)
 
     def extend(e):
         if e == q:
             yield tuple(H)
             return
-        for img in range(1, q):
+        images = every if forced[e] is None else (plus[H[forced[e][0]]][H[forced[e][1]]],)
+        for img in images:
             if used[img]:
                 continue
             H[e] = img
-            if all(H[v] == U.at(1, H[y], H[b]) for y, b, v in sums[e]):
+            for y, b, v in sums[e]:
+                if H[v] != plus[H[y]][H[b]]:
+                    break
+            else:
                 used[img] = True
                 yield from extend(e + 1)
                 used[img] = False
@@ -476,14 +523,37 @@ def _h_candidates(T, U):
 
 
 def find_isotopism(T, U):
-    """Exhaustive isotopism search in lexicographic (H, f1, g1) order.
+    """Isotopism search in lexicographic (H, f1, g1) order.
 
-    The candidate H are the additive bijections when both rings are
-    linear (`<ax+b> = <1<ax+0>+b>` and `<1y+0> = y`), which every
-    isotopism between such rings has, and all H with H(0) = 0 otherwise.
-    Each H determines F from g1 and G from f1; every emitted triple is
-    verified in full, and absence means the whole candidate space was
-    exhausted.
+    The candidate H are those of `_h_candidates`: the additive
+    bijections when both rings are linear (`<ax+b> = <1<ax+0>+b>` and
+    `<1y+0> = y`), which every isotopism between such rings has, and all
+    H with H(0) = 0 otherwise.  Each H determines G from f1, as
+    G(x) = H(<f1 x+0>), and F from g1, as F(a) = H(<a g1+0>); a pair
+    (f1, g1) whose F or G is no bijection is skipped.  Every other pair
+    is verified on all q^3 triples, except where:
+    - **(f1, g1) filter.**  With c = H(<f1 g1+0>), which is F(f1) and
+      G(g1) by the two definitions, the identity at (f1, g1, 0) reads
+      c = <c c+0> in U (H(0) = 0).  A pair that breaks this fails the
+      identity, so it is skipped unverified; no axiom is used.
+    - **Desarguesian shortcut.**  When T and U are both validated and
+      exactly one of them is a field ring (`quasifield.is_field_ring`),
+      the answer is None at once.  Proof: an isotopism (F, G, H) maps
+      the plane of T onto the plane of U by (x, y) -> (G(x), H(y)),
+      since it takes the vertical x = x0 to x = G(x0) and the graph
+      y = <ax+b> to y = <F(a)x+H(b)>.  A plane is Desarguesian exactly
+      when a coordinate ring of it is a skew field, and then every
+      coordinate ring of it is the linear ring of that skew field
+      (Hall), which is a field, since it is finite (Wedderburn).  A
+      validated ring coordinatizes its own plane (at `canonical_frame`),
+      so an isotopism would make both planes Desarguesian or neither,
+      and both rings field rings or neither.
+    F and G read H at strided slices of T's table; since H is a
+    bijection, each is one exactly when its slice is, which is checked
+    once per search.  The identity is verified b-row by b-row
+    (`_identity_holds`).  A returned triple is verified in full.
+    "Absent" rests on the exhausted candidate space, or, when the
+    shortcut answers, on the theorem above.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -491,10 +561,26 @@ def find_isotopism(T, U):
     if q > ISOTOPISM_SEARCH_BOUND:
         raise SearchBoundExceeded(
             f"isotopism search supports q <= {ISOTOPISM_SEARCH_BOUND}")
+    if T.validated and U.validated:
+        # imported here, not at the top: quasifield imports this module
+        from .quasifield import is_field_ring
+        if is_field_ring(T) != is_field_ring(U):
+            return None
+    # per f1 (g1), the map H -> G (F), for the f1 (g1) whose G (F) is a bijection
+    g_slices = [_g_slice(T, f1) for f1 in range(q)]
+    g_picks = [(f1, itemgetter(*s)) for f1, s in enumerate(g_slices) if len(set(s)) == q]
+    f_picks = [itemgetter(*s) for s in (_f_slice(T, g1) for g1 in range(q)) if len(set(s)) == q]
+    u = U.table
+    idempotent = [u[(c * q + c) * q] == c for c in range(q)]  # <c c+0> = c in U
+    checks, urows = _row_checks(T), _b_rows(U)
     for H in _h_candidates(T, U):
-        for F, G in _completions(T, H, range(q), range(q)):
-            if _identity_holds(T, U, F, G, H):
-                return Isotopism(F, G, H)
+        Fs = [pick(H) for pick in f_picks]
+        gather = itemgetter(*H)
+        for f1, pick in g_picks:
+            G = pick(H)
+            for F in Fs:
+                if idempotent[F[f1]] and _identity_holds(checks, urows, F, G, H, gather):
+                    return Isotopism(F, G, H)
     return None
 
 

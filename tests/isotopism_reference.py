@@ -1,9 +1,12 @@
-"""Reference version of the isotopism search.
+"""Reference versions of the isotopism search.
 
-This is the search that tried every H with H(0) = 0, (q-1)! of them, in
-lexicographic order, rebuilding F and G per H inline.  It is kept only so
-that the tests can require the pruned search to return the same
-`Isotopism` (or None) on every input they give it.
+`find_isotopism` is the search that tried every H with H(0) = 0, (q-1)!
+of them, in lexicographic order, rebuilding F and G per H inline.
+`additive_find_isotopism` is the search that followed it: the additive H
+only when both rings are linear, every pair (f1, g1) whose F and G are
+bijections verified entry by entry, and no shortcut.  Both are kept only
+so that the tests can require `affplane.find_isotopism` to return the
+same `Isotopism` (or None) on every input they give it.
 """
 
 import itertools
@@ -73,4 +76,92 @@ def find_isotopism(T, U):
                 F = f_by_g1[g1]
                 if _identity_holds(T, U, F, G, H):
                     return Isotopism(F, G, H)
+    return None
+
+
+def _is_linear(T):
+    """True iff <ax+b> = <1<ax+0>+b> on all triples and <1y+0> = y."""
+    q, t = T.q, T.table
+    # the b-row of (a, x) must be the b-row of (1, <ax+0>)
+    rows = [t[(q + y) * q:(q + y + 1) * q] for y in range(q)]
+    return (all(row[0] == y for y, row in enumerate(rows))
+            and all(t[i:i + q] == rows[t[i]] for i in range(0, q ** 3, q)))
+
+
+def _completions(T, H, f1s, g1s):
+    """The (F, G) that H extends to, in (f1, g1) order.
+
+    G(x) = H(<f1 x + 0>) for each f1 in f1s and F(a) = H(<a g1 + 0>) for
+    each g1 in g1s; a map that is no bijection is skipped.  Each map is
+    built once, however many pairs it takes part in.
+    """
+    q = T.q
+    Gs = [tuple(H[T.at(f1, x, 0)] for x in range(q)) for f1 in f1s]
+    Fs = [tuple(H[T.at(a, g1, 0)] for a in range(q)) for g1 in g1s]
+    Fs = [F for F in Fs if _is_bijection(F, q)]
+    for G in Gs:
+        if _is_bijection(G, q):
+            for F in Fs:
+                yield F, G
+
+
+def _h_candidates(T, U):
+    """Every H with H(0) = 0 that an isotopism T -> U can have, in
+    lexicographic order.
+
+    H(1), H(2), ... are assigned in carrier order, images tried in
+    increasing order.  When T and U are both linear, every isotopism has
+    an additive H: with y + b = <1y+b>, setting b = 0 in the identity
+    gives H(<ax+0>) = <F(a)G(x)+0>, so H(<ax+b>) = H(<ax+0>) + H(b), and
+    every y is the product <1y+0>.  A partial H is then dropped as soon
+    as it breaks H(y + b) = H(y) + H(b) on its assigned elements.  Any
+    other pair is not pruned, and every H is yielded.
+    """
+    q = T.q
+    # each sum y + b = v is checked when the last of y, b, v gets its image
+    sums = [[] for _ in range(q)]
+    if _is_linear(T) and _is_linear(U):
+        for y in range(q):
+            for b in range(q):
+                v = T.at(1, y, b)
+                sums[max(y, b, v)].append((y, b, v))
+    H = [0] * q
+    used = [False] * q
+
+    def extend(e):
+        if e == q:
+            yield tuple(H)
+            return
+        for img in range(1, q):
+            if used[img]:
+                continue
+            H[e] = img
+            if all(H[v] == U.at(1, H[y], H[b]) for y, b, v in sums[e]):
+                used[img] = True
+                yield from extend(e + 1)
+                used[img] = False
+
+    return extend(1)
+
+
+def additive_find_isotopism(T, U):
+    """Exhaustive isotopism search in lexicographic (H, f1, g1) order.
+
+    The candidate H are the additive bijections when both rings are
+    linear (`<ax+b> = <1<ax+0>+b>` and `<1y+0> = y`), which every
+    isotopism between such rings has, and all H with H(0) = 0 otherwise.
+    Each H determines F from g1 and G from f1; every emitted triple is
+    verified in full, and absence means the whole candidate space was
+    exhausted.
+    """
+    if T.q != U.q:
+        raise InputError("carrier sizes differ")
+    q = T.q
+    if q > ISOTOPISM_SEARCH_BOUND:
+        raise SearchBoundExceeded(
+            f"isotopism search supports q <= {ISOTOPISM_SEARCH_BOUND}")
+    for H in _h_candidates(T, U):
+        for F, G in _completions(T, H, range(q), range(q)):
+            if _identity_holds(T, U, F, G, H):
+                return Isotopism(F, G, H)
     return None

@@ -1,26 +1,35 @@
-"""The pruned isotopism search agrees with the exhaustive reference.
+"""The pruned isotopism search agrees with the exhaustive references.
 
 `find_isotopism` must return the same `Isotopism` (or None) as
 `isotopism_reference.find_isotopism`, which tries every H with H(0) = 0.
 The inputs are the found order-9 pairs, seeded relabellings of the field
 rings of orders 2 to 8 and Hypothesis tables of order 3 and 4: linear
 tables (pruned search), their isotopes and arbitrary tables (unpruned
-search).  The absent order-9 pairs are left out here: the reference needs
-about 7 s for each.
+search).  The absent order-9 pairs are left out there: that reference
+needs about 7 s for each.  They are compared with
+`isotopism_reference.additive_find_isotopism`, the search without the
+Desarguesian shortcut and the (f1, g1) filter: every pair of validated
+rings of order <= 9 that the constructions below give, found and absent,
+and unvalidated copies of the absent pairs, where the shortcut must not
+answer.
 """
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isotopism_reference as ref
-from affplane import (CoordinateFrame, TernaryRing, build_left,
-                      canonical_frame, coordinatize, find_isotopism,
-                      from_field, galois_subgroup, make_field, opposite,
-                      plane_from_ternary, spec_from_exponents, to_ternary)
+from affplane import (CoordinateFrame, TernaryRing, build_left, build_right,
+                      canonical_frame, coordinatize, enumerate_phi,
+                      find_isotopism, from_field, galois_subgroup, make_field,
+                      opposite, plane_from_ternary, spec_from_exponents,
+                      to_ternary)
+from affplane import quasifield, ternary
 from affplane.ternary import _h_candidates
 from tests_support import relabel_ring
 
@@ -170,3 +179,104 @@ def test_candidates_are_the_additive_bijections_or_all(pair):
     if _is_linear(T) and _is_linear(U):
         every = [H for H in every if _is_additive(T, U, H)]
     assert list(_h_candidates(T, U)) == every
+
+
+ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _random_frame(P, rng, keep_axes):
+    """A seeded frame: the canonical axes, or two seeded lines that meet,
+    and a seeded unit point off both."""
+    if keep_axes:
+        frame = canonical_frame(P)
+        l, m = frame.l, frame.m
+    else:
+        l = rng.randrange(len(P.lines))
+        m = rng.choice([li for li in range(len(P.lines)) if P.masks[l] & P.masks[li]
+                        and li != l])
+    off = P.masks[l] | P.masks[m]
+    return CoordinateFrame(l, m, rng.choice([p for p in range(P.n) if not off >> p & 1]))
+
+
+def validated_rings(p, n):
+    """The distinct validated rings of order p^n from: the field, every
+    left and right André quasi-field over GF(p) and their transposes, and
+    each of their planes coordinatized at two seeded frames.  At order 9
+    the frames keep the canonical axes, so that every ring is linear: the
+    additive search over a non-linear ring tries all 8! maps H."""
+    K = make_field(p, n)
+    sources = [from_field(K)]
+    if n > 1:
+        for spec in enumerate_phi(K, galois_subgroup(K, 1)):
+            sources += [build_left(spec), build_right(spec)]
+    rings = [to_ternary(R) for Q in sources for R in (Q, opposite(Q))]
+    rng = random.Random(p ** n)
+    for T in list(rings):
+        P = plane_from_ternary(T)
+        rings += [coordinatize(P, _random_frame(P, rng, p ** n == 9)).ring
+                  for _ in range(2)]
+    assert all(T.validated for T in rings)
+    return list({T.table: T for T in rings}.values())
+
+
+def _refuse(*args):
+    raise AssertionError("the Desarguesian shortcut answered")
+
+
+@pytest.mark.parametrize("p, n", ORDERS)
+def test_every_pair_of_validated_rings_matches_the_additive_search(p, n, monkeypatch):
+    rings = validated_rings(p, n)
+    absent = []
+    for T, U in itertools.product(rings, repeat=2):
+        iso = find_isotopism(T, U)
+        assert iso == ref.additive_find_isotopism(T, U)
+        if iso is None:
+            absent.append((T, U))
+    # every plane of order <= 8 is Desarguesian; of order 9 three are built
+    assert bool(absent) == (p ** n == 9)
+    monkeypatch.setattr(quasifield, "is_field_ring", _refuse)
+    for T, U in absent:
+        T2, U2 = replace(T, validated=False), replace(U, validated=False)
+        for pair in ((T2, U), (T, U2), (T2, U2)):
+            assert find_isotopism(*pair) is None
+
+
+def test_shortcut_answers_between_the_field_and_the_near_field():
+    """Validated, the order-9 field ring and near-field ring get None with
+    no candidate verified; unvalidated, the search verifies candidates."""
+    K = make_field(3, 2)
+    T = to_ternary(from_field(K))
+    U = to_ternary(build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1))))
+    verified = []
+    holds = ternary._identity_holds
+
+    def count(*args):
+        verified.append(args)
+        return holds(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ternary, "_identity_holds", count)
+        assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
+        assert not verified
+        assert find_isotopism(replace(T, validated=False), U) is None
+        assert verified
+
+
+def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch):
+    """The (f1, g1) filter leaves at most q - 1 = 8 pairs of the 64 whose
+    F and G are bijections, for each of the 48 additive H."""
+    K = make_field(3, 2)
+    near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
+    T, U = to_ternary(near), to_ternary(opposite(near))
+    verified = Counter()
+    holds = ternary._identity_holds
+
+    def count(checks, urows, F, G, H, gather):
+        verified[H] += 1
+        return holds(checks, urows, F, G, H, gather)
+
+    monkeypatch.setattr(ternary, "_identity_holds", count)
+    assert find_isotopism(T, U) is None
+    assert len(list(_h_candidates(T, U))) == len(verified) == 48
+    assert max(verified.values()) <= 8
+    assert sum(verified.values()) <= 384

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affplane import (LINEAR_RING_AXIOMS, Isotopism, TernaryRing,
-                      associativity_witness, build_left, check_ternary_axioms,
-                      check_vw, complete_isotopism, compose_isotopisms,
-                      enumerate_phi, find_isomorphism, find_isotopism,
-                      from_field, from_ternary, galois_subgroup,
-                      is_isomorphism, is_isotopism, make_field, opposite,
+from affplane import (LINEAR_RING_AXIOMS, CoordinateFrame, Isotopism,
+                      TernaryRing, associativity_witness, build_left,
+                      check_ternary_axioms, check_vw, complete_isotopism,
+                      compose_isotopisms, coordinatize, enumerate_phi,
+                      find_isomorphism, find_isotopism, from_field,
+                      from_ternary, galois_subgroup, is_isomorphism,
+                      is_isotopism, make_field, opposite, plane_from_ternary,
                       to_ternary, validate)
 from affplane import quasifield, ternary
 from affplane.errors import InputError, SearchBoundExceeded
@@ -467,12 +468,13 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
 
     # swapping the rows of <2x+.> at x = 2 and x = 3 breaks T4 and T5
     calls = []
+    t1_to_t4_report = ternary._t1_to_t4_report
 
     def spy(T):
         calls.append(T)
-        return check_ternary_axioms(T)
+        return t1_to_t4_report(T)
 
-    monkeypatch.setattr(ternary, "check_ternary_axioms", spy)
+    monkeypatch.setattr(ternary, "_t1_to_t4_report", spy)
     K5 = make_field(5, 1)
     table = list(linear_ring(K5.add_table, K5.mul_table, 5).table)
     r, s = (2 * 5 + 2) * 5, (2 * 5 + 3) * 5
@@ -483,6 +485,33 @@ def test_validate_takes_the_shortcut_and_falls_back(monkeypatch):
     with pytest.raises(InputError, match=r"^ternary axioms fail: T4, T5$"):
         validate(T)
     assert calls == [T]
+
+
+def test_validate_sweeps_t5_only_when_t1_to_t4_fail(monkeypatch, andre9):
+    """A non-linear ring that passes T1-T4 is validated without the T5
+    sweep, which T3 and T4 make redundant; one that fails T3 gets the
+    message of the full report, T5 included."""
+    P = plane_from_ternary(to_ternary(opposite(andre9)))
+    m = next(li for li in range(1, len(P.lines)) if P.masks[0] & P.masks[li])
+    ring = coordinatize(P, CoordinateFrame(0, m, 80)).ring
+    T = TernaryRing(ring.q, ring.table)
+    assert from_ternary(T) is None  # not linear: the generic path
+    broken = mutate(T, 2, 3, 4, T.at(2, 3, 5))  # two b for one y: T3 fails
+    report = check_ternary_axioms(broken)
+    assert not report.passes("T3") and not report.passes("T5")
+    failing = [k for k, ok in report.flags().items() if not ok]
+
+    def refuse(*args):
+        raise AssertionError("T5 swept")
+
+    monkeypatch.setattr(ternary, "_t5_sweep", refuse)
+    assert validate(T).validated
+    with pytest.raises(AssertionError, match="T5 swept"):
+        validate(broken)
+    monkeypatch.undo()
+    with pytest.raises(InputError) as raised:
+        validate(broken)
+    assert str(raised.value) == f"ternary axioms fail: {', '.join(failing)}"
 
 
 LINEAR_RINGS_9 = [linear_ring(R.add_table, R.mul_table, R.q)
