@@ -241,7 +241,7 @@ def test_every_pair_of_validated_rings_matches_the_additive_search(p, n, monkeyp
             assert find_isotopism(*pair) is None
 
 
-def test_shortcut_answers_between_the_field_and_the_near_field():
+def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
     """Validated, the order-9 field ring and near-field ring get None with
     no candidate verified; unvalidated, the search verifies candidates."""
     K = make_field(3, 2)
@@ -254,12 +254,11 @@ def test_shortcut_answers_between_the_field_and_the_near_field():
         verified.append(args)
         return holds(*args)
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(ternary, "_identity_holds", count)
-        assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
-        assert not verified
-        assert find_isotopism(replace(T, validated=False), U) is None
-        assert verified
+    monkeypatch.setattr(ternary, "_identity_holds", count)
+    assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
+    assert not verified
+    assert find_isotopism(replace(T, validated=False), U) is None
+    assert verified
 
 
 def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch):
