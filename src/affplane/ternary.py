@@ -317,62 +317,62 @@ def is_isomorphism(T, U, perm):
 
 
 def find_isomorphism(T, U):
-    """Backtracking search for an isomorphism T -> U.
+    """The lexicographically least isomorphism T -> U, or None.
 
-    Elements 2..q-1 are assigned in carrier order with candidate images
-    tried in increasing order.  The pruning only drops assignments that no
-    isomorphism extends, and every leaf is verified on all q^3 triples, so
-    the first hit is the lexicographically smallest isomorphism.  Absence
-    is certified by exhausting the pruned search space.
+    A forcing search.  An isomorphism σ sends <ax+b> to <σa σx σb>, so
+    each triple over the assigned elements is read once, when the last
+    of them is assigned, and its value is assigned in turn; a clash (two
+    images for one element, or one image for two) ends the node.  At the
+    fixpoint it branches on the least unassigned element, images in
+    increasing order, and verifies full maps b-row by b-row.
+    - Forcing drops no extension: an isomorphism agreeing with a node's
+      choices has each value they force, meets no clash and reaches its
+      own leaf, which passes; an exhausted tree certifies "absent".
+    - The first leaf that passes is the least isomorphism: two leaves
+      part at a node's branch element e, agreeing below e (assigned
+      there), and the one visited first has the smaller image of e.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
-    q = T.q
+    q, t, u = T.q, T.table, U.table
     if q > ISOMORPHISM_SEARCH_BOUND:
         raise SearchBoundExceeded(
             f"isomorphism search supports q <= {ISOMORPHISM_SEARCH_BOUND}")
+    sigma, inv, order = [0, 1] + [-1] * (q - 2), [0, 1] + [-1] * (q - 2), [0, 1]
+    leaf = []  # T's row checks and U's b-rows, built at the first leaf
 
-    perm = [0, 1] + [-1] * (q - 2)
-    used = [False] * q
-    used[0] = used[1] = True
-
-    t, u = T.table, U.table
-
-    def consistent(e):
-        # all triples within {0..e} that involve the newly assigned e
-        rng = range(e + 1)
-        for a in rng:
-            for x in rng:
-                i, j = (a * q + x) * q, (perm[a] * q + perm[x]) * q
-                for b in (rng if e in (a, x) else (e,)):
-                    v, w = t[i + b], u[j + perm[b]]
-                    if v <= e:
-                        if perm[v] != w:
-                            return False
-                    elif used[w]:
-                        # v must map to w later, but w is already taken
-                        return False
-        return True
-
-    def search(e):
-        if e == q:
-            # the pruning never rechecks a triple whose value is assigned
-            # later, nor the triples over {0, 1}: verify the leaf in full
-            return isomorphism_failure(T, U, perm) is None
-        for img in range(2, q):
-            if used[img]:
-                continue
-            perm[e] = img
-            used[img] = True
-            if consistent(e) and search(e + 1):
+    def search(k):
+        while k < len(order) < q:  # force from the k-th assigned element on
+            e, done = order[k], order[:k + 1]
+            for a in done:
+                for x in done:
+                    i, j = (a * q + x) * q, (sigma[a] * q + sigma[x]) * q
+                    for b in (done if e in (a, x) else (e,)):
+                        v, w = t[i + b], u[j + sigma[b]]
+                        if sigma[v] != w:
+                            if sigma[v] >= 0 or inv[w] >= 0:
+                                return False
+                            sigma[v], inv[w] = w, v
+                            order.append(v)
+            k += 1
+        if len(order) == q:
+            if not leaf:
+                leaf.extend((_row_checks(T), _b_rows(U)))
+            return _identity_holds(*leaf, sigma, sigma, sigma, itemgetter(*sigma))
+        e, k = sigma.index(-1), len(order)
+        for img in [w for w in range(q) if inv[w] < 0]:
+            sigma[e], inv[img] = img, e
+            order.append(e)
+            if search(k):
                 return True
-            used[img] = False
-        perm[e] = -1
+            for v in order[k:]:
+                inv[sigma[v]] = sigma[v] = -1
+            del order[k:]
         return False
 
-    if search(2):
-        return tuple(perm)
-    return None
+    found = search(0)
+    del search  # its closure refers to it: free it now, not at a later GC
+    return tuple(sigma) if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,10 @@ def test_find_isomorphism_absent(t3, andre9_ring):
 
 
 def test_find_isomorphism_verifies_every_leaf():
-    """Two order-q tables that differ only at <0*0+1>: the pruning never
-    looks at that triple, so the identity leaf must be rejected by the
-    full check.  At q = 2 the identity is the only leaf, reached at once."""
+    """Two order-q tables that differ only at <0*0+1>.  At q = 2 the
+    identity is the only map and is complete before forcing reads any
+    triple, so the full check must reject it; at q = 3 forcing reads
+    that triple and clashes."""
     for q in (2, 3):
         T = to_ternary(from_field(make_field(q, 1)))
         U = mutate(T, 0, 0, 1, 2 % q)
