@@ -20,56 +20,33 @@ to a nominal host speed, but the host still drifts (perfbench/README.md).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def _git(checkout, *args):
-    return subprocess.run(["git", *args], cwd=checkout, check=True,
+def _git(checkout, *args, env=None):
+    return subprocess.run(["git", *args], cwd=checkout, check=True, env=env,
                           capture_output=True, text=True).stdout.strip()
-
-
-def _git_object(kind, data):
-    return hashlib.sha1(b"%s %d\0" % (kind, len(data)) + data).digest()
-
-
-def _git_tree(node):
-    # node maps a name to a file path or to a nested node; git sorts the
-    # entries by name, a directory's name taken with a trailing slash
-    entries = []
-    for name, child in node.items():
-        key = name.encode()
-        if isinstance(child, dict):
-            entries.append((key + b"/", b"40000 %s\0" % key + _git_tree(child)))
-        else:
-            mode = b"100755" if os.access(child, os.X_OK) else b"100644"
-            entries.append((key, b"%s %s\0" % (mode, key)
-                            + _git_object(b"blob", child.read_bytes())))
-    return _git_object(b"tree", b"".join(entry for _, entry in sorted(entries)))
 
 
 def _src_tree(checkout):
     """The git tree id of the checkout's `src/` on disk: tracked and
-    untracked files, ignored ones left out."""
-    root = {}
-    for name in _git(checkout, "ls-files", "-co", "--exclude-standard", "--", "src").split("\n"):
-        path = checkout / name
-        if name and path.is_file():
-            *dirs, leaf = Path(name).relative_to("src").parts
-            node = root
-            for part in dirs:
-                node = node.setdefault(part, {})
-            node[leaf] = path
-    return _git_tree(root).hex()
+    untracked files, ignored ones left out.  It is written from a
+    temporary index, so the checkout's own index is left as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        _git(checkout, "read-tree", "HEAD", env=env)
+        _git(checkout, "add", "-A", "--", "src", env=env)
+        return _git(checkout, "write-tree", "--prefix=src/", env=env)
 
 
 def _run(checkout, command, workload, seed, seconds, trace):

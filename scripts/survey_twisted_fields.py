@@ -38,7 +38,7 @@ def survey(p, n, d, do_classify):
         line = (f"  phi={spec.phi}: left axioms "
                 f"{'pass' if report.passes(*LEFT_AXIOMS) else 'FAIL'}, "
                 f"associative={assoc}, right-distributive={right_distributive}")
-        if do_classify and K.q <= 16:
+        if do_classify:
             line += f", plane={classify(Q).verdict}"
         print(line)
 
@@ -46,7 +46,7 @@ def survey(p, n, d, do_classify):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--classify", action="store_true",
-                        help="also classify each plane (orders <= 16)")
+                        help="also classify each plane")
     args = parser.parse_args()
     for p, n, d in SUITE:
         survey(p, n, d, args.classify)

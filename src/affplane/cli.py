@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes encode tool health, not mathematical outcomes: 0 for any
-successfully computed verdict, 1 for a failed axiom check, 2 for
-malformed input.  All reports are deterministic so identical invocations
-produce byte-identical output.
+successfully computed verdict, 1 for a failed axiom check, 2 for any
+rejected input: a malformed file, a bad parameter, an order above a
+search bound, or a path that cannot be read or written.  All reports are
+deterministic so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import formats
 from .andre import build_left, build_right, spec_from_exponents
 from .collineation import classify, classify_ternary, translation_candidate
-from .errors import FormatError, InputError
+from .errors import InputError
 from .gf import galois_subgroup, make_field
 from .plane import (CoordinateFrame, check_plane_axioms, coordinatize,
                     plane_from_ternary)
@@ -228,15 +229,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ def classify_ternary(T):
     """Compare T against the ternary ring of the field of the same order.
 
     A finite plane is a field plane exactly when its coordinate ring is
-    isomorphic to the field's, so the exhausted backtracking search is a
+    isomorphic to the field's, so the exhausted forcing search is a
     conclusive certificate of either verdict.
     """
     p, n = _factor_prime_power(T.q)

@@ -36,7 +36,6 @@ from operator import add, itemgetter
 
 from .errors import InputError, SearchBoundExceeded
 
-ISOMORPHISM_SEARCH_BOUND = 16
 ISOTOPISM_SEARCH_BOUND = 9
 
 
@@ -291,14 +290,16 @@ def isomorphism_failure(T, U, perm):
 
     Per (a, x), the b-row of T mapped through perm must equal U's b-row
     at (perm(a), perm(x)) gathered at perm; single entries are read only
-    in a row that differs.
+    in a row that differs.  T is mapped one a-block of q^2 entries at a
+    time, so a map that fails early costs little of the q^3.
     """
-    q, u = T.q, U.table
+    q, t, u = T.q, T.table, U.table
+    qq = q * q
     gather = itemgetter(*perm)
-    image = tuple(map(perm.__getitem__, T.table))
     for a, pa in enumerate(perm):
+        image = tuple(map(perm.__getitem__, t[a * qq:(a + 1) * qq]))
         for x, px in enumerate(perm):
-            i, j = (a * q + x) * q, (pa * q + px) * q
+            i, j = x * q, (pa * q + px) * q
             left, right = image[i:i + q], gather(u[j:j + q])
             if left != right:
                 return (a, x, next(b for b in range(q) if left[b] != right[b]))
@@ -324,7 +325,7 @@ def find_isomorphism(T, U):
     of them is assigned, and its value is assigned in turn; a clash (two
     images for one element, or one image for two) ends the node.  At the
     fixpoint it branches on the least unassigned element, images in
-    increasing order, and verifies full maps b-row by b-row.
+    increasing order, and verifies full maps with `isomorphism_failure`.
     - Forcing drops no extension: an isomorphism agreeing with a node's
       choices has each value they force, meets no clash and reaches its
       own leaf, which passes; an exhausted tree certifies "absent".
@@ -335,11 +336,7 @@ def find_isomorphism(T, U):
     if T.q != U.q:
         raise InputError("carrier sizes differ")
     q, t, u = T.q, T.table, U.table
-    if q > ISOMORPHISM_SEARCH_BOUND:
-        raise SearchBoundExceeded(
-            f"isomorphism search supports q <= {ISOMORPHISM_SEARCH_BOUND}")
     sigma, inv, order = [0, 1] + [-1] * (q - 2), [0, 1] + [-1] * (q - 2), [0, 1]
-    leaf = []  # T's row checks and U's b-rows, built at the first leaf
 
     def search(k):
         while k < len(order) < q:  # force from the k-th assigned element on
@@ -356,9 +353,7 @@ def find_isomorphism(T, U):
                             order.append(v)
             k += 1
         if len(order) == q:
-            if not leaf:
-                leaf.extend((_row_checks(T), _b_rows(U)))
-            return _identity_holds(*leaf, sigma, sigma, sigma, itemgetter(*sigma))
+            return isomorphism_failure(T, U, sigma) is None
         e, k = sigma.index(-1), len(order)
         for img in [w for w in range(q) if inv[w] < 0]:
             sigma[e], inv[img] = img, e
@@ -501,13 +496,12 @@ def _h_candidates(T, U):
     H = [0] * q
     used = [True] + [False] * (q - 1)  # 0 is H(0)'s, and never an image of e > 0
     every = range(1, q)
-
-    def extend(e):
-        if e == q:
-            yield tuple(H)
-            return
-        images = every if forced[e] is None else (plus[H[forced[e][0]]][H[forced[e][1]]],)
-        for img in images:
+    # a depth-first walk: untried[e - 1] holds the images still to try
+    # at e, the deepest element assigned; `used` marks H(1), ..., H(e - 1)
+    untried = [iter(every)]  # no sum forces 1
+    while untried:
+        e = len(untried)
+        for img in untried[-1]:
             if used[img]:
                 continue
             H[e] = img
@@ -515,11 +509,18 @@ def _h_candidates(T, U):
                 if H[v] != plus[H[y]][H[b]]:
                     break
             else:
-                used[img] = True
-                yield from extend(e + 1)
-                used[img] = False
-
-    return extend(1)
+                break
+        else:
+            untried.pop()
+            if e > 1:
+                used[H[e - 1]] = False
+            continue
+        if e == q - 1:
+            yield tuple(H)
+        else:
+            used[img] = True
+            pair = forced[e + 1]
+            untried.append(iter(every if pair is None else (plus[H[pair[0]]][H[pair[1]]],)))
 
 
 def find_isotopism(T, U):

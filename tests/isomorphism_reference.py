@@ -8,7 +8,10 @@ None) on every input they give it.
 """
 
 from affplane.errors import InputError, SearchBoundExceeded
-from affplane.ternary import ISOMORPHISM_SEARCH_BOUND, isomorphism_failure
+from affplane.ternary import isomorphism_failure
+
+# the backtracking search tries up to (q - 2)! maps: it is run at q <= 16
+SEARCH_BOUND = 16
 
 
 def find_isomorphism(T, U):
@@ -23,9 +26,8 @@ def find_isomorphism(T, U):
     if T.q != U.q:
         raise InputError("carrier sizes differ")
     q = T.q
-    if q > ISOMORPHISM_SEARCH_BOUND:
-        raise SearchBoundExceeded(
-            f"isomorphism search supports q <= {ISOMORPHISM_SEARCH_BOUND}")
+    if q > SEARCH_BOUND:
+        raise SearchBoundExceeded(f"isomorphism search supports q <= {SEARCH_BOUND}")
 
     perm = [0, 1] + [-1] * (q - 2)
     used = [False] * q

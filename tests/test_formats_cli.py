@@ -211,8 +211,17 @@ def test_cli_phi_validation(tmp_path, capsys):
     out = tmp_path / "x.qf"
     code = main(["andre", "--p", "3", "--n", "2", "--subfield-deg", "1",
                  "--phi", "1,0", "--out", str(out)])
-    assert code == 1
+    assert code == 2
     assert "first phi entry" in capsys.readouterr().err
+
+
+def test_cli_out_directory_exits_two(tmp_path, capsys):
+    code = main(["andre", "--p", "3", "--n", "2", "--subfield-deg", "1",
+                 "--phi", "0,1", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_plane_coordinatize_round_trip(tmp_path, capsys, t3):
@@ -274,10 +283,10 @@ def test_cli_translate(tmp_path, capsys, t3):
     assert perm[0] == 4
 
 
-def test_cli_translate_on_single_line_plane_exits_one(tmp_path, capsys):
+def test_cli_translate_on_single_line_plane_exits_two(tmp_path, capsys):
     plane = tmp_path / "line.aplane"
     plane.write_text("APLANE 1\npoints 3\nlines 1\n0 1 2\n")
-    assert main(["translate", str(plane), "--from", "0", "--to", "1"]) == 1
+    assert main(["translate", str(plane), "--from", "0", "--to", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -328,3 +337,16 @@ def test_cli_classify_trs_verbose(tmp_path, capsys, t3):
     out = capsys.readouterr().out
     assert "desarguesian" in out.splitlines()[0]
     assert "reason: isomorphism-found" in out
+
+
+def test_cli_classify_order_25_near_field(tmp_path, capsys):
+    """The order-25 near-field's plane is classified by the isomorphism
+    search, which has no order bound."""
+    qf = tmp_path / "near25.qf"
+    assert main(["andre", "--p", "5", "--n", "2", "--subfield-deg", "1",
+                 "--phi", "0,1,1,0", "--out", str(qf)]) == 0
+    capsys.readouterr()
+    assert main(["--verbose", "classify", str(qf)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "non-desarguesian"
+    assert "reason: search-exhausted" in out

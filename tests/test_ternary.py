@@ -1,4 +1,5 @@
 import fnmatch
+import gc
 import itertools
 import random
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from affplane import (LINEAR_RING_AXIOMS, CoordinateFrame, Isotopism,
                       TernaryRing, associativity_witness, build_left,
-                      check_ternary_axioms, check_vw, complete_isotopism,
-                      compose_isotopisms, coordinatize, enumerate_phi,
-                      find_isomorphism, find_isotopism, from_field,
-                      from_ternary, galois_subgroup, is_isomorphism,
-                      is_isotopism, make_field, opposite, plane_from_ternary,
-                      to_ternary, validate)
+                      check_ternary_axioms, check_vw, classify_ternary,
+                      complete_isotopism, compose_isotopisms, coordinatize,
+                      enumerate_phi, find_isomorphism, find_isotopism,
+                      from_field, from_ternary, galois_subgroup,
+                      is_isomorphism, is_isotopism, make_field, opposite,
+                      plane_from_ternary, spec_from_exponents, to_ternary,
+                      validate)
 from affplane import quasifield, ternary
 from affplane.errors import InputError, SearchBoundExceeded
 from affplane.ternary import isomorphism_failure
@@ -177,10 +179,27 @@ def test_isomorphism_failure_is_the_first_failing_triple():
             assert isomorphism_failure(T, U, perm) == first
 
 
-def test_isomorphism_bound():
-    T = to_ternary(from_field(make_field(5, 2)))
-    with pytest.raises(SearchBoundExceeded):
-        find_isomorphism(T, T)
+@pytest.mark.parametrize("p, n, d, exponents", [
+    (5, 2, 1, (0, 1, 0, 1)),
+    (3, 3, 1, (0, 1)),
+    (7, 2, 1, (0, 1, 0, 0, 0, 1)),
+    (2, 6, 2, (0, 1, 0)),
+], ids=["q25", "q27", "q49", "q64"])
+def test_classification_above_order_16(p, n, d, exponents):
+    """The isomorphism search has no order bound: at q = 25, 27, 49 and
+    64 a seeded relabelling of the field ring classifies as desarguesian
+    with a certificate that verifies, and the ring of a left André
+    quasi-field with phi != 0 as non-desarguesian by an exhausted search."""
+    K = make_field(p, n)
+    field = to_ternary(from_field(K))
+    rng = random.Random(K.q)
+    U = relabel(field, [0, 1] + rng.sample(range(2, K.q), K.q - 2))
+    result = classify_ternary(U)
+    assert result.verdict == "desarguesian"
+    assert is_isomorphism(U, field, result.isomorphism)
+    T = to_ternary(build_left(spec_from_exponents(K, galois_subgroup(K, d), exponents)))
+    result = classify_ternary(T)
+    assert (result.verdict, result.reason) == ("non-desarguesian", "search-exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +258,23 @@ def test_isotopism_bound():
     T = to_ternary(from_field(make_field(2, 4)))
     with pytest.raises(SearchBoundExceeded):
         find_isotopism(T, T)
+
+
+def test_searches_leave_no_reference_cycles(k9, andre9):
+    """With the cyclic collector off, a search frees everything it made
+    by reference counting alone, found or absent."""
+    field, near = to_ternary(from_field(k9)), to_ternary(andre9)
+    gc.collect()
+    gc.disable()
+    try:
+        for search, T, U in ((find_isotopism, near, near),
+                             (find_isotopism, near, to_ternary(opposite(andre9))),
+                             (find_isomorphism, relabel(field, (0, 1, 3, 2, 4, 5, 6, 8, 7)), field),
+                             (find_isomorphism, near, field)):
+            search(T, U)
+            assert gc.collect() == 0, search.__name__
+    finally:
+        gc.enable()
 
 
 def test_compose_isotopisms(t3):
