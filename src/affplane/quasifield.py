@@ -10,8 +10,8 @@ The O(q^3) sweeps compare whole table rows, by tuple comparison, by an
 at single entries only inside a row that differs; so they yield the same
 witnesses, in the same order, as a sweep entry by entry.  `check_vw`
 computes one report per `QuasiField` and keeps it on the quasi-field:
-later calls, `build_left`/`build_right`'s callers and `to_ternary` reuse
-it.
+later calls and `to_ternary` reuse it.  `build_left`/`build_right` keep
+one that is proved, with one law swept (`keep_proved_report`).
 
 Under VW1, where addition is an abelian group, VW5 and VW5-r pass or
 fail together.  VW5 fails exactly when ax - a'x = ax' - a'x' for some
@@ -62,7 +62,8 @@ class QuasiField:
             raise InputError(f"carrier size must be >= 2, got {self.q}")
         if len(self.add_table) != self.q * self.q or len(self.mul_table) != self.q * self.q:
             raise InputError("table length does not match q^2")
-        if any(not 0 <= v < self.q for v in self.add_table + self.mul_table):
+        if (min(min(self.add_table), min(self.mul_table)) < 0
+                or max(max(self.add_table), max(self.mul_table)) >= self.q):
             raise InputError("table entry out of range")
         object.__setattr__(self, "neg_table", tuple(
             row.index(0) if 0 in row else None for row in _rows(self.add_table, self.q)))
@@ -246,6 +247,19 @@ def check_vw(Q):
     if Q.vw_report is None:
         object.__setattr__(Q, "vw_report", _vw_report(Q))
     return Q.vw_report
+
+
+def keep_proved_report(Q, law):
+    """Keep on Q, and return Q, the `check_vw` report of a quasi-field
+    whose builder has proved VW1, VW2, VW3, the distributive law other
+    than `law` ("VW4" or "VW4-r"), and VW5 or VW5-r, which give each
+    other under VW1.  Only `law` is swept, to the first witness
+    `check_vw` would name."""
+    add, mul = _rows(Q.add_table, Q.q), _rows(Q.mul_table, Q.q)
+    report = AxiomReport(VW_AXIOMS)
+    report.record(law, (_vw4_sweep if law == "VW4" else _vw4r_sweep)(add, mul))
+    object.__setattr__(Q, "vw_report", report)
+    return Q
 
 
 def opposite(Q):

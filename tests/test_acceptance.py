@@ -8,7 +8,7 @@ import itertools
 
 from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
                       build_left, canonical_frame, check_plane_axioms,
-                      check_ternary_axioms, check_vw, classify,
+                      check_ternary_axioms, classify,
                       complete_isotopism, coordinatize, enumerate_phi,
                       fixed_field, formats, from_field, galois_subgroup,
                       is_isotopism, isotopism_from_frames, make_field, norm,
@@ -19,7 +19,7 @@ from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
 from affplane.cli import main
 from affplane.plane import AffinePlane
 from affplane.ternary import TernaryRing
-from tests_support import table_plane
+from tests_support import swept_report, table_plane
 
 FIELD_SUITE = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (2, 4), (5, 2), (3, 3)]
@@ -72,7 +72,7 @@ def test_criterion_02_every_spec_builds():
         if G.order ** (len(specs[0].image) - 1) != expected:
             ok = False
         for spec in specs:
-            if not check_vw(build_left(spec)).passes(*LEFT_AXIOMS):
+            if not swept_report(build_left(spec)).passes(*LEFT_AXIOMS):
                 ok = False
     report(2, "twisted builds pass left axioms", ok)
 
@@ -91,7 +91,7 @@ def test_criterion_04_right_distributivity_equivalence():
     ok = True
     for K, G, specs in all_specs():
         for spec in specs:
-            if predicts_right_distributive(spec) != check_vw(build_left(spec)).flags()["VW4-r"]:
+            if predicts_right_distributive(spec) != swept_report(build_left(spec)).flags()["VW4-r"]:
                 ok = False
     report(4, "right distributivity prediction", ok)
 
@@ -171,7 +171,7 @@ def test_criterion_08_implications_hold_everywhere():
     for K, G, specs in all_specs():
         for spec in specs:
             for Q in (build_left(spec), opposite(build_left(spec))):
-                rep = check_vw(Q)
+                rep = swept_report(Q)
                 if rep.passes("VW1", "VW2", "VW3", "VW4") and not rep.passes("VW5"):
                     ok = False
     report(8, "axiom implications (finite case)", ok)

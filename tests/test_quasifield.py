@@ -7,6 +7,7 @@ from affplane import (LEFT_AXIOMS, LINEAR_RING_AXIOMS, RIGHT_AXIOMS,
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
 from test_quasifield_reference import BUILDS
+from tests_support import swept_report
 
 
 def test_fields_pass_all_seven_flags():
@@ -20,8 +21,9 @@ def test_fields_pass_all_seven_flags():
 def test_constructor_rejects_bad_tables():
     with pytest.raises(InputError):
         QuasiField(2, (0, 1, 1), (0, 0, 0, 1))
-    with pytest.raises(InputError):
-        QuasiField(2, (0, 1, 1, 0), (0, 0, 0, 2))
+    for add, mul in (((0, 1, 1, 0), (0, 0, 0, 2)), ((0, 1, -1, 0), (0, 0, 0, 1))):
+        with pytest.raises(InputError, match="table entry out of range"):
+            QuasiField(2, add, mul)
     with pytest.raises(InputError):
         QuasiField(1, (0,), (0,))
 
@@ -112,7 +114,7 @@ def test_prop3_vw1_to_vw4_imply_vw5(andre9, andre16):
     the fifth does too, across every table in the suite."""
     for Q in (andre9, andre16, from_field(make_field(3, 1)),
               from_field(make_field(2, 2)), opposite(andre9)):
-        report = check_vw(Q)
+        report = swept_report(Q)
         if report.passes("VW1", "VW2", "VW3", "VW4"):
             assert report.passes("VW5")
 

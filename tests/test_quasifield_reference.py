@@ -16,9 +16,13 @@ André build, by single entries and by swapped rows and columns, which
 keep VW5: the VW5 sweep must find a witness over the rows exactly when
 it finds one over the columns, and the report must still equal the
 reference's, VW5-r witness included.
+
+`build_left` and `build_right` keep a report proved by André's theorem,
+with one distributive law swept: it must equal the reference's too.
 """
 
 import functools
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -29,9 +33,11 @@ import quasifield_reference as ref
 from affplane import (QuasiField, build_left, build_right, check_vector_space,
                       check_vw, enumerate_phi, fixed_field, from_field,
                       galois_subgroup, make_field, opposite,
-                      spec_from_exponents, to_ternary)
+                      predicts_right_distributive, spec_from_exponents,
+                      to_ternary)
 from affplane import quasifield as qf
 from affplane.errors import InputError
+from tests_support import swept_report
 
 field = functools.cache(make_field)
 
@@ -156,13 +162,13 @@ def test_corruptions_agree(data):
 
 def test_sweeps_run_once_per_quasifield(monkeypatch, k9):
     calls = []
-    sweep = qf._vw4_sweep
+    sweep = qf._vw4r_sweep
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(qf, "_vw4_sweep", counted)
+    monkeypatch.setattr(qf, "_vw4r_sweep", counted)
     Q = build_left(spec_from_exponents(k9, galois_subgroup(k9, 1), (0, 1)))
     report = check_vw(Q)
     to_ternary(Q)
@@ -171,6 +177,80 @@ def test_sweeps_run_once_per_quasifield(monkeypatch, k9):
     # an equal quasi-field is another object with its own report
     assert check_vw(QuasiField(Q.q, Q.add_table, Q.mul_table)) is not report
     assert len(calls) == 2
+
+
+def _same_report(report, expected):
+    """Equal witnesses, in the same order, and equal `unchecked`."""
+    return ((report.witnesses, list(report.witnesses), report.unchecked)
+            == (expected.witnesses, list(expected.witnesses), expected.unchecked))
+
+
+@pytest.mark.parametrize("name", [name for name in BUILDS
+                                  if "/left/" in name or "/right/" in name])
+def test_builds_keep_the_swept_report(name):
+    """A build's proved report is the one the reference sweeps compute."""
+    Q, _ = BUILDS[name]
+    assert _same_report(Q.vw_report, ref.check_vw(Q))
+
+
+@pytest.mark.parametrize("p,n,d", [(7, 2, 1), (2, 6, 3), (2, 6, 2), (3, 4, 2)])
+def test_larger_builds_keep_the_swept_report(p, n, d):
+    """At most 40 specs spread over `enumerate_phi`, both sides: the kept
+    report equals a full row-level sweep of the same tables, and the
+    reference sweeps' on the last spec (about a second a quasi-field at
+    q = 81, entry by entry)."""
+    K = field(p, n)
+    specs = enumerate_phi(K, galois_subgroup(K, d))
+    specs = specs[::-(-len(specs) // 40)]
+    for spec in specs:
+        for build in (build_left, build_right):
+            Q = build(spec)
+            assert _same_report(Q.vw_report, swept_report(Q))
+    assert not predicts_right_distributive(spec)
+    for build in (build_left, build_right):
+        Q = build(spec)
+        assert _same_report(Q.vw_report, ref.check_vw(Q))
+
+
+SWEEPS = ("_vw1_sweep", "_vw2_sweep", "_vw3_sweep", "_vw4_sweep", "_vw4r_sweep", "_vw5_sweep")
+
+
+@pytest.mark.parametrize("p,n,d,phi", [(3, 2, 1, (0, 1)), (2, 4, 2, (0, 0, 1)),
+                                       (3, 3, 1, (0, 0)), (3, 3, 1, (0, 1))])
+def test_a_build_runs_one_sweep(monkeypatch, p, n, d, phi):
+    """The other distributive law only: VW4-r for a left build and VW4
+    for a right one; `check_vw` and `to_ternary` then sweep nothing."""
+    K = field(p, n)
+    spec = spec_from_exponents(K, galois_subgroup(K, d), phi)
+    calls = []
+
+    def counting(name, sweep):
+        def counted(*args):
+            calls.append(name)
+            return sweep(*args)
+        return counted
+
+    for name in SWEEPS:
+        monkeypatch.setattr(qf, name, counting(name, getattr(qf, name)))
+    for build, law in ((build_left, "_vw4r_sweep"), (build_right, "_vw4_sweep")):
+        calls.clear()
+        Q = build(spec)
+        check_vw(Q)
+        to_ternary(Q)
+        assert calls == [law]
+
+
+@pytest.mark.parametrize("change", ["alpha", "phi", "image", "fixed"])
+def test_builds_reject_a_spec_that_does_not_follow_from_its_phi(andre9_spec, change):
+    """alpha with one entry changed, phi alone changed (alpha no longer
+    its), and a wrong norm image or fixed field."""
+    wrong = {"alpha": andre9_spec.alpha[:4] + (0,) + andre9_spec.alpha[5:],
+             "phi": (0, 0), "image": (1,), "fixed": (0, 1)}[change]
+    assert wrong != getattr(andre9_spec, change)
+    spec = replace(andre9_spec, **{change: wrong})
+    for build in (build_left, build_right):
+        with pytest.raises(InputError, match="does not follow"):
+            build(spec)
 
 
 def _swapped(Q, axis, u, v):

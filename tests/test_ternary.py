@@ -55,6 +55,17 @@ def test_constructor_rejects_bad_tables():
         TernaryRing(1, (0,))
 
 
+@pytest.mark.parametrize("value", [-1, 9])
+@pytest.mark.parametrize("index", [0, 364, 728])
+def test_range_is_scanned_unless_validated(andre9_ring, index, value):
+    """An unvalidated ring with one entry out of range is rejected; a
+    validated one is taken from a certified structure, not scanned."""
+    table = andre9_ring.table[:index] + (value,) + andre9_ring.table[index + 1:]
+    with pytest.raises(InputError, match="out of range"):
+        TernaryRing(9, table)
+    assert TernaryRing(9, table, validated=True).table == table
+
+
 def test_mutations_trip_axioms_with_witnesses(t3):
     # break T1 at <1,1,0>
     bad = mutate(t3, 1, 1, 0, 0)

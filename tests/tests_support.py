@@ -1,7 +1,14 @@
 """Helpers shared by several test modules."""
 
 from affplane.plane import AffinePlane
+from affplane.quasifield import QuasiField, check_vw
 from affplane.ternary import TernaryRing
+
+
+def swept_report(Q):
+    """`check_vw` of a fresh copy of Q's tables: every axiom swept, where
+    an André build keeps a report its builder proved."""
+    return check_vw(QuasiField(Q.q, Q.add_table, Q.mul_table))
 
 
 def relabel_ring(T, perm):
