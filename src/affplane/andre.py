@@ -23,6 +23,20 @@ to its first witness, so the kept report is the one `check_vw` would
 compute.  The proof needs the spec's alpha, image and fixed field to be
 those `spec_from_exponents` derives from its field, group and phi; each
 build derives them again, in O(q |G|), and rejects a spec that differs.
+
+Each build also keeps a `BuildProof` from its spec.  Over the fixed field
+F: in the left build each alpha_x fixes F, so x (*) a = x * a for a in
+F; then (x (*) y) (*) a = x * alpha_x(y) * a = x (*) (y (*) a) and
+(x + y) (*) a = x (*) a + y (*) a, so Q is a vector space over F.  In the
+right build, (x + y) (*) a = alpha_a(x + y) * a = x (*) a + y (*) a, and
+for y, a != 0, (x (*) y) (*) a = x (*) (y (*) a) for all x exactly when
+alpha_a alpha_y = alpha_{y (*) a}, as G acts faithfully.  Since
+N(y (*) a) = N(y) N(a) and N(a) = a^|G|, that is phi(v w) = phi(v) + phi(w)
+(mod |G|) for v in the norm image and w in {a^|G| : a in F*}.  Likewise
+(x (*) y) (*) z = x * alpha_x(y) * alpha_{x (*) y}(z) and x (*) (y (*) z) =
+x * alpha_x(y) * alpha_x(alpha_y(z)), so the left build is associative
+exactly when phi is multiplicative on the image (`predicts_associative`);
+the right build is its opposite ring, associative exactly when it is.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, SearchBoundExceeded
 from .gf import fixed_field, norm, norm_image
-from .quasifield import QuasiField, keep_proved_report
+from .quasifield import BuildProof, QuasiField, keep_proved_report
 
 DEFAULT_ENUM_BOUND = 4096
 
@@ -73,8 +87,10 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
     alpha_x = phi(N(x)) is constant on the G-orbits, with no check
     needed: N(gx) = prod_h hg(x) = N(x), because h -> hg permutes G.
     """
+    norms = [norm(K, G, x) for x in range(1, K.q)]
     if fixed is None or image is None:
-        fixed, image = make_spec(K, G)
+        # `norm_image`, from the norms alpha needs anyway
+        fixed, image = fixed_field(K, G), tuple(sorted(set(norms)))
     exponents = tuple(exponents)
     if len(exponents) != len(image):
         raise InputError(
@@ -85,10 +101,8 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
     if exponents[0] != 0:
         raise InputError("the first phi entry must be 0: phi(1) is the identity")
     index = {v: i for i, v in enumerate(image)}
-    alpha = [0] * K.q
-    for x in range(1, K.q):
-        alpha[x] = exponents[index[norm(K, G, x)]]
-    return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, tuple(alpha))
+    alpha = (0, *(exponents[index[v]] for v in norms))
+    return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, alpha)
 
 
 def enumerate_phi(K, G):
@@ -122,7 +136,8 @@ def build_left(spec):
     André's theorem; only VW4-r is swept (module docstring)."""
     K, rows = _left_rows(spec)
     return keep_proved_report(
-        QuasiField(K.q, K.add_table, tuple(itertools.chain.from_iterable(rows))), "VW4-r")
+        QuasiField(K.q, K.add_table, tuple(itertools.chain.from_iterable(rows))), "VW4-r",
+        BuildProof(spec.fixed, True, predicts_associative(spec)))
 
 
 def build_right(spec):
@@ -130,8 +145,10 @@ def build_right(spec):
     left one, certified by André's theorem; only VW4 is swept (module
     docstring)."""
     K, rows = _left_rows(spec)
+    scalars = {K.pow(a, spec.group.order) for a in spec.fixed if a}
     return keep_proved_report(
-        QuasiField(K.q, K.add_table, tuple(itertools.chain.from_iterable(zip(*rows)))), "VW4")
+        QuasiField(K.q, K.add_table, tuple(itertools.chain.from_iterable(zip(*rows)))), "VW4",
+        BuildProof(spec.fixed, _phi_multiplicative(spec, scalars), predicts_associative(spec)))
 
 
 def right_divide(spec, a, b):
@@ -147,19 +164,21 @@ def right_divide(spec, a, b):
     return K.mul(b, K.inv(g[a]))
 
 
+def _phi_multiplicative(spec, factors):
+    """True iff phi(u v) = phi(u) + phi(v) (mod |G|) for every u in the
+    norm image and every v in `factors`, a subset of it."""
+    K, phi, order = spec.field, spec.phi, spec.group.order
+    index = {v: i for i, v in enumerate(spec.image)}
+    return all((phi[index[u]] + phi[index[v]] - phi[index[K.mul(u, v)]]) % order == 0
+               for u in spec.image for v in factors)
+
+
 def predicts_associative(spec):
     """True iff phi is multiplicative on the norm image, which is exactly
-    when the twisted multiplication is associative."""
-    K = spec.field
-    order = spec.group.order
-    index = {v: i for i, v in enumerate(spec.image)}
-    for u in spec.image:
-        for v in spec.image:
-            w = K.mul(u, v)
-            lhs = (spec.phi[index[u]] + spec.phi[index[v]]) % order
-            if lhs != spec.phi[index[w]]:
-                return False
-    return True
+    when the twisted multiplication is associative (module docstring).
+    The builds keep it as their certificate of associativity, and
+    `associativity_witness` then sweeps nothing."""
+    return _phi_multiplicative(spec, spec.image)
 
 
 def predicts_right_distributive(spec):

@@ -11,7 +11,8 @@ at single entries only inside a row that differs; so they yield the same
 witnesses, in the same order, as a sweep entry by entry.  `check_vw`
 computes one report per `QuasiField` and keeps it on the quasi-field:
 later calls and `to_ternary` reuse it.  `build_left`/`build_right` keep
-one that is proved, with one law swept (`keep_proved_report`).
+one that is proved, with one law swept (`keep_proved_report`), and a
+`BuildProof` that `check_vector_space` and `associativity_witness` read.
 
 Under VW1, where addition is an abelian group, VW5 and VW5-r pass or
 fail together.  VW5 fails exactly when ax - a'x = ax' - a'x' for some
@@ -37,6 +38,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 from .ternary import AxiomReport, TernaryRing
@@ -53,6 +55,8 @@ class QuasiField:
     neg_table: tuple = field(init=False, repr=False, compare=False)
     # the `check_vw` report, computed on first use and kept
     vw_report: object = field(init=False, default=None, repr=False, compare=False)
+    # the `BuildProof` of a builder, or None
+    proof: object = field(init=False, default=None, repr=False, compare=False)
 
     zero = 0
     one = 1
@@ -249,16 +253,26 @@ def check_vw(Q):
     return Q.vw_report
 
 
-def keep_proved_report(Q, law):
+class BuildProof(NamedTuple):
+    """What a builder proved of its quasi-field: the `check_vector_space`
+    verdict over the subfield `fixed`, and whether it is associative."""
+
+    fixed: tuple
+    vector_space: bool
+    associative: bool
+
+
+def keep_proved_report(Q, law, proof):
     """Keep on Q, and return Q, the `check_vw` report of a quasi-field
     whose builder has proved VW1, VW2, VW3, the distributive law other
     than `law` ("VW4" or "VW4-r"), and VW5 or VW5-r, which give each
-    other under VW1.  Only `law` is swept, to the first witness
-    `check_vw` would name."""
+    other under VW1, and the builder's `BuildProof`.  Only `law` is
+    swept, to the first witness `check_vw` would name."""
     add, mul = _rows(Q.add_table, Q.q), _rows(Q.mul_table, Q.q)
     report = AxiomReport(VW_AXIOMS)
     report.record(law, (_vw4_sweep if law == "VW4" else _vw4r_sweep)(add, mul))
     object.__setattr__(Q, "vw_report", report)
+    object.__setattr__(Q, "proof", proof)
     return Q
 
 
@@ -306,7 +320,10 @@ def from_ternary(T):
 
 
 def associativity_witness(Q):
-    """Lexicographically first (x, y, z) with (xy)z != x(yz), or None."""
+    """Lexicographically first (x, y, z) with (xy)z != x(yz), or None:
+    at once when Q's `BuildProof` says Q is associative."""
+    if Q.proof is not None and Q.proof.associative:
+        return None
     return next(_associativity_sweep(_rows(Q.mul_table, Q.q)), None)
 
 
@@ -336,7 +353,12 @@ def is_field_ring(T):
 
 def check_vector_space(Q, F):
     """Check the two scalar identities that make Q a right vector space
-    over the subfield F: (xy)a = x(ya) and (x+y)a = xa + ya for a in F."""
+    over the subfield F: (xy)a = x(ya) and (x+y)a = xa + ya for a in F.
+    When F is, in order, the fixed field of Q's `BuildProof`, the proved
+    verdict is returned with no sweep."""
+    F = tuple(F)
+    if Q.proof is not None and F == Q.proof.fixed:
+        return Q.proof.vector_space
     members = set(F)
     if 0 not in members or 1 not in members:
         raise InputError("F must contain 0 and 1")

@@ -6,8 +6,8 @@ lines; every check is exact integer arithmetic, no tolerances.
 
 import itertools
 
-from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
-                      build_left, canonical_frame, check_plane_axioms,
+from affplane import (LEFT_AXIOMS, CoordinateFrame, build_left,
+                      canonical_frame, check_plane_axioms,
                       check_ternary_axioms, classify,
                       complete_isotopism, coordinatize, enumerate_phi,
                       fixed_field, formats, from_field, galois_subgroup,
@@ -19,7 +19,8 @@ from affplane import (LEFT_AXIOMS, CoordinateFrame, associativity_witness,
 from affplane.cli import main
 from affplane.plane import AffinePlane
 from affplane.ternary import TernaryRing
-from tests_support import swept_report, table_plane
+from tests_support import (swept_associativity_witness, swept_report,
+                           table_plane)
 
 FIELD_SUITE = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (2, 4), (5, 2), (3, 3)]
@@ -82,7 +83,7 @@ def test_criterion_03_associativity_equivalence():
     for K, G, specs in all_specs():
         for spec in specs:
             Q = build_left(spec)
-            if predicts_associative(spec) != (associativity_witness(Q) is None):
+            if predicts_associative(spec) != (swept_associativity_witness(Q) is None):
                 ok = False
     report(3, "associativity prediction", ok)
 

@@ -1,13 +1,13 @@
 import pytest
 
-from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, associativity_witness,
-                      build_left, build_right, check_vw, enumerate_phi,
-                      galois_subgroup, make_field, make_spec, norm, opposite,
+from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, build_left, build_right,
+                      check_vw, enumerate_phi, galois_subgroup, make_field,
+                      make_spec, norm, opposite,
                       predicts_associative, predicts_right_distributive,
                       right_divide, spec_from_exponents)
 from affplane import andre
 from affplane.errors import InputError, SearchBoundExceeded
-from tests_support import swept_report
+from tests_support import swept_associativity_witness, swept_report
 
 SUITE = [(3, 2, 1, 2), (2, 4, 2, 4), (5, 2, 1, 8), (3, 3, 1, 3)]
 
@@ -95,7 +95,7 @@ def test_associativity_prediction_matches_scan(p, n, d, count):
     G = galois_subgroup(K, d)
     for spec in enumerate_phi(K, G):
         Q = build_left(spec)
-        assert predicts_associative(spec) == (associativity_witness(Q) is None)
+        assert predicts_associative(spec) == (swept_associativity_witness(Q) is None)
 
 
 @pytest.mark.parametrize("p,n,d,count", SUITE)

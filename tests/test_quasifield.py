@@ -1,9 +1,10 @@
 import pytest
 
 from affplane import (LEFT_AXIOMS, LINEAR_RING_AXIOMS, RIGHT_AXIOMS,
-                      QuasiField, associativity_witness, check_vector_space,
-                      check_vw, from_field, from_ternary, make_field,
-                      opposite, to_ternary)
+                      QuasiField, associativity_witness, build_right,
+                      check_vector_space, check_vw, from_field, from_ternary,
+                      galois_subgroup, make_field, opposite,
+                      spec_from_exponents, to_ternary)
 from affplane.errors import InputError
 from affplane.ternary import TernaryRing
 from test_quasifield_reference import BUILDS
@@ -139,3 +140,16 @@ def test_vector_space_over_fixed_subfield(andre9):
         check_vector_space(andre9, (0, 1, 3))  # not closed
     with pytest.raises(InputError):
         check_vector_space(andre9, (1, 2))  # missing 0
+
+
+def test_vector_space_scalars_may_be_an_iterator():
+    """F is read once, so an iterator over it gives F's verdict and not a
+    vacuous True; here a right build over GF(25)/GF(5) that is not a
+    vector space, with and without its kept proof."""
+    K = make_field(5, 2)
+    spec = spec_from_exponents(K, galois_subgroup(K, 1), (0, 0, 0, 1))
+    Q = build_right(spec)
+    for R in (Q, QuasiField(Q.q, Q.add_table, Q.mul_table)):
+        assert check_vector_space(R, iter(spec.fixed)) is False
+    with pytest.raises(InputError, match="not closed"):
+        check_vector_space(Q, iter((0, 1, 7)))

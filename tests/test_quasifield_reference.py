@@ -18,7 +18,12 @@ it finds one over the columns, and the report must still equal the
 reference's, VW5-r witness included.
 
 `build_left` and `build_right` keep a report proved by André's theorem,
-with one distributive law swept: it must equal the reference's too.
+with one distributive law swept: it must equal the reference's too.  They
+also keep a proved vector-space verdict over their fixed field and
+whether they are associative, which `check_vector_space` and
+`associativity_witness` return without a sweep: at orders 32 to 81 these
+must equal the reference sweeps as well, and any other input must be
+swept.
 """
 
 import functools
@@ -30,9 +35,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasifield_reference as ref
-from affplane import (QuasiField, build_left, build_right, check_vector_space,
-                      check_vw, enumerate_phi, fixed_field, from_field,
-                      galois_subgroup, make_field, opposite,
+from affplane import (QuasiField, associativity_witness, build_left,
+                      build_right, check_vector_space, check_vw,
+                      enumerate_phi, fixed_field, from_field, galois_subgroup,
+                      make_field, opposite, predicts_associative,
                       predicts_right_distributive, spec_from_exponents,
                       to_ternary)
 from affplane import quasifield as qf
@@ -210,6 +216,98 @@ def test_larger_builds_keep_the_swept_report(p, n, d):
     for build in (build_left, build_right):
         Q = build(spec)
         assert _same_report(Q.vw_report, ref.check_vw(Q))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 5, 1), (7, 2, 1), (2, 6, 1), (2, 6, 2),
+                                   (2, 6, 3), (3, 4, 1), (3, 4, 2)])
+def test_larger_builds_keep_the_swept_scalars_and_associativity(p, n, d):
+    """Every subfield of GF(32), GF(49), GF(64) and GF(81), both sides: at
+    most 8 specs spread over `enumerate_phi`, and every spec whose build
+    is proved associative or, on the right, a vector space, where the
+    reference sweeps run to the end.  The builds of order <= 27 are
+    checked by `test_builds_agree`."""
+    K = field(p, n)
+    specs = enumerate_phi(K, galois_subgroup(K, d))
+    sample = specs[::-(-len(specs) // 8)]
+    sample += [spec for spec in specs if spec not in sample and (
+        predicts_associative(spec) or build_right(spec).proof.vector_space)]
+    for spec in sample:
+        for build in (build_left, build_right):
+            Q = build(spec)
+            assert check_vector_space(Q, spec.fixed) == ref.check_vector_space(Q, spec.fixed)
+            assert associativity_witness(Q) == ref.associativity_witness(Q)
+
+
+def _count_table_reads(monkeypatch):
+    """The names of the table sweeps and table reads made from now on."""
+    calls = []
+
+    def counting(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    for owner, name in ((qf, "_rows"), (qf, "_associativity_sweep"),
+                        (QuasiField, "add"), (QuasiField, "mul"), (QuasiField, "neg")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
+@pytest.mark.parametrize("p,n,d,phi", [(3, 2, 1, (0, 1)), (2, 4, 2, (0, 0, 1)),
+                                       (5, 2, 1, (0, 0, 0, 0)), (5, 2, 1, (0, 1, 0, 1)),
+                                       (5, 2, 1, (0, 0, 0, 1)), (3, 3, 1, (0, 1))])
+def test_a_build_answers_scalars_and_associativity_from_its_proof(monkeypatch, p, n, d, phi):
+    """`check_vector_space(Q, spec.fixed)` reads no table, and
+    `associativity_witness(Q)` sweeps only when the spec does not predict
+    associativity, and then to the swept witness."""
+    K = field(p, n)
+    spec = spec_from_exponents(K, galois_subgroup(K, d), phi)
+    for build in (build_left, build_right):
+        Q = build(spec)
+        expected = (ref.check_vector_space(Q, spec.fixed), ref.associativity_witness(Q))
+        calls = _count_table_reads(monkeypatch)
+        answers = (check_vector_space(Q, spec.fixed), associativity_witness(Q))
+        assert calls == ([] if predicts_associative(spec) else ["_rows", "_associativity_sweep"])
+        assert answers == expected
+        monkeypatch.undo()
+
+
+def _fallbacks(Q, spec):
+    """(quasi-field, scalars) pairs that the build's proof does not cover:
+    the fixed field reordered or without its last element, the prime
+    field when it is smaller, and the opposite ring and a fresh copy with
+    the fixed field."""
+    prime = tuple(range(spec.field.p))
+    pairs = [(Q, spec.fixed[::-1]), (Q, spec.fixed[:-1]),
+             (opposite(Q), spec.fixed), (QuasiField(Q.q, Q.add_table, Q.mul_table), spec.fixed)]
+    if prime != spec.fixed:
+        pairs.append((Q, prime))
+    return pairs
+
+
+@pytest.mark.parametrize("p,n,d,phi", [(3, 2, 1, (0, 1)), (2, 4, 2, (0, 0, 1)),
+                                       (2, 4, 2, (0, 0, 0)), (5, 2, 1, (0, 1, 0, 1)),
+                                       (3, 4, 2, (0, 1, 0, 0, 0, 0, 0, 0))])
+def test_other_inputs_are_swept(monkeypatch, p, n, d, phi):
+    """Outside the proof, `check_vector_space` gives the reference's
+    verdict or `InputError` text and `associativity_witness` its witness,
+    each from a sweep of the tables."""
+    K = field(p, n)
+    spec = spec_from_exponents(K, galois_subgroup(K, d), phi)
+    for build in (build_left, build_right):
+        for Q, F in _fallbacks(build(spec), spec):
+            expected = _outcome(ref.check_vector_space, Q, F)
+            calls = _count_table_reads(monkeypatch)
+            assert _outcome(check_vector_space, Q, F) == expected
+            assert calls
+            monkeypatch.undo()
+            if Q.proof is None:
+                expected = ref.associativity_witness(Q)
+                calls = _count_table_reads(monkeypatch)
+                assert associativity_witness(Q) == expected
+                assert "_associativity_sweep" in calls
+                monkeypatch.undo()
 
 
 SWEEPS = ("_vw1_sweep", "_vw2_sweep", "_vw3_sweep", "_vw4_sweep", "_vw4r_sweep", "_vw5_sweep")

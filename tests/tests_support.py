@@ -1,7 +1,7 @@
 """Helpers shared by several test modules."""
 
 from affplane.plane import AffinePlane
-from affplane.quasifield import QuasiField, check_vw
+from affplane.quasifield import QuasiField, associativity_witness, check_vw
 from affplane.ternary import TernaryRing
 
 
@@ -9,6 +9,12 @@ def swept_report(Q):
     """`check_vw` of a fresh copy of Q's tables: every axiom swept, where
     an André build keeps a report its builder proved."""
     return check_vw(QuasiField(Q.q, Q.add_table, Q.mul_table))
+
+
+def swept_associativity_witness(Q):
+    """`associativity_witness` of a fresh copy of Q's tables: swept, where
+    an André build answers from the proof it keeps."""
+    return associativity_witness(QuasiField(Q.q, Q.add_table, Q.mul_table))
 
 
 def relabel_ring(T, perm):
