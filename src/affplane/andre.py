@@ -21,8 +21,8 @@ with VW5-r, so the right build is proved the same way.  Only the other
 distributive law (VW4-r for a left build, VW4 for a right one) is swept,
 to its first witness, so the kept report is the one `check_vw` would
 compute.  The proof needs the spec's alpha, image and fixed field to be
-those `spec_from_exponents` derives from its field, group and phi; each
-build derives them again, in O(q |G|), and rejects a spec that differs.
+those `spec_from_exponents` derives from its field, group and phi; a build
+derives them again for an unmarked spec, in O(q |G|), and rejects a change.
 
 Each build also keeps a `BuildProof` from its spec.  Over the fixed field
 F: in the left build each alpha_x fixes F, so x (*) a = x * a for a in
@@ -41,8 +41,8 @@ the right build is its opposite ring, associative exactly when it is.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 
 from .errors import InputError, SearchBoundExceeded
 from .gf import fixed_field, norm, norm_image
@@ -51,7 +51,7 @@ from .quasifield import BuildProof, QuasiField, keep_proved_report
 DEFAULT_ENUM_BOUND = 4096
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AndreSpec:
     """A (field, group, phi) triple with its cached norm data.
 
@@ -66,6 +66,8 @@ class AndreSpec:
     image: tuple  # norm image, ascending
     phi: tuple    # exponent per image element
     alpha: tuple  # length q, automorphism exponent per carrier element
+    # set by `spec_from_exponents`: image, fixed and alpha follow from the rest
+    derived: bool = dataclasses.field(init=False, default=False, compare=False)
 
     def __repr__(self):
         return (f"AndreSpec(q={self.field.q}, group_order={self.group.order}, "
@@ -88,9 +90,9 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
     needed: N(gx) = prod_h hg(x) = N(x), because h -> hg permutes G.
     """
     norms = [norm(K, G, x) for x in range(1, K.q)]
-    if fixed is None or image is None:
-        # `norm_image`, from the norms alpha needs anyway
-        fixed, image = fixed_field(K, G), tuple(sorted(set(norms)))
+    # `make_spec`, from the norms alpha needs; a spec given others is unmarked
+    derived = fixed_field(K, G), tuple(sorted(set(norms)))
+    fixed, image = derived if fixed is None or image is None else (fixed, image)
     exponents = tuple(exponents)
     if len(exponents) != len(image):
         raise InputError(
@@ -102,7 +104,9 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
         raise InputError("the first phi entry must be 0: phi(1) is the identity")
     index = {v: i for i, v in enumerate(image)}
     alpha = (0, *(exponents[index[v]] for v in norms))
-    return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, alpha)
+    spec = AndreSpec(K, G, tuple(fixed), tuple(image), exponents, alpha)
+    object.__setattr__(spec, "derived", (spec.fixed, spec.image) == derived)
+    return spec
 
 
 def enumerate_phi(K, G):
@@ -123,8 +127,8 @@ def _left_rows(spec):
     """K and the rows of the left multiplication: row x is K's row x
     read through alpha_x.  The spec must be the one `spec_from_exponents`
     derives from its field, group and phi, as the proof in the module
-    docstring needs."""
-    if spec_from_exponents(spec.field, spec.group, spec.phi) != spec:
+    docstring needs; one it did not return is derived again."""
+    if not spec.derived and spec_from_exponents(spec.field, spec.group, spec.phi) != spec:
         raise InputError("spec does not follow from its field, group and phi")
     K, perms, q = spec.field, spec.group.perms, spec.field.q
     return K, [tuple(map(K.mul_table[x * q:(x + 1) * q].__getitem__, perms[e]))

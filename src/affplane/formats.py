@@ -15,8 +15,8 @@ order so that write-then-read is byte-stable.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, compress, count, islice, repeat
-from operator import ge
+from contextlib import suppress
+from itertools import repeat
 
 from .errors import FormatError
 from .plane import AffinePlane
@@ -67,17 +67,12 @@ class _Cursor:
                               path=self.path, line_no=self.pos + 1)
 
 
-def _is_digits(text):
-    """True iff text is a non-empty run of ASCII digits.  `str.isdigit`
-    alone also takes other Unicode digits, some of which `int` rejects."""
-    return text.isascii() and text.isdigit()
-
-
 def _is_number(text):
-    """True iff text is a run of ASCII digits that `int` parses: `int`
-    rejects more digits than `sys.get_int_max_str_digits()` (0: no bound)."""
+    """True iff text is a run of ASCII digits that `int` parses: `isdigit`
+    alone takes other Unicode digits too, some of which `int` rejects, and
+    `int` rejects more than `sys.get_int_max_str_digits()` digits (0: none)."""
     limit = sys.get_int_max_str_digits()
-    return _is_digits(text) and not 0 < limit < len(text)
+    return text.isascii() and text.isdigit() and not 0 < limit < len(text)
 
 
 def _expect_magic(cur, magic):
@@ -108,19 +103,21 @@ def _expect_value(cur, q, what):
 
 
 def _expect_values(cur, count, q, what):
-    """The next `count` lines as values in 0..q-1, parsed as one block;
-    when the block is bad, `_expect_value` reads it line by line to name
-    the first bad line."""
+    """The next `count` lines as values in 0..q-1, parsed as one block
+    through a table of the forms `write_trs` gives them; when the block is
+    bad, `_expect_value` reads it line by line to name the first bad line."""
     block = cur.lines[cur.pos:cur.pos + count]
-    if len(block) == count and "" not in block and _is_digits("".join(block)):
-        try:
-            values = tuple(map(int, block))
-        except ValueError:  # a line longer than `int` takes
-            values = None
-        if values and max(values) < q:
+    if len(block) == count:  # so q <= count: the table costs no more than the file
+        with suppress(KeyError):  # a line that no writer gives
+            values = tuple(map(_tokens(q).__getitem__, block))
             cur.pos += count
             return values
     return tuple(_expect_value(cur, q, what) for _ in range(count))
+
+
+def _tokens(n):
+    """str(p) -> p for p in 0..n-1, as the writers give p; built per call."""
+    return dict(zip(map(str, range(n)), range(n)))
 
 
 def read_trs(path):
@@ -133,9 +130,8 @@ def read_trs(path):
 
 
 def write_trs(path, T):
-    lines = ["TRS 1", f"q {T.q}"]
-    lines.extend(map(str, T.table))
-    _write_lines(path, lines)
+    name = list(map(str, range(T.q))).__getitem__
+    _write_lines(path, ["TRS 1", f"q {T.q}", *map(name, T.table)])
 
 
 def read_qf(path):
@@ -149,32 +145,25 @@ def read_qf(path):
 
 
 def write_qf(path, Q):
-    lines = ["QF 1", f"q {Q.q}"]
-    lines.extend(map(str, Q.add_table))
-    lines.extend(map(str, Q.mul_table))
-    _write_lines(path, lines)
+    name = list(map(str, range(Q.q))).__getitem__
+    _write_lines(path, ["QF 1", f"q {Q.q}", *map(name, Q.add_table), *map(name, Q.mul_table)])
 
 
 def _point_block(block, n):
-    """The lines of an APLANE block as tuples of point indices, parsed as
-    one block, or None unless every line holds strictly increasing indices
-    below n in the decimal form `write_plane` gives them; the block is
-    then read line by line, which names the first bad line."""
-    tokens = " ".join(block).split(" ")
-    if n > len(tokens):  # the index below costs n; no plane is so sparse
-        return None
-    index = {str(p): p for p in range(n)}
-    try:
-        points = list(map(index.__getitem__, tokens))
-    except KeyError:
-        return None
-    sizes = [raw.count(" ") + 1 for raw in block]
-    # a point that is not above the one before it must start a line
-    starts = set(accumulate(sizes, initial=0))
-    if not set(compress(count(1), map(ge, points, islice(points, 1, None)))) <= starts:
-        return None
-    points = iter(points)
-    return [tuple(islice(points, size)) for size in sizes]
+    """The lines of an APLANE block as tuples of point indices, parsed line
+    by line through a table of the forms `write_plane` gives them, or None
+    unless every line holds strictly increasing indices below n; the block
+    is then read by `_expect_point_line`, which names the first bad line."""
+    if n > sum(map(str.count, block, repeat(" "))) + len(block):
+        return None  # the table costs n; no plane has fewer incidences
+    point = _tokens(n).__getitem__
+    with suppress(KeyError):  # a token that `write_plane` does not give
+        lines = [tuple(map(point, raw.split(" "))) for raw in block]
+        # strictly increasing: sorted, and no point repeated
+        if (list(map(list, lines)) == list(map(sorted, lines))
+                and list(map(len, map(set, lines))) == list(map(len, lines))):
+            return lines
+    return None
 
 
 def _expect_point_line(cur, n):
@@ -209,9 +198,9 @@ def read_plane(path):
 
 
 def write_plane(path, P):
-    lines = ["APLANE 1", f"points {P.n}", f"lines {len(P.lines)}"]
-    lines.extend(map(" ".join, map(map, repeat(str), P.lines)))
-    _write_lines(path, lines)
+    name = list(map(str, range(P.n))).__getitem__
+    _write_lines(path, ["APLANE 1", f"points {P.n}", f"lines {len(P.lines)}",
+                        *map(" ".join, map(map, repeat(name), P.lines))])
 
 
 def read_coll(path):
@@ -239,6 +228,6 @@ def read_coll(path):
 
 
 def write_coll(path, perm):
-    lines = ["COLL 1", f"points {len(perm)}"]
-    lines.extend(map("{} -> {}".format, count(), perm))
-    _write_lines(path, lines)
+    names = list(map(str, range(len(perm))))
+    _write_lines(path, ["COLL 1", f"points {len(perm)}",
+                        *map(" -> ".join, zip(names, map(names.__getitem__, perm)))])

@@ -4,10 +4,11 @@ Points are integers 0..n-1; lines are strictly increasing tuples of point
 indices, and the line list is sorted lexicographically so serialization
 is canonical.  Each line is also held as an int bitmask of its points
 (`masks`), and each point as the bitmask of the line indices through it
-(`through`), both built once in `from_lines`.  The parallel relation is
-built once per plane from them, and every incidence query reads these
-masks.  Planes built from a ternary ring of order q encode the point
-(x, y) as x*q + y.
+(`through`), both built once in `from_sorted_lines`, which trusts its
+lines: `from_lines` validates any, and `read_plane` and
+`plane_from_ternary` prove theirs.  The parallel relation is built once
+per plane from them, and every incidence query reads these masks.  Planes
+built from a ternary ring of order q encode the point (x, y) as x*q + y.
 
 Each plane is certified at most once.  `AffinePlane.certified` is set
 by `plane_from_ternary`, because the plane of a validated ternary ring
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from math import isqrt
 from operator import add, or_, xor
 
@@ -44,27 +45,25 @@ class AffinePlane:
 
     @classmethod
     def from_lines(cls, n, lines):
-        return cls.from_sorted_lines(n, tuple(sorted(map(tuple, map(sorted, lines)))))
+        """The plane of any lines on 0..n-1; the first bad line is named."""
+        lines = tuple(sorted(map(tuple, map(sorted, lines))))
+        for line in lines:
+            if line and (line[0] < 0 or line[-1] >= n):  # sorted
+                raise InputError("line contains an out-of-range point")
+            if len(set(line)) != len(line):
+                raise InputError("line contains a repeated point")
+        return cls.from_sorted_lines(n, lines)
 
     @classmethod
     def from_sorted_lines(cls, n, lines):
-        """`from_lines` for lines already in canonical order: each line a
-        sorted tuple, and the tuple of lines sorted.  `read_plane` and
-        `plane_from_ternary` produce that order, so nothing is sorted
-        again."""
-        points = list(chain.from_iterable(lines))
-        masks = ()
-        if not points or (min(points) >= 0 and max(points) < n):
-            bits = list(map(_BIT, range(n)))
-            masks = tuple(map(sum, map(map, repeat(bits.__getitem__), lines)))
-        # a sum of distinct powers of two has one bit per term; a repeated
-        # point carries, and leaves fewer bits than points
-        if list(map(int.bit_count, masks)) != list(map(len, lines)):
-            for line in lines:  # name the fault of the first bad line
-                if any(not 0 <= p < n for p in line):
-                    raise InputError("line contains an out-of-range point")
-                if len(set(line)) != len(line):
-                    raise InputError("line contains a repeated point")
+        """The plane of lines in canonical order, unchecked: each a strictly
+        increasing tuple of points in 0..n-1, and the lines sorted.  Callers
+        prove it.  `from_lines` sorts, then rejects bad points.  Both parse
+        paths of `read_plane` take the tokens 0..n-1 only, each line strictly
+        increasing, then reject unsorted lines.  `plane_from_ternary` sorts
+        its lines, x*q + y over increasing x with y in 0..q-1."""
+        bits = list(map(_BIT, range(n)))
+        masks = tuple(map(sum, map(map, repeat(bits.__getitem__), lines)))
         through = [0] * n
         for i, line in enumerate(lines):
             bit = 1 << i
@@ -88,9 +87,11 @@ class AffinePlane:
         """The partition of the line indices by the parallel relation, each
         class in increasing order and the classes by their first line; None
         when parallelism is not transitive."""
-        if next(_parallel_sweep(self), None) is not None:
+        members = _members(self)
+        # the lines with a mask lie in it, and fill it unless `_parallel_sweep` yields
+        if any(par.bit_count() != len(lines) for par, lines in members.items()):
             return None
-        return tuple(tuple(_bits(par)) for par in dict.fromkeys(self.parallel))
+        return tuple(map(tuple, members.values()))
 
     def __repr__(self):
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
@@ -102,8 +103,8 @@ def plane_from_ternary(T):
 
     T must be validated, and T3-T5 make the plane affine (T1 and T2 are
     not needed):
-    - The q^2 graphs are distinct lines: two with a != a' agree at one x
-      only (T4, and q >= 2), two with a = a', b != b' at none (T3).
+    - The lines are distinct, so the list repeats none: graphs with a != a'
+      meet at one x only (T4, and q >= 2), with a = a', b != b' at none (T3).
     - A1: two points over the same x lie on that vertical and on no graph,
       which has one point over each x; two over x != x' lie on no common
       vertical and on the graph of exactly one (a, b) (T5).
@@ -124,9 +125,9 @@ def plane_from_ternary(T):
     # the vertical x = x0, and the graph of (a, b): the column of b in the
     # block of a, x*q + <ax+b> over x, already increasing
     xq = range(0, qq, q)
-    lines = {tuple(range(x0, x0 + q)) for x0 in xq}
-    lines.update(tuple(map(add, xq, T.table[block + b:block + qq:q]))
-                 for block in range(0, q * qq, qq) for b in range(q))
+    lines = [tuple(range(x0, x0 + q)) for x0 in xq]
+    lines += (tuple(map(add, xq, T.table[block + b:block + qq:q]))
+              for block in range(0, q * qq, qq) for b in range(q))
     P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)))
     object.__setattr__(P, "certified", True)
     return P
@@ -213,12 +214,18 @@ def _a3_sweep(P):
     yield ()
 
 
+def _members(P):
+    """Per parallel mask, by first line, the lines that have it, in order."""
+    members = {}
+    for j, par in enumerate(P.parallel):
+        members.setdefault(par, []).append(j)
+    return members
+
+
 def _parallel_sweep(P):
     # parallelism (equal or disjoint) must be an equivalence relation: each
     # line parallel to i must have i's parallel mask
-    members = {}  # parallel mask -> the lines that have it
-    for j, par in enumerate(P.parallel):
-        members[par] = members.get(par, 0) | 1 << j
+    members = {par: sum(map(_BIT, lines)) for par, lines in _members(P).items()}
     for i, par in enumerate(P.parallel):
         for j in _bits(par & ~members[par]):
             yield (i, j)

@@ -1,12 +1,15 @@
+import random
 import sys
+from itertools import count
 
 import pytest
 
-from affplane import (canonical_frame, formats, from_field, make_field,
-                      plane_from_ternary, to_ternary)
+from affplane import (AffinePlane, canonical_frame, formats, from_field, make_field,
+                      opposite, plane_from_ternary, to_ternary)
 from affplane.cli import main
 from affplane.errors import FormatError
 from affplane.ternary import TernaryRing
+from test_witnesses import _plane_mutants
 
 
 @pytest.fixture
@@ -152,36 +155,124 @@ BAD_LINES = ["", "0", "9", "0 0", "1 0", "00 1 2", "0 01", "0  1", " 0 1",
              "0 1 \u00b2", "\u0663", "+1", "-1", "1_0", "0 1 2 3", "x 1"]
 
 
-def test_bulk_plane_reader_agrees_line_by_line(tmp_path, monkeypatch, p3):
+def _agree(monkeypatch, read, path, variants):
+    """Each variant written to path reads alike in bulk and line by line:
+    the same result, or the same message at the same line.  Returns the
+    outcomes seen, a message by its last part."""
+    outcomes = set()
+    for lines in variants:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        outcome = _outcome(read, path)
+        assert outcome == _line_by_line(monkeypatch, read, path)
+        outcomes.add(outcome[0] if outcome[0] == "returns" else outcome[1].split(": ")[-1])
+    return outcomes
+
+
+def _multi_digit(good, i):
+    """Line i of a file changed by each multi-digit fault: a leading zero
+    (`016` in the line y = 0 of order 16), the point 256, a repeated
+    point, two adjacent points swapped and a doubled space."""
+    t = good[i].split(" ")
+    changed = [[t[0], "0" + t[1], *t[2:]], [*t[:-1], "256"], [t[0], t[0], *t[2:]],
+               [t[1], t[0], *t[2:]], [t[0], "", *t[1:]]]
+    return [good[:i] + [" ".join(c)] + good[i + 1:] for c in changed]
+
+
+def test_bulk_plane_reader_agrees_line_by_line(tmp_path, monkeypatch, p3, andre16):
     """Every single-line change of an order-3 plane file, a lost line and
     a repeated line read alike in bulk and line by line: the same lines,
-    or the same message at the same line."""
+    or the same message at the same line.  So do multi-digit faults in
+    every 16th line of an order-16 plane file, from the line y = 0."""
     path = tmp_path / "p.aplane"
     formats.write_plane(path, p3)
     good = path.read_text().split("\n")[:-1]
     variants = [good[:-1], good + good[-1:]]
     for i in range(1, len(good)):
         variants += [good[:i] + [bad] + good[i + 1:] for bad in BAD_LINES]
-    outcomes = set()
-    for lines in variants:
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        outcome = _outcome(formats.read_plane, path)
-        assert outcome == _line_by_line(monkeypatch, formats.read_plane, path)
-        outcomes.add(outcome[0] if outcome[0] == "returns" else outcome[1].split(": ")[-1])
+    outcomes = _agree(monkeypatch, formats.read_plane, path, variants)
     assert "returns" in outcomes and len(outcomes) > 8
+    formats.write_plane(path, plane_from_ternary(to_ternary(andre16)))
+    good = path.read_text().split("\n")[:-1]
+    variants = [good[:-1], good + good[-1:]]
+    assert good[4].startswith("0 16 32 ")
+    for i in range(4, len(good), 16):
+        variants += _multi_digit(good, i)
+    outcomes = _agree(monkeypatch, formats.read_plane, path, variants)
+    assert {"returns", "point index out of range",
+            "point indices must be strictly increasing"} <= outcomes
 
 
-def test_bulk_table_reader_agrees_line_by_line(tmp_path, monkeypatch, t3):
+def test_bulk_table_reader_agrees_line_by_line(tmp_path, monkeypatch, t3, andre16):
+    """As for planes: single-line changes of an order-3 TRS file, and
+    multi-digit faults in every 256th value of an order-16 one (a leading
+    zero, the value 256, a value repeated, two adjacent values swapped
+    and a doubled space)."""
     path = tmp_path / "t.trs"
     formats.write_trs(path, t3)
     good = path.read_text().split("\n")[:-1]
     variants = [good[:-1], good + good[-1:]]
     for i in range(2, len(good)):
         variants += [good[:i] + [bad] + good[i + 1:] for bad in BAD_LINES + ["02", "3"]]
-    for lines in variants:
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        outcome = _outcome(lambda p: formats.read_trs(p).table, path)
-        assert outcome == _line_by_line(monkeypatch, lambda p: formats.read_trs(p).table, path)
+
+    def read(p):
+        return formats.read_trs(p).table
+
+    _agree(monkeypatch, read, path, variants)
+    formats.write_trs(path, to_ternary(andre16))
+    good = path.read_text().split("\n")[:-1]
+    variants = []
+    for i in range(2, len(good) - 1, 256):
+        v = good[i]
+        variants += [good[:i] + [bad] + good[i + 1:] for bad in ("0" + v, "256", f"{v}  {v}")]
+        variants += [good[:i] + [v, v] + good[i + 1:], good[:i] + [good[i + 1], v] + good[i + 2:]]
+    outcomes = _agree(monkeypatch, read, path, variants)
+    assert {"returns", "table value 256 out of range 0..15", "trailing content after table",
+            f"expected a table value, got `{good[2]}  {good[2]}`"} <= outcomes
+
+
+STR_FORMAT = {  # each writer's lines, formatted by `str` one value at a time
+    formats.write_trs: lambda T: ["TRS 1", f"q {T.q}", *map(str, T.table)],
+    formats.write_qf: lambda Q: ["QF 1", f"q {Q.q}", *map(str, Q.add_table),
+                                 *map(str, Q.mul_table)],
+    formats.write_plane: lambda P: ["APLANE 1", f"points {P.n}", f"lines {len(P.lines)}",
+                                    *(" ".join(map(str, line)) for line in P.lines)],
+    formats.write_coll: lambda perm: ["COLL 1", f"points {len(perm)}",
+                                      *map("{} -> {}".format, count(), perm)],
+}
+
+
+def test_writers_match_str_formatting(tmp_path, k16, andre9, andre16):
+    """Every writer's bytes equal `str` formatting on fields, André
+    quasi-fields and their opposites at orders 3 to 16, their rings and
+    planes, plane mutants, and permutations."""
+    fields = [from_field(make_field(3, 1)), from_field(k16)]
+    qfs = fields + [andre9, andre16, opposite(andre9), opposite(andre16)]
+    rings = list(map(to_ternary, qfs))
+    planes = list(map(plane_from_ternary, rings))
+    planes += [AffinePlane.from_lines(P.n, lines) for P in planes[-2:]
+               for lines in _plane_mutants(P, 1).values()]
+    perms = [(0,), (1, 0), tuple(range(255, -1, -1)),
+             tuple(random.Random(1).sample(range(256), 256))]
+    path = tmp_path / "out"
+    for write, items in ((formats.write_qf, qfs), (formats.write_trs, rings),
+                         (formats.write_plane, planes), (formats.write_coll, perms)):
+        for item in items:
+            write(path, item)
+            assert path.read_bytes() == "".join(
+                line + "\n" for line in STR_FORMAT[write](item)).encode()
+
+
+def test_built_and_read_planes_equal_from_lines(tmp_path, andre9_ring, andre16):
+    """`plane_from_ternary` and `read_plane` of its file trust their lines;
+    each gives the plane `from_lines` validates, masks and `through` alike."""
+    path = tmp_path / "p.aplane"
+    for T in (andre9_ring, to_ternary(andre16), to_ternary(opposite(andre16))):
+        P = plane_from_ternary(T)
+        formats.write_plane(path, P)
+        ref = AffinePlane.from_lines(P.n, (line[::-1] for line in reversed(P.lines)))
+        for built in (P, formats.read_plane(path)):
+            assert (built.lines, built.masks, built.through) == (ref.lines, ref.masks, ref.through)
+            assert built == ref
 
 
 def test_coll_rejects_non_permutation(tmp_path):

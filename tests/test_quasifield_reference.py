@@ -27,7 +27,7 @@ swept.
 """
 
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 
 import pytest
@@ -35,12 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasifield_reference as ref
-from affplane import (QuasiField, associativity_witness, build_left,
+from affplane import (AndreSpec, QuasiField, associativity_witness, build_left,
                       build_right, check_vector_space, check_vw,
                       enumerate_phi, fixed_field, from_field, galois_subgroup,
                       make_field, opposite, predicts_associative,
                       predicts_right_distributive, spec_from_exponents,
                       to_ternary)
+from affplane import andre
 from affplane import quasifield as qf
 from affplane.errors import InputError
 from tests_support import swept_report
@@ -349,6 +350,31 @@ def test_builds_reject_a_spec_that_does_not_follow_from_its_phi(andre9_spec, cha
     for build in (build_left, build_right):
         with pytest.raises(InputError, match="does not follow"):
             build(spec)
+
+
+def test_builds_derive_again_only_specs_not_marked_derived(andre9_spec, monkeypatch):
+    """`spec_from_exponents` marks its spec derived only with its own fixed
+    field and image, and a build derives no marked spec again.  A copy
+    built by hand or by `replace` is unmarked: derived again and built
+    alike when it follows, rejected when a field is wrong."""
+    K, G = andre9_spec.field, andre9_spec.group
+    given = {f.name: getattr(andre9_spec, f.name) for f in fields(AndreSpec) if f.init}
+    by_hand = AndreSpec(**given)
+    wrong = [AndreSpec(**{**given, "fixed": (0, 1)}),
+             spec_from_exponents(K, G, (0, 1), (0, 1), andre9_spec.image),
+             spec_from_exponents(K, G, (0, 1), andre9_spec.fixed, andre9_spec.image[::-1])]
+    assert andre9_spec.derived and not by_hand.derived and not replace(andre9_spec).derived
+    calls = []
+    monkeypatch.setattr(andre, "spec_from_exponents",
+                        lambda *args: calls.append(args) or spec_from_exponents(*args))
+    for build in (build_left, build_right):
+        calls.clear()
+        assert build(by_hand) == build(andre9_spec) and len(calls) == 1
+        for spec in wrong:
+            assert not spec.derived
+            with pytest.raises(InputError, match="^spec does not follow from its field, "
+                                                 "group and phi$"):
+                build(spec)
 
 
 def _swapped(Q, axis, u, v):
