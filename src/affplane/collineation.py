@@ -12,8 +12,8 @@ from operator import eq
 
 from .errors import InputError
 from .gf import make_field
-from .plane import (_BIT, _bits, intersection, line_through, parallel_classes,
-                    parallel_through, plane_from_ternary)
+from .plane import (_BIT, _bits, certify, intersection, line_through,
+                    parallel_classes, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
                          from_field, to_ternary)
 from .ternary import find_isomorphism
@@ -133,59 +133,44 @@ def translation_from_shift(Q, c, d):
 def _place_images(P, perm, c, c2, L, todo):
     """Fill perm at each point p of the mask todo with the meet of the
     parallel to line cp through c2 and the parallel to L through p (L
-    itself when p is on L), line by line through c; False where an
-    incidence query of that construction would fail: p on other than one
-    line with c, or a parallel or a meet that is not unique."""
-    through, masks = P.through, P.masks
-    along = P.parallel[L]
-    left = todo.bit_count()  # points still to place
+    itself when p is on L), line by line through c.  P is certified, so
+    every point but c lies on exactly one line through c, and each
+    parallel and meet is unique."""
+    through, masks, parallel = P.through, P.masks, P.parallel
+    along = parallel[L]
     for li in _bits(through[c]):
         points = masks[li] & todo
-        if not points:
-            continue
-        try:
-            image = masks[parallel_through(P, li, c2)]
-        except InputError:
-            return False
-        bit = 1 << li
-        for p in _bits(points):
-            # the parallels to L through p: L alone when p is on L, since
-            # a line parallel to L and other than L misses it
-            row = along & through[p]
-            if through[c] & through[p] != bit or row.bit_count() != 1:
-                return False
-            meet = image & masks[row.bit_length() - 1]
-            if meet.bit_count() != 1:
-                return False
-            perm[p] = meet.bit_length() - 1
-            left -= 1
-    return left == 0
+        if points:
+            # the parallel to li through c2: li itself when c2 is on it
+            image = masks[(parallel[li] & through[c2]).bit_length() - 1]
+            for p in _bits(points):
+                meet = image & masks[(along & through[p]).bit_length() - 1]
+                perm[p] = meet.bit_length() - 1
 
 
 def translation_candidate(P, z, z2):
     """The unique candidate translation taking z to z2, verified.
 
-    There is at most one translation with a given point image, so a
-    verification failure of the constructed map certifies that no such
-    translation exists.  Points off the trace line L = zz2 map through a
+    P is certified first (`plane.certify`), and rejected with its failing
+    axioms when it is no affine plane.  On an affine plane there is at
+    most one translation with a given point image, so a verification
+    failure of the constructed map certifies that no such translation
+    exists.  Points off the trace line L = zz2 map through a
     parallelogram on z; points on L map the same way through the
     smallest point off L, aux, and its image (the result never depends
-    on which point off L is used).  A failing incidence query means no
-    candidate, hence None.
+    on which point off L is used).
     """
     if z == z2:
         raise InputError("source and target must differ")
+    certify(P)
     L = line_through(P, z, z2)
     off_L = (1 << P.n) - 1 & ~P.masks[L]
-    if not off_L:
-        raise InputError("every point lies on the trace line")
-    aux = (off_L & -off_L).bit_length() - 1
+    aux = (off_L & -off_L).bit_length() - 1  # A3: some point is off L
 
     perm = [None] * P.n
     perm[z] = z2
-    if not (_place_images(P, perm, z, z2, L, off_L)
-            and _place_images(P, perm, aux, perm[aux], L, P.masks[L] & ~(1 << z))):
-        return None
+    _place_images(P, perm, z, z2, L, off_L)
+    _place_images(P, perm, aux, perm[aux], L, P.masks[L] & ~(1 << z))
     return is_translation(P, perm)
 
 

@@ -12,12 +12,16 @@ built from a ternary ring of order q encode the point (x, y) as x*q + y.
 
 Each plane is certified at most once.  `AffinePlane.certified` is set
 by `plane_from_ternary`, because the plane of a validated ternary ring
-is affine (proof in its docstring), and otherwise by the first
-`coordinatize` call, which sweeps `check_plane_axioms` once and raises
-with the failing axioms instead when the plane is broken.  The ring
-that `coordinatize` reads off a certified plane is validated without a
-sweep, because an affine plane's coordinate ring satisfies T1-T5 (proof
-in its docstring).  `check_plane_axioms` itself always sweeps.
+is affine (proof in its docstring), and otherwise by `certify`, which
+the first `coordinatize` or `collineation.translation_candidate` call
+makes: it runs `check_plane_axioms` once and raises with the failing
+axioms instead when the plane is broken.  The ring that `coordinatize`
+reads off a certified plane is validated without a sweep, because an
+affine plane's coordinate ring satisfies T1-T5 (proof in its
+docstring).  `check_plane_axioms` passes a plane whose line sizes, point
+degrees and parallel counts are those of an affine plane of order q
+without a sweep, since those counts prove every axiom (`_counts_hold`),
+and sweeps every other plane to name its witnesses.
 """
 
 from __future__ import annotations
@@ -231,17 +235,64 @@ def _parallel_sweep(P):
             yield (i, j)
 
 
+def _counts_hold(P):
+    """True iff n = q^2 for some q >= 2, every line has q points, every
+    point lies on q + 1 lines and every parallel mask holds q lines.
+
+    These counts make P an affine plane with transitive parallelism.
+    Counting incidences, the lines number m = n(q + 1)/q = q^2 + q.  Fix
+    a line l.  Its parallel mask holds l and q - 1 lines disjoint from
+    it, so m - q = q^2 lines meet l.  The incidences of a point of l
+    with a line other than l number q * q = q^2, and each of the q^2
+    lines that meet l has at least one, so each has exactly one: every
+    other line meets l in exactly one point (a repeated line, which would
+    meet l in q >= 2, is ruled out too).  Then:
+    - A1: two lines share at most one point, so the q + 1 lines through
+      a point p hold (q + 1)(q - 1) = n - 1 points other than p, each
+      once: every other point is joined to p by exactly one line.
+    - A2: for p off l, the q points of l are joined to p by q distinct
+      lines (two of them would meet l twice), so exactly one of the
+      q + 1 lines through p misses l.
+    - Transitivity: if l and k are both parallel to a line h and meet
+      at p, then p is off h (unless l or k is h) and l, k are two
+      parallels to h through p, against A2.
+    - A3: two points of a line (q >= 2) and a point off it (q < n) are
+      not collinear, since by A1 the line is the only one through the
+      first two.
+    """
+    q = isqrt(P.n)
+    return (q >= 2 and q * q == P.n
+            and set(map(len, P.lines)) <= {q}
+            and set(map(int.bit_count, P.through)) <= {q + 1}
+            and set(map(int.bit_count, P.parallel)) <= {q})
+
+
 def check_plane_axioms(P):
     """Exhaustive check of the three plane axioms plus transitivity of the
-    parallel relation; witnesses are lexicographically minimal.  A1 is
-    swept only when its count certificate (`_a1_holds`) fails."""
+    parallel relation; witnesses are lexicographically minimal.  A plane
+    whose counts hold (`_counts_hold`, which proves every axiom) passes
+    without a sweep; any other plane is swept, A1 only when its count
+    certificate (`_a1_holds`) fails."""
     report = AxiomReport(PLANE_AXIOMS)
+    if _counts_hold(P):
+        return report
     if not _a1_holds(P):
         report.record("A1", _a1_sweep(P))
     report.record("A2", _a2_sweep(P))
     report.record("A3", _a3_sweep(P))
     report.record("parallel-transitive", _parallel_sweep(P))
     return report
+
+
+def certify(P):
+    """Mark P certified, after one `check_plane_axioms` when it is not
+    yet; raise with the failing axioms instead when it is broken."""
+    if not P.certified:
+        report = check_plane_axioms(P)
+        if not report.all_pass:
+            failing = [k for k, ok in report.flags().items() if not ok]
+            raise InputError(f"plane axioms fail: {', '.join(failing)}")
+        object.__setattr__(P, "certified", True)
 
 
 def line_through(P, p1, p2):
@@ -354,8 +405,8 @@ def coordinatize(P, frame):
     y off the first axis's class, and slopes are taken once per parallel
     mask.
 
-    A plane not yet certified is swept once by `check_plane_axioms`, and
-    rejected with the failing axioms.  The ring of a certified plane is
+    A plane not yet certified is checked once by `certify`, and rejected
+    with the failing axioms.  The ring of a certified plane is
     returned validated, without a sweep, because it satisfies T1-T5.
     Proof: by A1, distinct lines share at most one point, so two lines
     that are not parallel (equal or disjoint) meet in exactly one point.
@@ -386,12 +437,7 @@ def coordinatize(P, frame):
       which is not vertical and so has one slope a and one (0, b).
     """
     _validate_frame(P, frame)
-    if not P.certified:
-        report = check_plane_axioms(P)
-        if not report.all_pass:
-            failing = [k for k, ok in report.flags().items() if not ok]
-            raise InputError(f"plane axioms fail: {', '.join(failing)}")
-        object.__setattr__(P, "certified", True)
+    certify(P)
     l, m = frame.l, frame.m
     origin = intersection(P, l, m)
     q = len(P.lines[l])

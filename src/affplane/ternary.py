@@ -22,6 +22,10 @@ Those sweeps decide T3 per b-row and T4 and T5 per pair of rows or
 columns, comparing whole rows, and count entry by entry only in a row or
 pair that fails, to name its witnesses.
 
+`find_isomorphism` forces a map's values and checks each full map by
+comparing T with U's rows pulled back through it, once per kind of row
+(`TernaryRing.row_kinds`).
+
 `find_isotopism` answers at once between a field ring and any other
 validated ring (the Desarguesian shortcut), and otherwise verifies only
 the candidates that pass a filter implied by the isotopism identity, b-row
@@ -31,8 +35,9 @@ by b-row; its docstring has both proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import add, itemgetter
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add, eq, itemgetter
 
 from .errors import InputError, SearchBoundExceeded
 
@@ -69,6 +74,22 @@ class TernaryRing:
     def at(self, a, x, b):
         """Unchecked lookup for hot loops."""
         return self.table[(a * self.q + x) * self.q + b]
+
+    @cached_property
+    def row_kinds(self):
+        """Per b-row j = a*q + x, the index of the row (1, <ax+0>) when
+        the two rows are equal, and j otherwise; row j and row
+        row_kinds[j] hold the same q values.  A linear ring's rows all
+        have one of the q kinds q..2q-1.  Each row is sliced, compared
+        and dropped in turn, so no more than one of the q^2 slices is
+        alive at a time."""
+        q, t = self.q, self.table
+        n = q ** 3
+        heads = t[::q]  # <ax+0> per row j
+        ones = [t[i:i + q] for i in range(q * q, 2 * q * q, q)]  # the rows (1, y)
+        rows = map(t.__getitem__, map(slice, range(0, n, q), range(q, n + q, q)))
+        same = map(eq, rows, map(ones.__getitem__, heads))
+        return tuple([q + y if s else j for j, y, s in zip(range(q * q), heads, same)])
 
     def __repr__(self):
         return f"TernaryRing(q={self.q}, validated={self.validated})"
@@ -234,9 +255,8 @@ def _is_linear(T):
     """True iff <ax+b> = <1<ax+0>+b> on all triples and <1y+0> = y."""
     q, t = T.q, T.table
     # the b-row of (a, x) must be the b-row of (1, <ax+0>)
-    rows = [t[(q + y) * q:(q + y + 1) * q] for y in range(q)]
-    return (all(row[0] == y for y, row in enumerate(rows))
-            and all(t[i:i + q] == rows[t[i]] for i in range(0, q ** 3, q)))
+    return (t[q * q:2 * q * q:q] == tuple(range(q))
+            and T.row_kinds == tuple(map(add, t[::q], repeat(q))))
 
 
 def validate(T):
@@ -287,24 +307,46 @@ def validate(T):
 # ---------------------------------------------------------------------------
 # isomorphisms
 
+def _pull_back(u, q, k, gather, unpull):
+    """Row k of the table u pulled back through σ: σ⁻¹ ∘ row ∘ σ, with
+    gather = itemgetter(*σ) and unpull the lookup of σ⁻¹."""
+    return tuple(map(unpull, gather(u[k * q:(k + 1) * q])))
+
+
 def isomorphism_failure(T, U, perm):
     """First failing triple of the isomorphism identity, or None.
 
-    Per (a, x), the b-row of T mapped through perm must equal U's b-row
-    at (perm(a), perm(x)) gathered at perm; single entries are read only
-    in a row that differs.  T is mapped one a-block of q^2 entries at a
-    time, so a map that fails early costs little of the q^3.
+    perm is a bijection σ of the carrier.  For such a σ, σ<ax+b>_T =
+    <σa σx σb>_U holds for all b exactly when T's b-row at (a, x) equals
+    U's b-row at (σa, σx) pulled back through σ, that is, σ⁻¹ ∘ row ∘ σ:
+    apply σ⁻¹ to both sides of the identity.  The two sides also differ
+    at the same b, so the first entry where T and the pull-back differ is
+    the first failing triple.  Rows with equal content have equal
+    pull-backs, so each of U's `row_kinds` is pulled back at most once,
+    when it is first needed, and a linear U (a field ring among them)
+    costs q pull-backs of q entries.  Each a-block of q^2 entries of T is
+    compared at once with the pulled rows of U at (σa, σx) over x, end to
+    end, and single entries are read only in a block that differs; a map
+    that fails in its first block costs O(q^2) of the q^3.
     """
     q, t, u = T.q, T.table, U.table
     qq = q * q
+    kinds = U.row_kinds
     gather = itemgetter(*perm)
+    inv = [0] * q
+    for v, w in enumerate(perm):
+        inv[w] = v
+    unpull = inv.__getitem__
+    pulled = {}  # kind -> its row pulled back through perm
     for a, pa in enumerate(perm):
-        image = tuple(map(perm.__getitem__, t[a * qq:(a + 1) * qq]))
-        for x, px in enumerate(perm):
-            i, j = x * q, (pa * q + px) * q
-            left, right = image[i:i + q], gather(u[j:j + q])
-            if left != right:
-                return (a, x, next(b for b in range(q) if left[b] != right[b]))
+        ks = gather(kinds[pa * q:(pa + 1) * q])
+        for k in set(ks).difference(pulled):
+            pulled[k] = _pull_back(u, q, k, gather, unpull)
+        left = t[a * qq:(a + 1) * qq]
+        right = tuple(chain.from_iterable(map(pulled.__getitem__, ks)))
+        if left != right:
+            i = next(i for i in range(qq) if left[i] != right[i])
+            return (a, i // q, i % q)
     return None
 
 
@@ -327,7 +369,10 @@ def find_isomorphism(T, U):
     of them is assigned, and its value is assigned in turn; a clash (two
     images for one element, or one image for two) ends the node.  At the
     fixpoint it branches on the least unassigned element, images in
-    increasing order, and verifies full maps with `isomorphism_failure`.
+    increasing order, and verifies full maps with `isomorphism_failure`,
+    which pulls each of U's `row_kinds` back through the map at most
+    once (q pull-backs when U is a field ring, whose index is built once
+    per ring) and compares T with the pulled rows one a-block at a time.
     - Forcing drops no extension: an isomorphism agreeing with a node's
       choices has each value they force, meets no clash and reaches its
       own leaf, which passes; an exhausted tree certifies "absent".

@@ -1,14 +1,39 @@
-"""Reference version of the isomorphism search.
+"""Reference versions of the isomorphism search and of its leaf check.
 
 `find_isomorphism` is the backtracking search that assigned 2..q-1 in
 carrier order, pruned with the triples over the elements assigned so far
-and verified every leaf on all q^3 triples.  It is kept only so that the
-tests can require `affplane.find_isomorphism` to return the same map (or
-None) on every input they give it.
+and verified every leaf on all q^3 triples.  `isomorphism_failure` is the
+leaf check that mapped T through the map and gathered each of U's rows,
+row by row.  Both are kept only so that the tests can require
+`affplane.find_isomorphism` to return the same map (or None), and
+`affplane.ternary.isomorphism_failure` the same triple (or None), on
+every input they give them.
 """
 
+from operator import itemgetter
+
 from affplane.errors import InputError, SearchBoundExceeded
-from affplane.ternary import isomorphism_failure
+
+def isomorphism_failure(T, U, perm):
+    """First failing triple of the isomorphism identity, or None.
+
+    Per (a, x), the b-row of T mapped through perm must equal U's b-row
+    at (perm(a), perm(x)) gathered at perm; single entries are read only
+    in a row that differs.  T is mapped one a-block of q^2 entries at a
+    time, so a map that fails early costs little of the q^3.
+    """
+    q, t, u = T.q, T.table, U.table
+    qq = q * q
+    gather = itemgetter(*perm)
+    for a, pa in enumerate(perm):
+        image = tuple(map(perm.__getitem__, t[a * qq:(a + 1) * qq]))
+        for x, px in enumerate(perm):
+            i, j = x * q, (pa * q + px) * q
+            left, right = image[i:i + q], gather(u[j:j + q])
+            if left != right:
+                return (a, x, next(b for b in range(q) if left[b] != right[b]))
+    return None
+
 
 # the backtracking search tries up to (q - 2)! maps: it is run at q <= 16
 SEARCH_BOUND = 16

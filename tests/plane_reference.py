@@ -10,7 +10,8 @@ and translations off whole parallel classes; this `coordinatize` ends in
 `validate` and, on a broken plane, raises at the first failing query.
 All are kept only so that the tests can require the faster versions to
 agree with them on every argument (on every certified plane, for
-`coordinatize`).
+`coordinatize`).  The reference translation certifies its plane with
+the full sweep, once per plane, before it builds a candidate.
 """
 
 import functools
@@ -252,11 +253,23 @@ def is_translation(P, perm):
                                   traces, fixed_free)
 
 
+@functools.lru_cache(maxsize=4)
+def _failing_axioms(P):
+    """The axioms the full sweep fails on P, swept once per plane."""
+    return [k for k, ok in check_plane_axioms(P).flags().items() if not ok]
+
+
 def translation_candidate(P, z, z2, aux=None):
     """`collineation.translation_candidate` built point by point from the
-    incidence queries, any `InputError` among them meaning "absent"."""
+    incidence queries, any `InputError` among them meaning "absent".  P
+    is certified first by the full sweep of `check_plane_axioms` above,
+    and rejected with its failing axioms, since "absent" is a
+    certificate only on an affine plane."""
     if z == z2:
         raise InputError("source and target must differ")
+    failing = _failing_axioms(P)
+    if failing:
+        raise InputError(f"plane axioms fail: {', '.join(failing)}")
     L = plane.line_through(P, z, z2)
     on_L = P.masks[L]
     if aux is None:

@@ -8,21 +8,32 @@ and absent.  It must also agree on single-entry corruptions of those
 rings, which only the checks can reject, and on Hypothesis tables of
 order <= 5.  Its leaf checks are counted, with no timing: a
 classification of an order-16 ring verifies at most one full map.
+
+The leaf check `ternary.isomorphism_failure` must return the same triple
+(or None) as `isomorphism_reference.isomorphism_failure` on random
+tables, relabelled and corrupted field rings and non-linear coordinate
+rings of the order-9 Hall and dual Hall planes, under isomorphisms and
+failing maps.  `TernaryRing.row_kinds` must name a row of equal content
+for every row, and its pull-backs are counted: each kind at most once
+per map, with the field ring's index built once.
 """
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isomorphism_reference as ref
-from affplane import (TernaryRing, build_left, classify_ternary,
-                      enumerate_phi, find_isomorphism, from_field,
-                      galois_subgroup, make_field, opposite, to_ternary)
-from affplane import ternary
-from tests_support import relabel_ring
+from affplane import (CoordinateFrame, TernaryRing, build_left,
+                      classify_ternary, coordinatize, enumerate_phi,
+                      find_isomorphism, from_field, galois_subgroup,
+                      make_field, opposite, plane_from_ternary,
+                      spec_from_exponents, to_ternary)
+from affplane import collineation, ternary
+from tests_support import moved_line_at_infinity, relabel_ring
 
 ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
           (11, 1), (13, 1), (2, 4)]
@@ -117,14 +128,19 @@ def _andre16_rings():
         yield to_ternary(opposite(Q))
 
 
+def _order16_rings():
+    """The 8 order-16 André rings and 8 seeded relabellings of GF(16)'s."""
+    field16 = to_ternary(from_field(make_field(2, 4)))
+    rng = random.Random(2)
+    rings = list(_andre16_rings())
+    return rings + [relabel_ring(field16, _relabelling(16, rng)) for _ in range(8)]
+
+
 def test_order16_classifications_verify_at_most_one_map(monkeypatch):
     """The 8 order-16 André rings, left and transposed, and seeded
     relabellings of the GF(16) ring: forcing leaves at most one full map
     to verify in each classification."""
-    field16 = to_ternary(from_field(make_field(2, 4)))
-    rng = random.Random(2)
-    rings = list(_andre16_rings())
-    rings += [relabel_ring(field16, _relabelling(16, rng)) for _ in range(8)]
+    rings = _order16_rings()
     assert len(rings) == 16
     calls = []
     failure = ternary.isomorphism_failure
@@ -180,3 +196,153 @@ def table_pairs(draw):
 @settings(max_examples=400, deadline=None)
 def test_hypothesis_tables_match_reference(pair):
     assert_agrees(*pair)
+
+
+# ---------------------------------------------------------------------------
+# the leaf check: U's rows pulled back through the map, one kind at a time
+
+def assert_failure_agrees(T, U, perm):
+    found = ternary.isomorphism_failure(T, U, perm)
+    assert found == ref.isomorphism_failure(T, U, perm)
+    return found
+
+
+def _failing_maps(q, rng, count):
+    return [[0, 1] + rng.sample(range(2, q), q - 2) for _ in range(count)]
+
+
+def test_leaf_check_on_random_tables_matches_the_reference():
+    """Random tables at q = 2..5 against their transports, corrupted
+    transports and independent tables, under the transporting map and
+    under random maps."""
+    rng = random.Random(5)
+    outcomes = set()
+    for q in (2, 3, 4, 5):
+        for _ in range(60):
+            T = TernaryRing(q, tuple(rng.randrange(q) for _ in range(q ** 3)))
+            perm = _relabelling(q, rng)
+            U = relabel_ring(T, perm)
+            others = [U, _corrupt(U, rng.randrange(q ** 3), rng),
+                      TernaryRing(q, tuple(rng.randrange(q) for _ in range(q ** 3)))]
+            for V in others:
+                for sigma in [perm] + _failing_maps(q, rng, 2):
+                    outcomes.add(assert_failure_agrees(T, V, sigma) is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
+def test_leaf_check_on_field_rings_matches_the_reference(p, n):
+    """Relabelled GF(16) and GF(27) rings, whole and with entries changed,
+    under the relabelling and under other maps."""
+    T = to_ternary(from_field(make_field(p, n)))
+    q = T.q
+    rng = random.Random(q)
+    for _ in range(6):
+        perm = _relabelling(q, rng)
+        U = relabel_ring(T, perm)
+        assert assert_failure_agrees(T, U, perm) is None
+        for i in rng.sample(range(q ** 3), 8):
+            assert assert_failure_agrees(T, _corrupt(U, i, rng), perm) is not None
+        for sigma in _failing_maps(q, rng, 4):
+            assert_failure_agrees(T, U, sigma)
+            assert_failure_agrees(U, T, sigma)
+
+
+def _nonlinear_hall_rings():
+    """Non-linear coordinate rings of the order-9 Hall plane and of its
+    dual.  The plane of the near-field is the Hall plane, a translation
+    plane, so every coordinate ring of it is a quasi-field's, and linear;
+    its projective completion with line 0 removed instead of the line at
+    infinity is a Hall plane too, without that property.  The plane of
+    the near-field's opposite is the dual Hall plane."""
+    K = make_field(3, 2)
+    near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
+    planes = [moved_line_at_infinity(plane_from_ternary(to_ternary(near)), 0),
+              plane_from_ternary(to_ternary(opposite(near)))]
+    rings = []
+    for P in planes:
+        for l in range(0, 90, 18):
+            m = next(m % 90 for m in range(l + 45, l + 135)
+                     if m % 90 != l and P.masks[l] & P.masks[m % 90])
+            on = P.masks[l] | P.masks[m]
+            z = max(z for z in range(P.n) if not on >> z & 1)
+            T = coordinatize(P, CoordinateFrame(l, m, z)).ring
+            if not ternary._is_linear(T):
+                rings.append(T)
+    return rings
+
+
+def test_leaf_check_on_nonlinear_hall_rings_matches_the_reference():
+    rings = _nonlinear_hall_rings()
+    assert len(rings) >= 8
+    rng = random.Random(9)
+    for T in rings:
+        perm = _relabelling(9, rng)
+        U = relabel_ring(T, perm)
+        assert assert_failure_agrees(T, U, perm) is None
+        assert assert_failure_agrees(T, _corrupt(U, rng.randrange(729), rng), perm)
+        for V in rng.sample(rings, 3):
+            for sigma in [perm] + _failing_maps(9, rng, 2):
+                assert_failure_agrees(T, V, sigma)
+
+
+def _assert_kinds(T):
+    q, kinds = T.q, T.row_kinds
+    rows = ternary._b_rows(T)
+    assert len(kinds) == q * q
+    for j, k in enumerate(kinds):
+        assert rows[k] == rows[j]
+        assert k == j or k == q + T.table[j * q]
+    return kinds
+
+
+def test_row_kinds_name_equal_rows():
+    """On random tables, on linear rings (field and André, and their
+    relabellings) and on coordinatized rings, linear or not."""
+    rng = random.Random(11)
+    for q in (2, 3, 4, 5):
+        for _ in range(20):
+            _assert_kinds(TernaryRing(q, tuple(rng.randrange(q) for _ in range(q ** 3))))
+    for p, n in ((2, 2), (3, 2), (2, 4), (3, 3)):
+        field = to_ternary(from_field(make_field(p, n)))
+        assert len(set(_assert_kinds(field))) == field.q
+        assert len(set(_assert_kinds(relabel_ring(field, _relabelling(field.q, rng))))) == field.q
+    for T in list(_andre16_rings()) + _nonlinear_hall_rings():
+        kinds = _assert_kinds(T)
+        assert (len(set(kinds)) == T.q) == ternary._is_linear(T)
+
+
+def test_classifications_pull_each_kind_back_once_per_map(monkeypatch):
+    """Over the order-16 classifications, the field ring's `row_kinds` is
+    built once, and each leaf check pulls each of its kinds back at most
+    once."""
+    rings = _order16_rings()
+    builds = []
+    build = TernaryRing.row_kinds.func
+
+    def counted_build(T):
+        builds.append(T)
+        return build(T)
+
+    kinds = cached_property(counted_build)
+    kinds.__set_name__(TernaryRing, "row_kinds")
+    monkeypatch.setattr(TernaryRing, "row_kinds", kinds)
+    pulls = []
+    pull_back = ternary._pull_back
+    failure = ternary.isomorphism_failure
+
+    def counted_pull(u, q, k, gather, unpull):
+        pulls[-1].append(k)
+        return pull_back(u, q, k, gather, unpull)
+
+    def leaf(*args):
+        pulls.append([])
+        return failure(*args)
+
+    monkeypatch.setattr(ternary, "_pull_back", counted_pull)
+    monkeypatch.setattr(ternary, "isomorphism_failure", leaf)
+    collineation._field_ring.cache_clear()
+    found = [classify_ternary(T).isomorphism is not None for T in rings]
+    assert sum(found) >= 8 and len(pulls) == sum(found)
+    assert len(builds) == 1 and builds[0] is collineation._field_ring(2, 4)
+    assert all(len(ks) == len(set(ks)) <= 16 for ks in pulls)

@@ -1,25 +1,35 @@
 """The bitmask plane layer agrees with the set-based reference loops.
 
-Every axiom flag and witness, the verdict of the A1 count certificate,
+Every axiom flag and witness, the verdicts of the plane count
+(`_counts_hold`, which passes exactly the planes the full sweep passes)
+and of the A1 count certificate,
 the full witness sequences of the A2 cover
 and the parallel sweep, the point-to-line index `through`, every parallel
 partition and every return value or raised `InputError` of
 `line_through`, `parallel_through` and `intersection`, on every argument,
-must match `plane_reference`.
+must match `plane_reference`.  The report and the plane count are also
+compared on re-read corpus planes up to order 16, which pass by count,
+and on their deleted, duplicated, moved-point and swapped mutants and on
+structures whose point count is not a square, which the sweeps reject.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plane_reference as ref
-from affplane import (AffinePlane, check_plane_axioms, intersection,
-                      line_through, parallel_classes, parallel_through)
+from affplane import (AffinePlane, build_left, check_plane_axioms,
+                      enumerate_phi, from_field, galois_subgroup,
+                      intersection, line_through, make_field, opposite,
+                      parallel_classes, parallel_through, plane_from_ternary,
+                      to_ternary)
 from affplane import plane
 from affplane.errors import InputError
-from test_witnesses import cases
+from test_witnesses import _plane_mutants, cases
+from tests_support import moved_line_at_infinity
 
 
 def _outcome(fn, *args):
@@ -29,10 +39,18 @@ def _outcome(fn, *args):
         return "raises", str(exc)
 
 
-def assert_agrees(P):
+def assert_sweep_agrees(P):
+    """The report and the plane count against the full sweep; returns
+    the reference report."""
     new, old = check_plane_axioms(P), ref.check_plane_axioms(P)
     assert new.flags() == old.flags()
     assert new.witnesses == old.witnesses
+    assert plane._counts_hold(P) == old.all_pass
+    return old
+
+
+def assert_agrees(P):
+    old = assert_sweep_agrees(P)
     assert plane._a1_holds(P) == old.passes("A1")
     sets = ref._sets(P)
     assert P.through == tuple(sum(1 << li for li in lines)
@@ -117,3 +135,70 @@ def test_a1_certificate_on_linear_spaces(P):
     """The certificate accepts every linear space, so the A1 sweep never
     runs on one, and rejects each broken copy with its sweep's witness."""
     assert_agrees(P)
+
+
+# ---------------------------------------------------------------------------
+# the plane count: it passes the corpus planes without a sweep, and every
+# mutant falls back to the sweeps with the reference's witnesses
+
+def _corpus_planes():
+    """Field planes of orders 2 to 9 and 16, the André planes of order 9
+    and one of order 16 and their transposes, and an order-9 Hall plane
+    with another line at infinity, each re-read from its lines."""
+    planes = [plane_from_ternary(to_ternary(from_field(make_field(p, n))))
+              for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                           (3, 2), (2, 4))]
+    for p, n, d in ((3, 2, 1), (2, 4, 2)):
+        K = make_field(p, n)
+        for spec in enumerate_phi(K, galois_subgroup(K, d))[-2:]:
+            Q = build_left(spec)
+            planes += [plane_from_ternary(to_ternary(R)) for R in (Q, opposite(Q))]
+    planes.append(moved_line_at_infinity(planes[6], 0))
+    return [AffinePlane.from_lines(P.n, P.lines) for P in planes]
+
+
+def _swapped(P, rng):
+    """P with a point of one line exchanged for a point of a line parallel
+    to it: every line keeps its size and every point its degree.  At
+    order 2 the new lines repeat two others."""
+    i = rng.randrange(len(P.lines))
+    j = rng.choice([j for j in plane._bits(P.parallel[i]) if j != i])
+    a, b = rng.choice(P.lines[i]), rng.choice(P.lines[j])
+    lines = list(map(set, P.lines))
+    lines[i] = lines[i] - {a} | {b}
+    lines[j] = lines[j] - {b} | {a}
+    return AffinePlane.from_lines(P.n, lines)
+
+
+def test_corpus_planes_pass_by_count():
+    for P in _corpus_planes():
+        assert assert_sweep_agrees(P).all_pass
+
+
+def test_mutants_fall_back_to_the_sweeps():
+    """Deleted, duplicated and moved-point lines, and two points swapped
+    between two lines, which only the parallel count rejects."""
+    rng = random.Random(22)
+    for seed, P in enumerate(_corpus_planes()):
+        q = len(P.lines[0])
+        if q == 16:
+            continue  # one reference sweep at order 16 takes about 0.6 s
+        for lines in _plane_mutants(P, seed).values():
+            assert not assert_sweep_agrees(AffinePlane.from_lines(P.n, lines)).all_pass
+        for _ in range(3):
+            M = _swapped(P, rng)
+            assert all(len(line) == q for line in M.lines)
+            assert all(mask.bit_count() == q + 1 for mask in M.through)
+            assert any(par.bit_count() != q for par in M.parallel)
+            assert not assert_sweep_agrees(M).all_pass
+
+
+def test_non_square_point_counts_fall_back_to_the_sweeps():
+    """The Fano plane (7 points, 3 on each line, 3 lines through each
+    point), the projective plane of order 3 on 13 points, and the
+    order-3 affine plane with an isolated point or a line removed."""
+    fano = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    pg3 = [tuple((i + d) % 13 for d in (0, 1, 3, 9)) for i in range(13)]
+    p3 = plane_from_ternary(to_ternary(from_field(make_field(3, 1))))
+    for n, lines in ((7, fano), (13, pg3), (10, p3.lines), (9, p3.lines[1:])):
+        assert not assert_sweep_agrees(AffinePlane.from_lines(n, lines)).all_pass

@@ -40,3 +40,17 @@ def table_plane(T):
     lines.update(tuple(x * q + T.at(a, x, b) for x in range(q))
                  for a in range(q) for b in range(q))
     return AffinePlane.from_lines(q * q, lines)
+
+
+def moved_line_at_infinity(P, l0):
+    """The affine plane left when the projective completion of P loses
+    its line l0 instead of the line at infinity: each parallel class adds
+    a point at infinity to its lines, and the line at infinity holds
+    those points."""
+    ends = {par: P.n + i for i, par in enumerate(dict.fromkeys(P.parallel))}
+    lines = [{*line, ends[par]} for line, par in zip(P.lines, P.parallel)]
+    lines.append(set(ends.values()))
+    removed = lines.pop(l0)
+    index = {p: i for i, p in enumerate(sorted(set(range(P.n + len(ends))) - removed))}
+    return AffinePlane.from_lines(len(index), [sorted(map(index.get, line - removed))
+                                               for line in lines])
