@@ -17,9 +17,8 @@ from .collineation import (ClassificationResult, Collineation,
                            translation_candidate, translation_from_shift)
 from .errors import (FormatError, InputError, InternalCheckError,
                      SearchBoundExceeded)
-from .gf import (FiniteField, GaloisGroup, field_arith, fixed_field,
-                 galois_subgroup, make_field, norm, norm_image,
-                 verify_field_tables)
+from .gf import (FiniteField, GaloisGroup, fixed_field, galois_subgroup,
+                 make_field, norm, norm_image, verify_field_tables)
 from .plane import (AffinePlane, CoordinateFrame, Coordinatization,
                     canonical_frame, check_plane_axioms, coordinatize,
                     intersection, isotopism_from_frames, line_through,
@@ -30,7 +29,7 @@ from .quasifield import (LEFT_AXIOMS, LINEAR_RING_AXIOMS, RIGHT_AXIOMS,
                          opposite, to_ternary)
 from .ternary import (AxiomReport, Isotopism, TernaryRing,
                       check_ternary_axioms, complete_isotopism,
-                      compose_isotopisms, find_isomorphism, find_isotopism,
-                      is_isomorphism, is_isotopism, validate)
+                      find_isomorphism, find_isotopism, is_isomorphism,
+                      is_isotopism, validate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -200,11 +200,11 @@ def _cmd_translate(args):
     if cert is None:
         print("absent")
     else:
+        if args.out:
+            formats.write_coll(args.out, cert.collineation.perm)
         print("found")
         print("trace classes: " + " ".join(str(c) for c in cert.trace_classes))
         print(f"fixed-point-free: {cert.fixed_point_free}")
-        if args.out:
-            formats.write_coll(args.out, cert.collineation.perm)
     return 0
 
 

@@ -191,13 +191,18 @@ def make_field(p, n):
     addition table and inv from the logs.  `verify_field_tables` then certifies every table in
     full.
     """
-    if not _is_prime(p):
-        raise InputError(f"p must be prime, got {p}")
     if n < 1:
         raise InputError(f"extension degree must be >= 1, got {n}")
+    # the bound before the prime test, which takes long on a huge p, and
+    # p^n built only below 2^24: p^n >= 2^(n(b - 1)) for p of b >= 2 bits,
+    # and 2^bit_length > the bound; an order of over 64 bits prints as p^n
+    if p > 1 and (n * (p.bit_length() - 1) >= DEFAULT_MAX_ORDER.bit_length()
+                  or p ** n > DEFAULT_MAX_ORDER):
+        order = p ** n if n * p.bit_length() <= 64 else f"{p}^{n}"
+        raise InputError(f"order {order} exceeds the configured bound {DEFAULT_MAX_ORDER}")
+    if not _is_prime(p):
+        raise InputError(f"p must be prime, got {p}")
     q = p ** n
-    if q > DEFAULT_MAX_ORDER:
-        raise InputError(f"order {q} exceeds the configured bound {DEFAULT_MAX_ORDER}")
 
     modulus = smallest_irreducible(p, n)
     add = tuple(itertools.chain.from_iterable(_addition_rows(p, q)))
@@ -320,27 +325,6 @@ def verify_field_tables(K):
         if list(map(row.__getitem__, succ)) != list(map(plus_a.__getitem__, row)):
             x = next(x for x in range(q) if row[succ[x]] != plus_a[row[x]])
             raise InternalCheckError(f"distributivity fails at ({a},{x},1)")
-
-
-def field_arith(K, op, a, b=None):
-    """One field operation with its operands range-checked: the checked
-    public entry point, exported from `affplane`, to the unchecked
-    `FiniteField` methods."""
-    if not 0 <= a < K.q or (b is not None and not 0 <= b < K.q):
-        raise InputError(f"operand out of range for GF({K.q})")
-    if op == "add":
-        if b is None:
-            raise InputError("add needs two operands")
-        return K.add(a, b)
-    if op == "mul":
-        if b is None:
-            raise InputError("mul needs two operands")
-        return K.mul(a, b)
-    if op == "neg":
-        return K.neg(a)
-    if op == "inv":
-        return K.inv(a)
-    raise InputError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

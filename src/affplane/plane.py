@@ -10,23 +10,24 @@ lines: `from_lines` validates any, and `read_plane` and
 per plane from them, and every incidence query reads these masks.  Planes
 built from a ternary ring of order q encode the point (x, y) as x*q + y.
 
-Each plane is certified at most once.  `AffinePlane.certified` is set
-by `plane_from_ternary`, because the plane of a validated ternary ring
-is affine (proof in its docstring), and otherwise by `certify`, which
-the first `coordinatize` or `collineation.translation_candidate` call
-makes: it runs `check_plane_axioms` once and raises with the failing
-axioms instead when the plane is broken.  The ring that `coordinatize`
+A plane is certified by `check_plane_axioms` on every call, and nothing
+of the verdict is kept on the plane.  `certify`, which every
+`coordinatize` and `collineation.translation_candidate` call makes,
+runs it and raises with the failing axioms when the plane is broken.
+It passes a plane whose line sizes, point degrees and parallel counts
+are those of an affine plane of order q without a sweep, since those
+counts prove every axiom (`_counts_hold`, about 35 us at q = 16), and
+sweeps every other plane to name its witnesses.  The plane
+`plane_from_ternary` builds from a validated ring is affine (proof in
+its docstring), so it passes by count.  The ring that `coordinatize`
 reads off a certified plane is validated without a sweep, because an
 affine plane's coordinate ring satisfies T1-T5 (proof in its
-docstring).  `check_plane_axioms` passes a plane whose line sizes, point
-degrees and parallel counts are those of an affine plane of order q
-without a sweep, since those counts prove every axiom (`_counts_hold`),
-and sweeps every other plane to name its witnesses.
+docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from math import isqrt
@@ -44,8 +45,6 @@ class AffinePlane:
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
     masks: tuple  # per line, the int bitmask of its points
     through: tuple  # per point, the int bitmask of its line indices
-    # A1-A3 and transitive parallelism are known to hold (module docstring)
-    certified: bool = field(init=False, default=False, compare=False)
 
     @classmethod
     def from_lines(cls, n, lines):
@@ -65,9 +64,13 @@ class AffinePlane:
         prove it.  `from_lines` sorts, then rejects bad points.  Both parse
         paths of `read_plane` take the tokens 0..n-1 only, each line strictly
         increasing, then reject unsorted lines.  `plane_from_ternary` sorts
-        its lines, x*q + y over increasing x with y in 0..q-1."""
-        bits = list(map(_BIT, range(n)))
-        masks = tuple(map(sum, map(map, repeat(bits.__getitem__), lines)))
+        its lines, x*q + y over increasing x with y in 0..q-1.  The table of
+        the n point bits, which holds about n^2/16 bytes, is built only
+        when it costs no more than the incidences it serves, as in
+        `formats._point_block`; otherwise each incidence is shifted."""
+        point_bit = (list(map(_BIT, range(n))).__getitem__ if n <= sum(map(len, lines))
+                     else _BIT)
+        masks = tuple(map(sum, map(map, repeat(point_bit), lines)))
         through = [0] * n
         for i, line in enumerate(lines):
             bit = 1 << i
@@ -103,7 +106,7 @@ class AffinePlane:
 
 def plane_from_ternary(T):
     """The plane on q^2 points with verticals x = x0 and graphs y = <ax+b>,
-    certified without a sweep.
+    which `check_plane_axioms` passes by count.
 
     T must be validated, and T3-T5 make the plane affine (T1 and T2 are
     not needed):
@@ -132,9 +135,7 @@ def plane_from_ternary(T):
     lines = [tuple(range(x0, x0 + q)) for x0 in xq]
     lines += (tuple(map(add, xq, T.table[block + b:block + qq:q]))
               for block in range(0, q * qq, qq) for b in range(q))
-    P = AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)))
-    object.__setattr__(P, "certified", True)
-    return P
+    return AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)))
 
 
 PLANE_AXIOMS = ("A1", "A2", "A3", "parallel-transitive")
@@ -146,33 +147,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _a1_holds(P):
-    """True iff A1 holds, decided by two counts in O(incidences) big-int
-    additions; `_a1_sweep` names the witnesses when it fails.
-
-    - For each line l, sum(through[p] for p in l) equals
-      (every ^ parallel[l]) + (len(l) << l), with every the mask of all
-      the lines.  The sum is, over the lines m, |l & m| times bit m, and
-      every ^ parallel[l] holds bit m once for each m != l that meets l;
-      bit l is len(l) times on both sides.  The difference is a sum of
-      (|l & m| - 1) times bit m over those m, with no negative term, so
-      it is 0 exactly when every other line meets l in at most one point.
-    - Sum of C(len(l), 2) over the lines equals C(n, 2).  When no two
-      lines share two points, each pair of points lies on at most one
-      line, so the left side counts the pairs on a line once each, and
-      they are all the pairs exactly when it equals the right.
-    Together: every pair on exactly one line, which is A1; and A1 makes
-    both hold.
-    """
-    n, lines = P.n, P.lines
-    if sum(len(line) * (len(line) - 1) for line in lines) != n * (n - 1):
-        return False
-    every = (1 << len(lines)) - 1
-    through = P.through.__getitem__
-    return all(sum(map(through, line)) == (every ^ par) + (len(line) << li)
-               for li, (line, par) in enumerate(zip(lines, P.parallel)))
 
 
 def _a1_sweep(P):
@@ -271,13 +245,11 @@ def check_plane_axioms(P):
     """Exhaustive check of the three plane axioms plus transitivity of the
     parallel relation; witnesses are lexicographically minimal.  A plane
     whose counts hold (`_counts_hold`, which proves every axiom) passes
-    without a sweep; any other plane is swept, A1 only when its count
-    certificate (`_a1_holds`) fails."""
+    without a sweep; any other plane is swept."""
     report = AxiomReport(PLANE_AXIOMS)
     if _counts_hold(P):
         return report
-    if not _a1_holds(P):
-        report.record("A1", _a1_sweep(P))
+    report.record("A1", _a1_sweep(P))
     report.record("A2", _a2_sweep(P))
     report.record("A3", _a3_sweep(P))
     report.record("parallel-transitive", _parallel_sweep(P))
@@ -285,14 +257,11 @@ def check_plane_axioms(P):
 
 
 def certify(P):
-    """Mark P certified, after one `check_plane_axioms` when it is not
-    yet; raise with the failing axioms instead when it is broken."""
-    if not P.certified:
-        report = check_plane_axioms(P)
-        if not report.all_pass:
-            failing = [k for k, ok in report.flags().items() if not ok]
-            raise InputError(f"plane axioms fail: {', '.join(failing)}")
-        object.__setattr__(P, "certified", True)
+    """Raise with the failing axioms unless `check_plane_axioms` passes P."""
+    report = check_plane_axioms(P)
+    if not report.all_pass:
+        failing = [k for k, ok in report.flags().items() if not ok]
+        raise InputError(f"plane axioms fail: {', '.join(failing)}")
 
 
 def line_through(P, p1, p2):
@@ -405,8 +374,9 @@ def coordinatize(P, frame):
     y off the first axis's class, and slopes are taken once per parallel
     mask.
 
-    A plane not yet certified is checked once by `certify`, and rejected
-    with the failing axioms.  The ring of a certified plane is
+    The plane is checked by `certify`, and rejected with the failing
+    axioms; the count that passes an affine plane costs O(incidences).
+    The ring of a certified plane is
     returned validated, without a sweep, because it satisfies T1-T5.
     Proof: by A1, distinct lines share at most one point, so two lines
     that are not parallel (equal or disjoint) meet in exactly one point.

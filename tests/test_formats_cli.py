@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import count
 
 import pytest
@@ -374,6 +375,22 @@ def test_cli_translate(tmp_path, capsys, t3):
     assert perm[0] == 4
 
 
+def test_cli_translate_writes_before_it_prints(tmp_path, capsys, k9):
+    """An --out path that cannot be written exits 2 with nothing on
+    stdout, though the translation exists."""
+    trs, plane = tmp_path / "f9.trs", tmp_path / "f9.aplane"
+    formats.write_trs(trs, to_ternary(from_field(k9)))
+    assert main(["plane", "build", str(trs), "--out", str(plane)]) == 0
+    capsys.readouterr()
+    args = ["translate", str(plane), "--from", "0", "--to", "80", "--out"]
+    assert main(args + [str(tmp_path / "missing" / "x.coll")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert main(args + [str(tmp_path / "x.coll")]) == 0
+    assert capsys.readouterr().out.startswith("found\n")
+
+
 def test_cli_translate_on_single_line_plane_exits_two(tmp_path, capsys):
     plane = tmp_path / "line.aplane"
     plane.write_text("APLANE 1\npoints 3\nlines 1\n0 1 2\n")
@@ -409,6 +426,39 @@ def test_cli_gf_deterministic(capsys):
     assert main(["gf", "--p", "3", "--n", "2"]) == 0
     assert capsys.readouterr().out == first
     assert "modulus: 1 0 1" in first
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["gf", "--p", "2", "--n", "100000"], "2^100000"),  # 30,103 digits
+    (["gf", "--p", "3", "--n", "3000"], "3^3000"),  # 1,432 digits
+    # a prime that trial division takes long on
+    (["gf", "--p", "1000000000000000003", "--n", "1"], "1000000000000000003"),
+    (["andre", "--p", "2", "--n", "100000", "--subfield-deg", "1", "--phi", "0",
+      "--out", "never-written.qf"], "2^100000"),
+])
+def test_cli_orders_far_above_the_bound_exit_two(capsys, argv, order):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {order} exceeds the configured bound 2048\n"
+
+
+def test_a_large_points_header_builds_no_table_of_point_bits(tmp_path, capsys):
+    """A million points and one line of two: a table of the points' bits
+    would hold about n^2/16 bytes, 62 GB.  The largest allocation left is
+    the per-point index `through`, 8 MB as a list and 8 MB as its tuple."""
+    path = tmp_path / "sparse.aplane"
+    path.write_text("APLANE 1\npoints 1000000\nlines 1\n0 999999\n")
+    tracemalloc.start()
+    try:
+        P = formats.read_plane(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.masks == (1 | 1 << 999999,) and P.through[999999] == 1
+    assert peak < 24 * 2 ** 20
+    assert main(["check", "plane", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("A1: FAIL at (0, 1)\n")
 
 
 def test_cli_repeat_invocations_byte_identical(tmp_path):

@@ -42,9 +42,7 @@ def _outcome(fn, *args, **kwargs):
 
 def assert_coordinatize_agrees(P, frame):
     new = _outcome(coordinatize, P, frame)
-    # still uncertified: a broken plane, or a frame rejected before the sweep
-    failing = [] if P.certified else [
-        k for k, ok in check_plane_axioms(P).flags().items() if not ok]
+    failing = [k for k, ok in check_plane_axioms(P).flags().items() if not ok]
     if failing and _outcome(plane._validate_frame, P, frame)[0] == "returns":
         assert new == ("raises", f"plane axioms fail: {', '.join(failing)}")
         return new

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from affplane import gf
 from affplane.errors import InputError
-from affplane.gf import (FiniteField, field_arith, fixed_field,
-                         galois_subgroup, is_irreducible, make_field, norm,
-                         norm_image, smallest_irreducible,
-                         verify_field_tables)
+from affplane.gf import (FiniteField, fixed_field, galois_subgroup,
+                         is_irreducible, make_field, norm, norm_image,
+                         smallest_irreducible, verify_field_tables)
 
 FIELD_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3)]
@@ -105,26 +104,27 @@ def test_order_above_the_bound_is_rejected_before_any_build(monkeypatch):
         make_field(2, 12)
 
 
+@pytest.mark.parametrize("p, n, order", [
+    (2, 100000, "2^100000"),  # 30,103 digits: more than `str` gives
+    (3, 3000, "3^3000"),
+    (10 ** 18 + 3, 1, str(10 ** 18 + 3)),  # a prime that trial division takes long on
+    (4, 7, "16384"),
+])
+def test_order_bound_comes_before_the_prime_test(monkeypatch, p, n, order):
+    def no_test(p):
+        raise AssertionError("make_field tested a p above its bound")
+
+    monkeypatch.setattr(gf, "_is_prime", no_test)
+    with pytest.raises(InputError) as exc:
+        make_field(p, n)
+    assert str(exc.value) == f"order {order} exceeds the configured bound 2048"
+
+
 def test_generator_spans_nonzero(k9):
     assert sorted(k9.exp_table) == list(range(1, 9))
     assert k9.log_table[0] == -1
     for i, v in enumerate(k9.exp_table):
         assert k9.log_table[v] == i
-
-
-def test_field_arith_dispatch(k9):
-    assert field_arith(k9, "add", 3, 4) == k9.add(3, 4)
-    assert field_arith(k9, "mul", 3, 3) == 2
-    assert field_arith(k9, "neg", 3) == k9.neg(3)
-    assert field_arith(k9, "inv", 3) == 6
-    with pytest.raises(InputError):
-        field_arith(k9, "inv", 0)
-    with pytest.raises(InputError):
-        field_arith(k9, "mul", 3)
-    with pytest.raises(InputError):
-        field_arith(k9, "add", 11, 1)
-    with pytest.raises(InputError):
-        field_arith(k9, "frob", 1)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -9,8 +9,9 @@ rings, which only the checks can reject, and on Hypothesis tables of
 order <= 5.  Its leaf checks are counted, with no timing: a
 classification of an order-16 ring verifies at most one full map.
 
-The leaf check `ternary.isomorphism_failure` must return the same triple
-(or None) as `isomorphism_reference.isomorphism_failure` on random
+The leaf check `ternary.isotopism_failure`, with F = G = H = the map,
+must return the same triple (or None) as
+`isomorphism_reference.isomorphism_failure` on random
 tables, relabelled and corrupted field rings and non-linear coordinate
 rings of the order-9 Hall and dual Hall planes, under isomorphisms and
 failing maps.  `TernaryRing.row_kinds` must name a row of equal content
@@ -105,13 +106,13 @@ def test_corruptions_forcing_misses_are_rejected_at_the_leaf(monkeypatch):
     rng = random.Random(16)
     U = relabel_ring(T, _relabelling(16, rng))
     failures = []
-    failure = ternary.isomorphism_failure
+    failure = ternary.isotopism_failure
 
     def record(*args):
         failures.append(failure(*args))
         return failures[-1]
 
-    monkeypatch.setattr(ternary, "isomorphism_failure", record)
+    monkeypatch.setattr(ternary, "isotopism_failure", record)
     at_leaf = 0
     for i in rng.sample(range(16 ** 3), 60):
         del failures[:]
@@ -143,13 +144,13 @@ def test_order16_classifications_verify_at_most_one_map(monkeypatch):
     rings = _order16_rings()
     assert len(rings) == 16
     calls = []
-    failure = ternary.isomorphism_failure
+    failure = ternary.isotopism_failure
 
     def count(*args):
         calls.append(args)
         return failure(*args)
 
-    monkeypatch.setattr(ternary, "isomorphism_failure", count)
+    monkeypatch.setattr(ternary, "isotopism_failure", count)
     for T in rings:
         del calls[:]
         result = classify_ternary(T)
@@ -202,7 +203,7 @@ def test_hypothesis_tables_match_reference(pair):
 # the leaf check: U's rows pulled back through the map, one kind at a time
 
 def assert_failure_agrees(T, U, perm):
-    found = ternary.isomorphism_failure(T, U, perm)
+    found = ternary.isotopism_failure(T, U, perm, perm, perm)
     assert found == ref.isomorphism_failure(T, U, perm)
     return found
 
@@ -329,7 +330,7 @@ def test_classifications_pull_each_kind_back_once_per_map(monkeypatch):
     monkeypatch.setattr(TernaryRing, "row_kinds", kinds)
     pulls = []
     pull_back = ternary._pull_back
-    failure = ternary.isomorphism_failure
+    failure = ternary.isotopism_failure
 
     def counted_pull(u, q, k, gather, unpull):
         pulls[-1].append(k)
@@ -340,7 +341,7 @@ def test_classifications_pull_each_kind_back_once_per_map(monkeypatch):
         return failure(*args)
 
     monkeypatch.setattr(ternary, "_pull_back", counted_pull)
-    monkeypatch.setattr(ternary, "isomorphism_failure", leaf)
+    monkeypatch.setattr(ternary, "isotopism_failure", leaf)
     collineation._field_ring.cache_clear()
     found = [classify_ternary(T).isomorphism is not None for T in rings]
     assert sum(found) >= 8 and len(pulls) == sum(found)

@@ -251,17 +251,20 @@ def test_rebuilt_plane_matches(andre9_plane):
 
 
 # ---------------------------------------------------------------------------
-# certification: each plane swept at most once
+# certification: an affine plane passes by count, with no sweep
+
+SWEEPS = ("_a1_sweep", "_a2_sweep", "_a3_sweep", "_parallel_sweep")
+
 
 def _counted_sweeps(monkeypatch):
+    """The names of the A1, A2, A3 and parallel sweeps, one per run."""
     calls = []
-    sweep = plane.check_plane_axioms
+    for name in SWEEPS:
+        def counted(P, sweep=getattr(plane, name), name=name):
+            calls.append(name)
+            return sweep(P)
 
-    def counted(P):
-        calls.append(P)
-        return sweep(P)
-
-    monkeypatch.setattr(plane, "check_plane_axioms", counted)
+        monkeypatch.setattr(plane, name, counted)
     return calls
 
 
@@ -280,26 +283,34 @@ def _frames(P, count):
     return out
 
 
-def test_a_read_plane_is_swept_once(monkeypatch, andre9_plane):
-    calls = _counted_sweeps(monkeypatch)
-    P = AffinePlane.from_lines(andre9_plane.n, andre9_plane.lines)
-    assert not P.certified
+def _certify_everywhere(P):
+    """Coordinatize P at 5 frames, read an isotopism off two frames that
+    share both axes, look for a translation and check the axioms; the
+    rings come back validated."""
     frames = _frames(P, 5)
     rings = [coordinatize(P, frame).ring for frame in frames]
     l, m = frames[0].l, frames[0].m
     z2 = next(z for z in range(frames[0].z + 1, P.n)
               if not (P.masks[l] | P.masks[m]) >> z & 1)
     isotopism_from_frames(P, frames[0], CoordinateFrame(l, m, z2))
-    assert calls == [P] and P.certified
+    translation_candidate(P, 0, 1)
+    assert check_plane_axioms(P).all_pass
     assert all(ring.validated for ring in rings)
+
+
+def test_a_read_plane_is_never_swept(monkeypatch, andre9_plane):
+    calls = _counted_sweeps(monkeypatch)
+    P = AffinePlane.from_lines(andre9_plane.n, andre9_plane.lines)
+    _certify_everywhere(P)
+    assert calls == []
+    # the hooks see a sweep: a plane with a line deleted runs all four
+    check_plane_axioms(AffinePlane.from_lines(P.n, P.lines[1:]))
+    assert calls == list(SWEEPS)
 
 
 def test_a_built_plane_is_never_swept(monkeypatch, andre9_ring):
     calls = _counted_sweeps(monkeypatch)
-    P = plane_from_ternary(andre9_ring)
-    assert P.certified
-    for frame in _frames(P, 5):
-        coordinatize(P, frame)
+    _certify_everywhere(plane_from_ternary(andre9_ring))
     assert calls == []
 
 
@@ -316,4 +327,3 @@ def test_mutants_name_their_failing_axioms(seed, p3, andre9_plane, andre16):
                 with pytest.raises(InputError) as exc:
                     coordinatize(M, frame)
                 assert str(exc.value) == f"plane axioms fail: {', '.join(failing)}"
-            assert not M.certified

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from affplane import (LINEAR_RING_AXIOMS, CoordinateFrame, Isotopism,
                       TernaryRing, associativity_witness, build_left,
                       check_ternary_axioms, check_vw, classify_ternary,
-                      complete_isotopism, compose_isotopisms, coordinatize,
+                      canonical_frame, complete_isotopism, coordinatize,
                       enumerate_phi, find_isomorphism, find_isotopism,
                       from_field, from_ternary, galois_subgroup,
-                      is_isomorphism, is_isotopism, make_field, opposite,
-                      plane_from_ternary, spec_from_exponents, to_ternary,
-                      validate)
+                      is_isomorphism, is_isotopism, isotopism_from_frames,
+                      make_field, opposite, plane_from_ternary,
+                      spec_from_exponents, to_ternary, validate)
 from affplane import quasifield, ternary
 from affplane.errors import InputError, SearchBoundExceeded
-from affplane.ternary import isomorphism_failure
+from affplane.ternary import isotopism_failure
 from test_witnesses import cases as witness_cases
 import ternary_reference
 
@@ -171,14 +171,15 @@ def test_find_isomorphism_verifies_every_leaf():
 
 
 def test_isomorphism_failure_is_the_first_failing_triple():
-    """The row-level check returns the first (a, x, b) of the definition."""
+    """The row-level check, with F = G = H = the map, returns the first
+    (a, x, b) of the definition of an isomorphism."""
     rng = random.Random(7)
     for q in (2, 3, 4, 5):
         for _ in range(100):
             T = TernaryRing(q, tuple(rng.randrange(q) for _ in range(q ** 3)))
             perm = [0, 1] + rng.sample(range(2, q), q - 2)
             U = relabel(T, perm)
-            assert isomorphism_failure(T, U, perm) is None
+            assert isotopism_failure(T, U, perm, perm, perm) is None
             table = list(U.table)
             for _ in range(rng.randrange(1, 4)):
                 table[rng.randrange(q ** 3)] = rng.randrange(q)
@@ -187,7 +188,7 @@ def test_isomorphism_failure_is_the_first_failing_triple():
                           for b in range(q)
                           if perm[T.at(a, x, b)] != U.at(perm[a], perm[x], perm[b])),
                          None)
-            assert isomorphism_failure(T, U, perm) == first
+            assert isotopism_failure(T, U, perm, perm, perm) == first
 
 
 @pytest.mark.parametrize("p, n, d, exponents", [
@@ -215,6 +216,54 @@ def test_classification_above_order_16(p, n, d, exponents):
 
 # ---------------------------------------------------------------------------
 # isotopisms
+
+def _first_isotopism_failure(T, U, iso):
+    """The first (a, x, b) with H(<ax+b>_T) != <F(a)G(x)+H(b)>_U, by a
+    scan of all q^3 triples, or None."""
+    q, (F, G, H) = T.q, (iso.f, iso.g, iso.h)
+    return next(((a, x, b) for a in range(q) for x in range(q) for b in range(q)
+                 if H[T.at(a, x, b)] != U.at(F[a], G[x], H[b])), None)
+
+
+def test_isotopism_failure_is_the_first_failing_triple_of_the_scan(k9, andre9):
+    """Isotopisms with F, G and H pairwise distinct, between coordinate
+    rings of the order-9 field, near-field and dual near-field planes at
+    two frames that share both axes: found, and with one entry of either
+    ring changed at seeded entries."""
+    rng = random.Random(9)
+    checked = 0
+    for T in (to_ternary(from_field(k9)), to_ternary(andre9), to_ternary(opposite(andre9))):
+        P = plane_from_ternary(T)
+        frame = canonical_frame(P)
+        on = P.masks[frame.l] | P.masks[frame.m]
+        for z in range(frame.z + 1, P.n):
+            if on >> z & 1:
+                continue
+            other = CoordinateFrame(frame.l, frame.m, z)
+            iso = isotopism_from_frames(P, frame, other)
+            if len({iso.f, iso.g, iso.h}) < 3:
+                continue
+            U = coordinatize(P, other).ring
+            assert isotopism_failure(T, U, iso.f, iso.g, iso.h) is None
+            assert is_isotopism(T, U, iso)
+            for i in rng.sample(range(729), 6):
+                shift = rng.randrange(1, 9)
+                bad_t = mutate(T, *_triple(i, 9), (T.table[i] + shift) % 9)
+                bad_u = mutate(U, *_triple(i, 9), (U.table[i] + shift) % 9)
+                for A, B in ((bad_t, U), (T, bad_u)):
+                    first = _first_isotopism_failure(A, B, iso)
+                    assert first is not None
+                    assert isotopism_failure(A, B, iso.f, iso.g, iso.h) == first
+            checked += 1
+            if checked % 4 == 0:
+                break
+    assert checked == 12
+
+
+def _triple(i, q):
+    """The (a, x, b) of flat index i."""
+    return i // (q * q), i // q % q, i % q
+
 
 def test_identity_isotopism(t3):
     ident = Isotopism((0, 1, 2), (0, 1, 2), (0, 1, 2))
@@ -286,15 +335,6 @@ def test_searches_leave_no_reference_cycles(k9, andre9):
             assert gc.collect() == 0, search.__name__
     finally:
         gc.enable()
-
-
-def test_compose_isotopisms(t3):
-    K = make_field(3, 1)
-    F = tuple(K.mul(2, a) for a in range(3))
-    iso = Isotopism(F, (0, 1, 2), F)
-    twice = compose_isotopisms(iso, iso)
-    assert is_isotopism(t3, t3, twice)
-    assert twice == Isotopism((0, 1, 2), (0, 1, 2), (0, 1, 2))
 
 
 @given(st.permutations(list(range(1, 3))))
