@@ -21,8 +21,8 @@ with VW5-r, so the right build is proved the same way.  Only the other
 distributive law (VW4-r for a left build, VW4 for a right one) is swept,
 to its first witness, so the kept report is the one `check_vw` would
 compute.  The proof needs the spec's alpha, image and fixed field to be
-those `spec_from_exponents` derives from its field, group and phi; a build
-derives them again for an unmarked spec, in O(q |G|), and rejects a change.
+those of its field, group and phi; `AndreSpec` derives them from those
+three when it is made, so every spec has them and a build checks nothing.
 
 Each build also keeps a `BuildProof` from its spec.  Over the fixed field
 F: in the left build each alpha_x fixes F, so x (*) a = x * a for a in
@@ -53,21 +53,43 @@ DEFAULT_ENUM_BOUND = 4096
 
 @dataclasses.dataclass(frozen=True)
 class AndreSpec:
-    """A (field, group, phi) triple with its cached norm data.
+    """A (field, group, phi) triple with the norm data derived from it.
 
-    phi is stored as a tuple of generator exponents aligned with the
-    norm-image elements in increasing encoding order; alpha maps every
-    carrier element to the exponent of its automorphism (identity at 0).
+    phi is a tuple of generator exponents aligned with the norm-image
+    elements in increasing encoding order; phi(1) must be the identity, so
+    its first entry is 0.  fixed, image and alpha are derived when the
+    spec is made and cannot be given: alpha maps every carrier element to
+    the exponent of its automorphism (identity at 0).
+
+    alpha_x = phi(N(x)) is constant on the G-orbits, with no check
+    needed: N(gx) = prod_h hg(x) = N(x), because h -> hg permutes G.
     """
 
     field: object
     group: object
-    fixed: tuple
-    image: tuple  # norm image, ascending
     phi: tuple    # exponent per image element
-    alpha: tuple  # length q, automorphism exponent per carrier element
-    # set by `spec_from_exponents`: image, fixed and alpha follow from the rest
-    derived: bool = dataclasses.field(init=False, default=False, compare=False)
+    fixed: tuple = dataclasses.field(init=False)
+    image: tuple = dataclasses.field(init=False)  # norm image, ascending
+    alpha: tuple = dataclasses.field(init=False)  # length q, exponent per element
+
+    def __post_init__(self):
+        K, G, phi = self.field, self.group, tuple(self.phi)
+        if G.field != K:
+            raise InputError("the group acts on another field")
+        norms = [norm(K, G, x) for x in range(1, K.q)]
+        image = tuple(sorted(set(norms)))
+        if len(phi) != len(image):
+            raise InputError(
+                f"phi needs {len(image)} entries (one per norm-image element), "
+                f"got {len(phi)}")
+        if any(not 0 <= e < G.order for e in phi):
+            raise InputError(f"phi exponents must lie in 0..{G.order - 1}")
+        if phi[0] != 0:
+            raise InputError("the first phi entry must be 0: phi(1) is the identity")
+        index = {v: i for i, v in enumerate(image)}
+        for name, value in (("phi", phi), ("fixed", fixed_field(K, G)), ("image", image),
+                            ("alpha", (0, *(phi[index[v]] for v in norms)))):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return (f"AndreSpec(q={self.field.q}, group_order={self.group.order}, "
@@ -80,56 +102,34 @@ def make_spec(K, G):
 
 
 def spec_from_exponents(K, G, exponents, fixed=None, image=None):
-    """Build a spec from the exponent sequence of phi.
+    """`AndreSpec(K, G, exponents)`: exponents[i] is the generator exponent
+    assigned to the i-th norm-image element (ascending encoding).
 
-    exponents[i] is the generator exponent assigned to the i-th norm-image
-    element (ascending encoding); the first entry must be 0 so that
-    phi(1) is the identity automorphism.
-
-    alpha_x = phi(N(x)) is constant on the G-orbits, with no check
-    needed: N(gx) = prod_h hg(x) = N(x), because h -> hg permutes G.
+    A given fixed field or norm image (`make_spec`'s) is compared with the
+    derived one, and one that differs is rejected.
     """
-    norms = [norm(K, G, x) for x in range(1, K.q)]
-    # `make_spec`, from the norms alpha needs; a spec given others is unmarked
-    derived = fixed_field(K, G), tuple(sorted(set(norms)))
-    fixed, image = derived if fixed is None or image is None else (fixed, image)
-    exponents = tuple(exponents)
-    if len(exponents) != len(image):
-        raise InputError(
-            f"phi needs {len(image)} entries (one per norm-image element), "
-            f"got {len(exponents)}")
-    if any(not 0 <= e < G.order for e in exponents):
-        raise InputError(f"phi exponents must lie in 0..{G.order - 1}")
-    if exponents[0] != 0:
-        raise InputError("the first phi entry must be 0: phi(1) is the identity")
-    index = {v: i for i, v in enumerate(image)}
-    alpha = (0, *(exponents[index[v]] for v in norms))
-    spec = AndreSpec(K, G, tuple(fixed), tuple(image), exponents, alpha)
-    object.__setattr__(spec, "derived", (spec.fixed, spec.image) == derived)
+    spec = AndreSpec(K, G, exponents)
+    if (fixed is not None and tuple(fixed) != spec.fixed
+            or image is not None and tuple(image) != spec.image):
+        raise InputError("spec does not follow from its field, group and phi")
     return spec
 
 
 def enumerate_phi(K, G):
     """All |G|^(|image|-1) specs with phi(1) = identity, in lexicographic
     order over the remaining norm-image elements sorted by encoding."""
-    fixed, image = make_spec(K, G)
-    count = G.order ** (len(image) - 1)
+    free = len(norm_image(K, G)) - 1
+    count = G.order ** free
     if count > DEFAULT_ENUM_BOUND:
         raise SearchBoundExceeded(
             f"{count} phi maps exceed the configured bound {DEFAULT_ENUM_BOUND}")
-    specs = []
-    for rest in itertools.product(range(G.order), repeat=len(image) - 1):
-        specs.append(spec_from_exponents(K, G, (0,) + rest, fixed, image))
-    return specs
+    return [spec_from_exponents(K, G, (0,) + rest)
+            for rest in itertools.product(range(G.order), repeat=free)]
 
 
 def _left_rows(spec):
     """K and the rows of the left multiplication: row x is K's row x
-    read through alpha_x.  The spec must be the one `spec_from_exponents`
-    derives from its field, group and phi, as the proof in the module
-    docstring needs; one it did not return is derived again."""
-    if not spec.derived and spec_from_exponents(spec.field, spec.group, spec.phi) != spec:
-        raise InputError("spec does not follow from its field, group and phi")
+    read through alpha_x."""
     K, perms, q = spec.field, spec.group.perms, spec.field.q
     return K, [tuple(map(K.mul_table[x * q:(x + 1) * q].__getitem__, perms[e]))
                for x, e in enumerate(spec.alpha)]

@@ -212,7 +212,7 @@ def _cmd_classify(args):
     if args.file.endswith(".trs"):
         T = validate(formats.read_trs(args.file))
         Q = from_ternary(T)
-        result = classify(Q) if Q is not None else classify_ternary(T)
+        result = classify(Q, T) if Q is not None else classify_ternary(T)
     else:
         Q = formats.read_qf(args.file)
         result = classify(Q)

@@ -296,13 +296,17 @@ def classify_ternary(T):
     return ClassificationResult("non-desarguesian", None, "search-exhausted")
 
 
-def classify(Q):
+def classify(Q, T=None):
     """Classify the plane of a quasi-field.
 
-    Non-associative multiplication rules out a field plane immediately
+    Q is certified first, by its ternary ring T: `to_ternary(Q)` raises
+    `InputError` on tables that are no quasi-field.  A caller that has
+    certified Q's linear ring itself (`validate`) passes it as T.
+    Non-associative multiplication then rules out a field plane
     (anything isomorphic to a field's coordinate ring inherits
     associativity); otherwise the isomorphism search decides.
     """
+    T = to_ternary(Q) if T is None else T
     if associativity_witness(Q) is not None:
         return ClassificationResult("non-desarguesian", None, "non-associative")
-    return classify_ternary(to_ternary(Q))
+    return classify_ternary(T)

@@ -19,6 +19,7 @@ from contextlib import suppress
 from itertools import repeat
 
 from .errors import FormatError
+from .gf import DEFAULT_MAX_ORDER
 from .plane import AffinePlane
 from .quasifield import QuasiField
 from .ternary import TernaryRing
@@ -81,7 +82,7 @@ def _expect_magic(cur, magic):
         cur.fail(f"expected header `{magic}`, got `{line}`")
 
 
-def _expect_int_field(cur, key, minimum=0):
+def _expect_int_field(cur, key, minimum=0, maximum=float("inf")):
     line = cur.next(f"`{key} <value>`")
     parts = line.split(" ")
     if len(parts) != 2 or parts[0] != key or not _is_number(parts[1]):
@@ -89,6 +90,8 @@ def _expect_int_field(cur, key, minimum=0):
     value = int(parts[1])
     if value < minimum:
         cur.fail(f"{key} must be >= {minimum}, got {value}")
+    if value > maximum:
+        cur.fail(f"{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -182,7 +185,8 @@ def _expect_point_line(cur, n):
 def read_plane(path):
     cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "APLANE 1")
-    n = _expect_int_field(cur, "points", minimum=1)
+    # at most the points of the plane of the largest field `make_field` builds
+    n = _expect_int_field(cur, "points", minimum=1, maximum=DEFAULT_MAX_ORDER ** 2)
     m = _expect_int_field(cur, "lines", minimum=0)
     block = cur.lines[cur.pos:cur.pos + m]
     lines = _point_block(block, n) if len(block) == m else None

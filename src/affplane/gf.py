@@ -145,9 +145,6 @@ class FiniteField:
     exp_table: tuple  # generator powers, length q-1
     log_table: tuple  # log_table[0] == -1 sentinel
 
-    def elements(self):
-        return range(self.q)
-
     def add(self, a, b):
         return self.add_table[a * self.q + b]
 
@@ -338,9 +335,6 @@ class GaloisGroup:
     d: int
     order: int
     perms: tuple  # perms[j] is the permutation table of x -> x^(p^(d*j))
-
-    def apply(self, j, x):
-        return self.perms[j][x]
 
     def __repr__(self):
         return f"GaloisGroup(q={self.field.q}, d={self.d}, order={self.order})"

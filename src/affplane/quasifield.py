@@ -58,9 +58,6 @@ class QuasiField:
     # the `BuildProof` of a builder, or None
     proof: object = field(init=False, default=None, repr=False, compare=False)
 
-    zero = 0
-    one = 1
-
     def __post_init__(self):
         if self.q < 2:
             raise InputError(f"carrier size must be >= 2, got {self.q}")
@@ -83,9 +80,6 @@ class QuasiField:
         if b is None:
             raise InputError(f"no additive inverse for {a}")
         return b
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def __repr__(self):
         return f"QuasiField(q={self.q})"

@@ -54,9 +54,6 @@ class TernaryRing:
     table: tuple  # flat, index ((a*q)+x)*q+b
     validated: bool = False
 
-    zero = 0
-    one = 1
-
     def __post_init__(self):
         if self.q < 2:
             raise InputError(f"carrier size must be >= 2, got {self.q}")

@@ -27,7 +27,6 @@ that none of these checks ever fails.
 
 import itertools
 
-from affplane.andre import AndreSpec
 from affplane.errors import InputError, InternalCheckError
 from affplane.gf import (FiniteField, GaloisGroup, _decode, _encode,
                          _is_automorphism as _is_certified_automorphism,
@@ -250,7 +249,8 @@ def make_spec(K, G):
 
 
 def spec_from_exponents(K, G, exponents, fixed=None, image=None):
-    """Build a spec from the exponent sequence of phi.
+    """The (fixed, image, phi, alpha) of the spec with the exponent
+    sequence phi.
 
     exponents[i] is the generator exponent assigned to the i-th norm-image
     element (ascending encoding); the first entry must be 0 so that
@@ -275,4 +275,4 @@ def spec_from_exponents(K, G, exponents, fixed=None, image=None):
         for g in G.perms:
             if alpha[g[x]] != alpha[x]:
                 raise InternalCheckError("alpha is not constant on orbits")
-    return AndreSpec(K, G, tuple(fixed), tuple(image), exponents, tuple(alpha))
+    return tuple(fixed), tuple(image), exponents, tuple(alpha)

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, build_left, build_right,
+from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, AndreSpec, build_left, build_right,
                       check_vw, enumerate_phi, galois_subgroup, make_field,
                       make_spec, norm, opposite,
                       predicts_associative, predicts_right_distributive,
@@ -80,6 +82,39 @@ def test_right_divide_matches_exhaustive_search(andre9_spec, andre16_spec):
                 x = right_divide(spec, a, b)
                 assert Q.mul(x, a) == b
                 assert [y for y in range(Q.q) if Q.mul(y, a) == b] == [x]
+
+
+@pytest.mark.parametrize("p,n,d,count", SUITE)
+def test_right_divide_agrees_with_every_build(p, n, d, count):
+    """`right_divide` reads the spec's alpha, which the spec derives from
+    its phi, so on every spec it inverts its left build's multiplication,
+    on one whose phi `replace` changed too."""
+    K = make_field(p, n)
+    specs = enumerate_phi(K, galois_subgroup(K, d))
+    for spec in specs + [replace(specs[0], phi=other.phi) for other in specs[1:]]:
+        Q = build_left(spec)
+        assert all(Q.mul(right_divide(spec, a, b), a) == b
+                   for a in range(1, K.q) for b in range(K.q))
+
+
+def test_a_spec_derives_its_norm_data(k9):
+    """`AndreSpec(K, G, phi)` is the spec `spec_from_exponents` returns,
+    and phi is checked with the same messages in the same order."""
+    G = galois_subgroup(k9, 1)
+    spec = AndreSpec(k9, G, [0, 1])
+    assert spec == spec_from_exponents(k9, G, (0, 1)) and spec.phi == (0, 1)
+    assert (spec.fixed, spec.image) == make_spec(k9, G)
+    for phi, message in (((1, 0, 0), "phi needs 2 entries"), ((1, 2), "must lie in 0..1"),
+                         ((1, 0), "the first phi entry must be 0")):
+        with pytest.raises(InputError, match=message):
+            AndreSpec(k9, G, phi)
+
+
+def test_a_group_of_another_field_is_rejected(k9, k16):
+    G = galois_subgroup(k16, 2)
+    for make in (AndreSpec, spec_from_exponents):
+        with pytest.raises(InputError, match="^the group acts on another field$"):
+            make(k9, G, (0, 0, 1))
 
 
 def test_right_divide_rejects_bad_operands(andre9_spec):

@@ -275,5 +275,6 @@ def test_derived_structures_match_the_checked_references(p, n, d):
     rng = random.Random(K.q * 16 + d)
     for rest in ((0,) * (len(image) - 1),
                  tuple(rng.randrange(G.order) for _ in image[1:])):
-        assert (spec_from_exponents(K, G, (0, *rest))
+        spec = spec_from_exponents(K, G, (0, *rest))
+        assert ((spec.fixed, spec.image, spec.phi, spec.alpha)
                 == ref.spec_from_exponents(K, G, (0, *rest), fixed, image))

@@ -5,8 +5,8 @@ from itertools import count
 
 import pytest
 
-from affplane import (AffinePlane, canonical_frame, formats, from_field, make_field,
-                      opposite, plane_from_ternary, to_ternary)
+from affplane import (AffinePlane, QuasiField, canonical_frame, formats, from_field,
+                      make_field, opposite, plane_from_ternary, to_ternary)
 from affplane.cli import main
 from affplane.errors import FormatError
 from affplane.ternary import TernaryRing
@@ -461,6 +461,19 @@ def test_a_large_points_header_builds_no_table_of_point_bits(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("A1: FAIL at (0, 1)\n")
 
 
+def test_a_points_header_above_the_largest_plane_is_rejected(tmp_path, capsys):
+    """A billion points would need a per-point index of gigabytes: the
+    header is refused before anything is built, above the 2048^2 points
+    of the plane of the largest field `make_field` builds."""
+    path = tmp_path / "huge.aplane"
+    for n, code in ((1000000000, 2), (2048 ** 2 + 1, 2), (2048 ** 2, 1)):
+        path.write_text(f"APLANE 1\npoints {n}\nlines 0\n")
+        assert main(["check", "plane", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 1 else
+                       f"error: {path}:2: points must be <= 4194304, got {n}\n")
+
+
 def test_cli_repeat_invocations_byte_identical(tmp_path):
     out1 = tmp_path / "a.qf"
     out2 = tmp_path / "b.qf"
@@ -478,6 +491,22 @@ def test_cli_classify_trs_verbose(tmp_path, capsys, t3):
     out = capsys.readouterr().out
     assert "desarguesian" in out.splitlines()[0]
     assert "reason: isomorphism-found" in out
+
+
+def test_cli_classify_rejects_tables_that_are_no_quasi_field(tmp_path, capsys):
+    """XOR addition with a non-associative multiplication that fails
+    VW2, VW4, VW5 and their right forms: `classify` certifies the tables
+    before its associativity shortcut, so it gives no verdict."""
+    qf = tmp_path / "bad.qf"
+    add = tuple(a ^ b for a in range(4) for b in range(4))
+    formats.write_qf(qf, QuasiField(4, add, (0, 0, 0, 0, 0, 1, 2, 3, 0, 2, 0, 0, 0, 3, 0, 1)))
+    assert main(["check", "quasifield", str(qf)]) == 1
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if ": FAIL" in line]
+    assert failed == ["VW2", "VW4", "VW5", "VW4-r", "VW5-r", "left axiom set", "right axiom set"]
+    assert main(["--verbose", "classify", str(qf)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: tables pass neither the left nor the right axiom set\n")
 
 
 def test_cli_classify_order_25_near_field(tmp_path, capsys):

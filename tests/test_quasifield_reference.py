@@ -27,7 +27,7 @@ swept.
 """
 
 import functools
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -35,13 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasifield_reference as ref
-from affplane import (AndreSpec, QuasiField, associativity_witness, build_left,
+from affplane import (QuasiField, associativity_witness, build_left,
                       build_right, check_vector_space, check_vw,
                       enumerate_phi, fixed_field, from_field, galois_subgroup,
                       make_field, opposite, predicts_associative,
                       predicts_right_distributive, spec_from_exponents,
                       to_ternary)
-from affplane import andre
 from affplane import quasifield as qf
 from affplane.errors import InputError
 from tests_support import swept_report
@@ -341,40 +340,33 @@ def test_a_build_runs_one_sweep(monkeypatch, p, n, d, phi):
 
 @pytest.mark.parametrize("change", ["alpha", "phi", "image", "fixed"])
 def test_builds_reject_a_spec_that_does_not_follow_from_its_phi(andre9_spec, change):
-    """alpha with one entry changed, phi alone changed (alpha no longer
-    its), and a wrong norm image or fixed field."""
+    """alpha with one entry changed, a wrong norm image or fixed field:
+    `replace` cannot set a derived field.  phi alone changed gives the
+    spec of that phi, alpha and all, and the builds of it."""
     wrong = {"alpha": andre9_spec.alpha[:4] + (0,) + andre9_spec.alpha[5:],
              "phi": (0, 0), "image": (1,), "fixed": (0, 1)}[change]
     assert wrong != getattr(andre9_spec, change)
-    spec = replace(andre9_spec, **{change: wrong})
-    for build in (build_left, build_right):
-        with pytest.raises(InputError, match="does not follow"):
-            build(spec)
-
-
-def test_builds_derive_again_only_specs_not_marked_derived(andre9_spec, monkeypatch):
-    """`spec_from_exponents` marks its spec derived only with its own fixed
-    field and image, and a build derives no marked spec again.  A copy
-    built by hand or by `replace` is unmarked: derived again and built
-    alike when it follows, rejected when a field is wrong."""
+    if change != "phi":
+        with pytest.raises(ValueError, match="init=False"):
+            replace(andre9_spec, **{change: wrong})
+        return
+    spec = replace(andre9_spec, phi=wrong)
     K, G = andre9_spec.field, andre9_spec.group
-    given = {f.name: getattr(andre9_spec, f.name) for f in fields(AndreSpec) if f.init}
-    by_hand = AndreSpec(**given)
-    wrong = [AndreSpec(**{**given, "fixed": (0, 1)}),
-             spec_from_exponents(K, G, (0, 1), (0, 1), andre9_spec.image),
-             spec_from_exponents(K, G, (0, 1), andre9_spec.fixed, andre9_spec.image[::-1])]
-    assert andre9_spec.derived and not by_hand.derived and not replace(andre9_spec).derived
-    calls = []
-    monkeypatch.setattr(andre, "spec_from_exponents",
-                        lambda *args: calls.append(args) or spec_from_exponents(*args))
+    assert spec == spec_from_exponents(K, G, wrong) and spec.alpha == (0,) * K.q
     for build in (build_left, build_right):
-        calls.clear()
-        assert build(by_hand) == build(andre9_spec) and len(calls) == 1
-        for spec in wrong:
-            assert not spec.derived
-            with pytest.raises(InputError, match="^spec does not follow from its field, "
-                                                 "group and phi$"):
-                build(spec)
+        assert build(spec).mul_table == K.mul_table
+
+
+def test_spec_from_exponents_rejects_a_wrong_fixed_field_or_image(andre9_spec):
+    """A fixed field or norm image given to `spec_from_exponents` that is
+    not the derived one raises at once; the right ones give the spec."""
+    K, G, phi = andre9_spec.field, andre9_spec.group, andre9_spec.phi
+    fixed, image = andre9_spec.fixed, andre9_spec.image
+    assert spec_from_exponents(K, G, phi, fixed, image) == andre9_spec
+    for wrong in ([(0, 1), image], [fixed, image[::-1]], [None, image[::-1]], [(0, 1), None]):
+        with pytest.raises(InputError, match="^spec does not follow from its field, "
+                                             "group and phi$"):
+            spec_from_exponents(K, G, phi, *wrong)
 
 
 def _swapped(Q, axis, u, v):
