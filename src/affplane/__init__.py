@@ -25,8 +25,8 @@ from .plane import (AffinePlane, CoordinateFrame, Coordinatization,
                     parallel_classes, parallel_through, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, LINEAR_RING_AXIOMS, RIGHT_AXIOMS,
                          QuasiField, associativity_witness, check_vector_space,
-                         check_vw, from_field, from_ternary, is_field_ring,
-                         opposite, to_ternary)
+                         check_vw, from_field, from_ternary, opposite,
+                         to_ternary)
 from .ternary import (AxiomReport, Isotopism, TernaryRing,
                       check_ternary_axioms, complete_isotopism,
                       find_isomorphism, find_isotopism, is_isomorphism,

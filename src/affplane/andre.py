@@ -74,8 +74,7 @@ class AndreSpec:
 
     def __post_init__(self):
         K, G, phi = self.field, self.group, tuple(self.phi)
-        if G.field != K:
-            raise InputError("the group acts on another field")
+        fixed = fixed_field(K, G)  # raises when G acts on another field
         norms = [norm(K, G, x) for x in range(1, K.q)]
         image = tuple(sorted(set(norms)))
         if len(phi) != len(image):
@@ -87,7 +86,7 @@ class AndreSpec:
         if phi[0] != 0:
             raise InputError("the first phi entry must be 0: phi(1) is the identity")
         index = {v: i for i, v in enumerate(image)}
-        for name, value in (("phi", phi), ("fixed", fixed_field(K, G)), ("image", image),
+        for name, value in (("phi", phi), ("fixed", fixed), ("image", image),
                             ("alpha", (0, *(phi[index[v]] for v in norms)))):
             object.__setattr__(self, name, value)
 

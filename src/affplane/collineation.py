@@ -182,9 +182,11 @@ def diag_automorphism(Q, u, v):
     P = _left_plane(Q)
     if associativity_witness(Q) is not None:
         raise InputError("multiplication is not associative")
+    q = Q.q
+    if not (0 <= u < q and 0 <= v < q):
+        raise InputError("scaling factors out of range")
     if u == 0 or v == 0:
         raise InputError("scaling factors must be nonzero")
-    q = Q.q
     perm = tuple(Q.mul(u, x) * q + Q.mul(v, y)
                  for x in range(q) for y in range(q))
     return as_collineation(P, perm)

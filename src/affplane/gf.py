@@ -390,6 +390,8 @@ def fixed_field(K, G):
     polynomial divides X^(p^n) - X (d | n), which is the product of
     X - a over all a in K, so it has exactly p^d roots in K.
     """
+    if G.field != K:
+        raise InputError("the group acts on another field")
     return tuple(x for x in range(K.q) if all(g[x] == x for g in G.perms))
 
 
@@ -413,4 +415,6 @@ def norm_image(K, G):
     lands in Fix(G)*, and its image, the image of a group under a
     homomorphism, is a subgroup.
     """
+    if G.field != K:
+        raise InputError("the group acts on another field")
     return tuple(sorted({norm(K, G, x) for x in range(1, K.q)}))

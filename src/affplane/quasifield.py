@@ -321,30 +321,6 @@ def associativity_witness(Q):
     return next(_associativity_sweep(_rows(Q.mul_table, Q.q)), None)
 
 
-def is_field_ring(T):
-    """True iff T is the linear ternary ring of a field: `from_ternary(T)`
-    exists, passes all seven VW axioms (`check_vw(Q).all_pass`) and is
-    associative.
-
-    Such a quasi-field is a skew field: an abelian group under addition,
-    both distributive laws, and its nonzero elements a loop (VW2, VW3)
-    whose multiplication is associative, so a group.  A finite skew field
-    is a field (Wedderburn).  Conversely a field passes every test.
-    VW5 and VW5-r are not swept: x -> ax - a'x = (a - a')x (VW4-r) and
-    a -> ax - ax' = a(x - x') (VW4) are bijections for a != a' and
-    x != x' by VW2.  The others stop at the first that fails, the two
-    distributive laws first, since a quasi-field that is not a semifield
-    breaks one of them.
-    """
-    Q = from_ternary(T)
-    if Q is None:
-        return False
-    add, mul = _rows(Q.add_table, Q.q), _rows(Q.mul_table, Q.q)
-    sweeps = (_vw4r_sweep(add, mul), _vw4_sweep(add, mul), _associativity_sweep(mul),
-              _vw3_sweep(add, mul), _vw2_sweep(mul, list(zip(*mul))), _vw1_sweep(add))
-    return all(next(sweep, None) is None for sweep in sweeps)
-
-
 def check_vector_space(Q, F):
     """Check the two scalar identities that make Q a right vector space
     over the subfield F: (xy)a = x(ya) and (x+y)a = xa + ya for a in F.

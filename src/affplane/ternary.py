@@ -28,10 +28,11 @@ pulled back through H, once per kind of row (`TernaryRing.row_kinds`).
 it, and so does `find_isomorphism`, which forces a map's values, at each
 full map.
 
-`find_isotopism` answers at once between a field ring and any other
-validated ring (the Desarguesian shortcut), and otherwise verifies only
-the candidates that pass a filter implied by the isotopism identity, b-row
-by b-row; its docstring has both proofs.
+`find_isotopism` certifies both rings with `validate` and answers at
+once when `collineation.classify_ternary` tells their planes apart (the
+Desarguesian shortcut); otherwise it verifies only the candidates that
+pass a filter implied by the isotopism identity, b-row by b-row.  Its
+docstring has the proofs.
 """
 
 from __future__ import annotations
@@ -437,16 +438,16 @@ def _row_checks(T):
     """Per b-row of T, (a, x, itemgetter of the row): applied to H, it
     gives the row mapped through H.
 
-    The rows with a, x != 0 come first: for well-formed tables the rows
-    with a = 0 or x = 0 hold automatically, so bad candidates die fast in
-    the others.  Those are taken by the classes of (a + x) mod (q - 1),
-    each of which meets every a and every x once, so consecutive rows
-    differ in both.  A candidate built from (f1, g1) holds on every row
-    with a = f1 or x = g1 when the rings are validated and linear and H
-    is additive, and in lexicographic order it would pass the whole run
-    of rows with a = f1 before failing: over the nine searches among
-    the order-9 field, near-field and transposed rings, unvalidated,
-    this order compares 5,795 rows, against 19,251 in lexicographic
+    The rows with a, x != 0 come first: on ternary rings the rows with
+    a = 0 or x = 0 hold automatically, so bad candidates die fast in the
+    others.  Those are taken by the classes of (a + x) mod (q - 1), each
+    of which meets every a and every x once, so consecutive rows differ
+    in both.  A candidate built from (f1, g1) holds on every row with
+    a = f1 or x = g1 when the rings are linear and H is additive, and in
+    lexicographic order it would pass the whole run of rows with a = f1
+    before failing: over the nine searches among the order-9 field,
+    near-field and transposed rings (the shortcut answers four of them),
+    this order compares 2,067 rows, against 5,043 in lexicographic
     order.
     """
     q = T.q
@@ -578,35 +579,40 @@ def _h_candidates(T, U):
 def find_isotopism(T, U):
     """Isotopism search in lexicographic (H, f1, g1) order.
 
-    The candidate H are those of `_h_candidates`: the additive
-    bijections when both rings are linear (`<ax+b> = <1<ax+0>+b>` and
-    `<1y+0> = y`), which every isotopism between such rings has, and all
-    H with H(0) = 0 otherwise.  Each H determines G from f1, as
-    G(x) = H(<f1 x+0>), and F from g1, as F(a) = H(<a g1+0>); a pair
-    (f1, g1) whose F or G is no bijection is skipped.  Every other pair
-    is verified on all q^3 triples, except where:
+    Both rings are certified first (`validate`, at once for a validated
+    ring), so a table that is no ternary ring raises `InputError` with
+    its failing axioms.  Then:
+    - **Desarguesian shortcut.**  When `collineation.classify_ternary`
+      gives T and U different verdicts, the answer is None at once.
+      Proof: an isotopism (F, G, H) maps the plane of T onto the plane
+      of U by (x, y) -> (G(x), H(y)), since it takes the vertical x = x0
+      to x = G(x0) and the graph y = <ax+b> to y = <F(a)x+H(b)>.  So
+      isotopic rings coordinatize isomorphic planes.  A certified ring
+      coordinatizes its own plane (at `canonical_frame`), and a plane is
+      Desarguesian exactly when its coordinate rings are isomorphic to
+      the field's ring, which the classifier decides: a coordinate ring
+      of a Desarguesian plane is the linear ring of a skew field (Hall),
+      a field since it is finite (Wedderburn), and there is one field of
+      each order.  So an isotopism makes the two verdicts equal.
+    - **Candidates.**  The candidate H are those of `_h_candidates`: the
+      additive bijections when both rings are linear
+      (`<ax+b> = <1<ax+0>+b>` and `<1y+0> = y`), which every isotopism
+      between such rings has, and all H with H(0) = 0 otherwise.  Each H
+      determines G from f1, as G(x) = H(<f1 x+0>), and F from g1, as
+      F(a) = H(<a g1+0>).  Since H is a bijection, G (F) is one exactly
+      when its slice of T's table is, which on a ternary ring is exactly
+      when f1 != 0 (g1 != 0): by T4 with a' = 0, each b' is <f1 x+0>
+      for a unique x, as <0x+b'> = b' (T2); by T5 with x' = 0 and
+      y' = 0, each y is <a g1+0> for a unique a, as <a0+b> = 0 forces
+      b = 0 (T2); and by T2 both slices are constant 0 at f1 = 0 and
+      g1 = 0.  So f1 and g1 run over 1..q-1.
     - **(f1, g1) filter.**  With c = H(<f1 g1+0>), which is F(f1) and
       G(g1) by the two definitions, the identity at (f1, g1, 0) reads
       c = <c c+0> in U (H(0) = 0).  A pair that breaks this fails the
       identity, so it is skipped unverified; no axiom is used.
-    - **Desarguesian shortcut.**  When T and U are both validated and
-      exactly one of them is a field ring (`quasifield.is_field_ring`),
-      the answer is None at once.  Proof: an isotopism (F, G, H) maps
-      the plane of T onto the plane of U by (x, y) -> (G(x), H(y)),
-      since it takes the vertical x = x0 to x = G(x0) and the graph
-      y = <ax+b> to y = <F(a)x+H(b)>.  A plane is Desarguesian exactly
-      when a coordinate ring of it is a skew field, and then every
-      coordinate ring of it is the linear ring of that skew field
-      (Hall), which is a field, since it is finite (Wedderburn).  A
-      validated ring coordinatizes its own plane (at `canonical_frame`),
-      so an isotopism would make both planes Desarguesian or neither,
-      and both rings field rings or neither.
-    F and G read H at strided slices of T's table; since H is a
-    bijection, each is one exactly when its slice is, which is checked
-    once per search.  The identity is verified b-row by b-row
-    (`_identity_holds`).  A returned triple is verified in full.
-    "Absent" rests on the exhausted candidate space, or, when the
-    shortcut answers, on the theorem above.
+    Every other pair is verified b-row by b-row (`_identity_holds`), on
+    all q^3 triples.  "Absent" rests on the exhausted candidate space,
+    or, when the shortcut answers, on the theorem above.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -614,15 +620,14 @@ def find_isotopism(T, U):
     if q > ISOTOPISM_SEARCH_BOUND:
         raise SearchBoundExceeded(
             f"isotopism search supports q <= {ISOTOPISM_SEARCH_BOUND}")
-    if T.validated and U.validated:
-        # imported here, not at the top: quasifield imports this module
-        from .quasifield import is_field_ring
-        if is_field_ring(T) != is_field_ring(U):
-            return None
-    # per f1 (g1), the map H -> G (F), for the f1 (g1) whose G (F) is a bijection
-    g_slices = [_g_slice(T, f1) for f1 in range(q)]
-    g_picks = [(f1, itemgetter(*s)) for f1, s in enumerate(g_slices) if len(set(s)) == q]
-    f_picks = [itemgetter(*s) for s in (_f_slice(T, g1) for g1 in range(q)) if len(set(s)) == q]
+    T, U = validate(T), validate(U)
+    # imported here, not at the top: collineation imports this module
+    from .collineation import classify_ternary
+    if classify_ternary(T).verdict != classify_ternary(U).verdict:
+        return None
+    # per f1 (g1), the map H -> G (F)
+    g_picks = [(f1, itemgetter(*_g_slice(T, f1))) for f1 in range(1, q)]
+    f_picks = [itemgetter(*_f_slice(T, g1)) for g1 in range(1, q)]
     u = U.table
     idempotent = [u[(c * q + c) * q] == c for c in range(q)]  # <c c+0> = c in U
     checks, urows = _row_checks(T), _b_rows(U)
@@ -635,4 +640,3 @@ def find_isotopism(T, U):
                 if idempotent[F[f1]] and _identity_holds(checks, urows, F, G, H, gather):
                     return Isotopism(F, G, H)
     return None
-

@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from affplane import (LEFT_AXIOMS, RIGHT_AXIOMS, AndreSpec, build_left, build_right,
-                      check_vw, enumerate_phi, galois_subgroup, make_field,
-                      make_spec, norm, opposite,
+                      check_vw, enumerate_phi, fixed_field, galois_subgroup,
+                      make_field, make_spec, norm, norm_image, opposite,
                       predicts_associative, predicts_right_distributive,
                       right_divide, spec_from_exponents)
 from affplane import andre
@@ -115,6 +115,17 @@ def test_a_group_of_another_field_is_rejected(k9, k16):
     for make in (AndreSpec, spec_from_exponents):
         with pytest.raises(InputError, match="^the group acts on another field$"):
             make(k9, G, (0, 0, 1))
+
+
+def test_the_galois_helpers_reject_a_group_of_another_field(k4, k9, k16):
+    """Each of these pairs ended in an IndexError, or, for `norm_image`,
+    in (0, 1, 2, 3, 7, 8), which holds 0, while the checks were missing."""
+    for call in (lambda: enumerate_phi(k16, galois_subgroup(k9, 1)),
+                 lambda: enumerate_phi(k4, galois_subgroup(k16, 1)),
+                 lambda: norm_image(k9, galois_subgroup(k16, 2)),
+                 lambda: fixed_field(k9, galois_subgroup(k16, 2))):
+        with pytest.raises(InputError, match="^the group acts on another field$"):
+            call()
 
 
 def test_right_divide_rejects_bad_operands(andre9_spec):

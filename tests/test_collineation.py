@@ -177,6 +177,16 @@ def test_diag_automorphism_preconditions(andre9, andre16):
         diag_automorphism(andre16, 2, 2)  # not associative
 
 
+def test_diag_automorphism_rejects_factors_out_of_range(andre9):
+    """-1 is no element of the carrier, though as a row index it is the
+    last one, 8."""
+    for u, v in ((-1, 1), (9, 1), (1, -1), (1, 9)):
+        with pytest.raises(InputError, match="^scaling factors out of range$"):
+            diag_automorphism(andre9, u, v)
+    with pytest.raises(InputError, match="^scaling factors must be nonzero$"):
+        diag_automorphism(andre9, 1, 0)
+
+
 def test_individual_frame_maps_are_collineations():
     for p, n in [(3, 1), (2, 2), (5, 1)]:
         K = make_field(p, n)

@@ -350,6 +350,26 @@ def test_cli_iso_verifies_the_map(tmp_path, capsys, t3):
     assert capsys.readouterr().out == "absent\n"
 
 
+def test_cli_verdicts_need_a_ternary_ring(tmp_path, capsys):
+    """The order-3 table <ax+b> = x + b + 1 fails T1, T2, T4 and T5, so
+    the commands whose verdicts assume a ternary ring reject it, while
+    `afp iso` answers: isomorphism is defined on any tables, and the
+    identity commutes with every operation."""
+    t = tmp_path / "t.trs"
+    formats.write_trs(t, TernaryRing(3, tuple((x + b + 1) % 3 for a in range(3)
+                                              for x in range(3) for b in range(3))))
+    out = tmp_path / "t.aplane"
+    for argv in (["isotopy", t, t], ["--verbose", "classify", t],
+                 ["plane", "build", t, "--out", out]):
+        assert main(list(map(str, argv))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ternary axioms fail: T1, T2, T4, T5\n"
+    assert not out.exists()
+    assert main(["iso", str(t), str(t)]) == 0
+    assert capsys.readouterr().out == "found: 0 1 2\n"
+
+
 def test_cli_isotopy_absent_at_order_9(tmp_path, capsys, k9, andre9_ring):
     """The near-field and field planes of order 9 are not isomorphic, so
     their coordinate rings are not isotopic (output as at the exhaustive

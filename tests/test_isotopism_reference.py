@@ -3,17 +3,20 @@
 `find_isotopism` must return the same `Isotopism` (or None) as
 `isotopism_reference.find_isotopism`, which tries every H with H(0) = 0.
 The inputs are the found order-9 pairs, seeded relabellings of the field
-rings of orders 2 to 8 and Hypothesis tables of order 3 and 4: linear
-tables (pruned search), their isotopes and arbitrary tables (unpruned
-search).  The absent order-9 pairs are left out there: that reference
-needs about 7 s for each.  They are compared with
+rings of orders 2 to 8 and Hypothesis pairs of order 3 and 4: validated
+rings and their transports, linear tables (pruned search) and arbitrary
+tables (unpruned search).  A pair of tables that both satisfy T1-T5 must
+get the reference's result, and any other pair `InputError` with the
+failing axioms.  The absent order-9 pairs are left out there: that
+reference needs about 7 s for each.  They are compared with
 `isotopism_reference.additive_find_isotopism`, the search without the
 Desarguesian shortcut and the (f1, g1) filter: every pair of validated
-rings of order <= 9 that the constructions below give, found and absent,
-and unvalidated copies of the absent pairs, where the shortcut must not
-answer.
+rings of order <= 9 that the constructions below give, found and absent.
+With the classifier stubbed to one verdict, so that the shortcut cannot
+answer, the search must still find each absent pair absent.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -24,12 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isotopism_reference as ref
-from affplane import (CoordinateFrame, TernaryRing, build_left, build_right,
-                      canonical_frame, coordinatize, enumerate_phi,
+from affplane import (ClassificationResult, CoordinateFrame, InputError,
+                      TernaryRing, build_left, build_right, canonical_frame,
+                      check_ternary_axioms, coordinatize, enumerate_phi,
                       find_isotopism, from_field, galois_subgroup, make_field,
                       opposite, plane_from_ternary, spec_from_exponents,
                       to_ternary)
-from affplane import quasifield, ternary
+from affplane import collineation, ternary
 from affplane.ternary import _h_candidates
 from tests_support import relabel_ring
 
@@ -56,6 +60,25 @@ def assert_agrees(T, U):
     if iso is not None and _is_linear(T) and _is_linear(U):
         assert _is_additive(T, U, iso.h)
     return iso
+
+
+def assert_agrees_or_rejects(T, U):
+    """Equal results when both tables satisfy T1-T5; otherwise
+    `InputError` naming the failing axioms of the first table that fails."""
+    reports = [check_ternary_axioms(R) for R in (T, U)]
+    if all(report.all_pass for report in reports):
+        assert_agrees(T, U)
+        return
+    flags = next(report.flags() for report in reports if not report.all_pass)
+    failing = ", ".join(name for name, ok in flags.items() if not ok)
+    with pytest.raises(InputError, match=f"^ternary axioms fail: {failing}$"):
+        find_isotopism(T, U)
+
+
+def _same_verdict(T):
+    """A stub for `collineation.classify_ternary`: one verdict for every
+    ring, so that the Desarguesian shortcut never answers."""
+    return ClassificationResult("desarguesian")
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +163,27 @@ def linear_tables(draw, q):
                                 for x in range(q) for b in range(q)))
 
 
+@functools.cache
+def _field_plane(q):
+    """The plane of GF(q), q = 3 or 4, built once."""
+    p, n = {3: (3, 1), 4: (2, 2)}[q]
+    return plane_from_ternary(to_ternary(from_field(make_field(p, n))))
+
+
+@st.composite
+def validated_tables(draw, q):
+    """The plane of GF(q), q = 3 or 4, coordinatized at a drawn frame:
+    every plane of these orders is that plane, so each drawn ring is a
+    relabelling of the field's ring (Hall)."""
+    P = _field_plane(q)
+    l = draw(st.integers(0, len(P.lines) - 1))
+    m = draw(st.sampled_from([li for li in range(len(P.lines))
+                              if li != l and P.masks[l] & P.masks[li]]))
+    off = P.masks[l] | P.masks[m]
+    z = draw(st.sampled_from([p for p in range(P.n) if not off >> p & 1]))
+    return coordinatize(P, CoordinateFrame(l, m, z)).ring
+
+
 @st.composite
 def ring_pairs(draw, tables):
     """(T, U): two drawn tables, T with itself, or T and its transport
@@ -156,17 +200,26 @@ def ring_pairs(draw, tables):
     return T, relabel_ring(T, [0] + rest)
 
 
+@given(ring_pairs(validated_tables))
+@settings(max_examples=200, deadline=None)
+def test_validated_rings_and_their_transports_match_reference(pair):
+    """A transport along a permutation that fixes 1 is a ring isomorphic
+    to T; one that moves 1 breaks T1."""
+    assert pair[0].validated
+    assert_agrees_or_rejects(*pair)
+
+
 @given(ring_pairs(arbitrary_tables))
 @settings(max_examples=200, deadline=None)
 def test_arbitrary_tables_match_reference(pair):
-    assert_agrees(*pair)
+    assert_agrees_or_rejects(*pair)
 
 
 @given(ring_pairs(linear_tables))
 @settings(max_examples=200, deadline=None)
 def test_linear_tables_match_reference(pair):
     assert _is_linear(pair[0])
-    assert_agrees(*pair)
+    assert_agrees_or_rejects(*pair)
 
 
 @given(st.one_of(ring_pairs(linear_tables), ring_pairs(arbitrary_tables)))
@@ -219,10 +272,6 @@ def validated_rings(p, n):
     return list({T.table: T for T in rings}.values())
 
 
-def _refuse(*args):
-    raise AssertionError("the Desarguesian shortcut answered")
-
-
 @pytest.mark.parametrize("p, n", ORDERS)
 def test_every_pair_of_validated_rings_matches_the_additive_search(p, n, monkeypatch):
     rings = validated_rings(p, n)
@@ -234,16 +283,15 @@ def test_every_pair_of_validated_rings_matches_the_additive_search(p, n, monkeyp
             absent.append((T, U))
     # every plane of order <= 8 is Desarguesian; of order 9 three are built
     assert bool(absent) == (p ** n == 9)
-    monkeypatch.setattr(quasifield, "is_field_ring", _refuse)
+    monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
     for T, U in absent:
-        T2, U2 = replace(T, validated=False), replace(U, validated=False)
-        for pair in ((T2, U), (T, U2), (T2, U2)):
-            assert find_isotopism(*pair) is None
+        assert find_isotopism(T, U) is None
 
 
 def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
-    """Validated, the order-9 field ring and near-field ring get None with
-    no candidate verified; unvalidated, the search verifies candidates."""
+    """The order-9 field ring and near-field ring get None with no
+    candidate verified, validated or not; with the classifier stubbed to
+    one verdict, the search verifies candidates."""
     K = make_field(3, 2)
     T = to_ternary(from_field(K))
     U = to_ternary(build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1))))
@@ -255,9 +303,12 @@ def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
         return holds(*args)
 
     monkeypatch.setattr(ternary, "_identity_holds", count)
-    assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
+    T2, U2 = replace(T, validated=False), replace(U, validated=False)
+    for pair in ((T, U), (U, T), (T2, U), (T, U2), (U2, T2)):
+        assert find_isotopism(*pair) is None
     assert not verified
-    assert find_isotopism(replace(T, validated=False), U) is None
+    monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
+    assert find_isotopism(T, U) is None
     assert verified
 
 

@@ -5,6 +5,8 @@ namespace that binds it, so a traced function that is renamed or moved
 shows only there.  One `twist` job and one `search` job run under a
 tracer here: each twist job derives its spec exactly once, outside the
 builds, and uninstalling binds every traced name to its function again.
+The `isotopy/field/near-field` job runs under a tracer too: its search
+asks the classifier once per ring.
 """
 
 import importlib
@@ -61,6 +63,25 @@ def test_one_spec_per_twist_job_and_none_inside_the_builds(tmp_path):
     assert len(BUILDS & {s[0] for s in twist_spans}) == 1
     assert not [s for s in tracer.spans if s[0] == SPEC and BUILDS & set(_ancestors(tracer, s))]
     assert search_spans and SPEC not in {s[0] for s in search_spans}
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+
+
+def test_isotopy_asks_the_classifier_once_per_ring(tmp_path):
+    job = next(job for job in workloads.search(random.Random(1), tmp_path).jobs
+               if job.key == "isotopy/field/near-field")
+    before = _bindings()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.job = job.key
+        assert job.run() is None
+    finally:
+        tracer.uninstall()
+    classified = [s for s in tracer.spans if s[0] == "collineation.classify_ternary"]
+    assert len(classified) == 2
+    assert all("ternary.find_isotopism" in _ancestors(tracer, s) for s in classified)
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
