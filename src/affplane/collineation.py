@@ -16,7 +16,7 @@ from .plane import (_BIT, _bits, certify, intersection, line_through,
                     parallel_classes, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
                          from_field, to_ternary)
-from .ternary import find_isomorphism
+from .ternary import find_isomorphism, validate
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,20 @@ def classify_ternary(T):
 
     A finite plane is a field plane exactly when its coordinate ring is
     isomorphic to the field's, so the exhausted forcing search is a
-    conclusive certificate of either verdict.
+    conclusive certificate of either verdict for a ternary ring.  Before
+    "non-desarguesian", T is certified (`validate`, at once for a
+    validated ring), so a table that is no ternary ring gets an
+    `InputError`, not a verdict.  A found isomorphism σ needs no such
+    check: it is verified on every triple, σ(<ax+b>) = <σa σx σb>, and
+    fixes 0 and 1, a bijection of the carrier; each of T1-T5 speaks of
+    the operation, 0 and 1 alone, so each carries over through σ from
+    the validated field ring to T.
     """
     p, n = _factor_prime_power(T.q)
     perm = find_isomorphism(T, _field_ring(p, n))
     if perm is not None:
         return ClassificationResult("desarguesian", perm, "isomorphism-found")
+    validate(T)
     return ClassificationResult("non-desarguesian", None, "search-exhausted")
 
 

@@ -10,6 +10,13 @@ order so that write-then-read is byte-stable.
     APLANE 1  plane: header, `points <n>`, `lines <m>`, then m lines of
               strictly increasing point indices
     COLL 1    collineation: header, `points <n>`, then n lines `i -> p`
+
+`read_plane` keeps the last plane it parsed in one slot, keyed on the
+file's full text, so a file read again unchanged is not parsed or
+indexed again: the read returns the same frozen `AffinePlane`, whose
+`parallel` and `classes` are then built once.  A rewritten file is
+parsed again, errors are never stored, and the held plane is dropped
+before a new parse, so no two parsed planes are held at once.
 """
 
 from __future__ import annotations
@@ -25,12 +32,15 @@ from .quasifield import QuasiField
 from .ternary import TernaryRing
 
 
-def _read_lines(path):
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FormatError(str(exc), path=path) from exc
+
+
+def _read_lines(path, text):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -124,7 +134,7 @@ def _tokens(n):
 
 
 def read_trs(path):
-    cur = _Cursor(path, _read_lines(path))
+    cur = _Cursor(path, _read_lines(path, _read_text(path)))
     _expect_magic(cur, "TRS 1")
     q = _expect_int_field(cur, "q", minimum=2)
     table = _expect_values(cur, q ** 3, q, "table value")
@@ -138,7 +148,7 @@ def write_trs(path, T):
 
 
 def read_qf(path):
-    cur = _Cursor(path, _read_lines(path))
+    cur = _Cursor(path, _read_lines(path, _read_text(path)))
     _expect_magic(cur, "QF 1")
     q = _expect_int_field(cur, "q", minimum=2)
     add = _expect_values(cur, q * q, q, "addition value")
@@ -182,8 +192,25 @@ def _expect_point_line(cur, n):
     return points
 
 
+_held = (None, None)  # (key, plane) of the last plane `read_plane` parsed
+
+
 def read_plane(path):
-    cur = _Cursor(path, _read_lines(path))
+    """The plane of an APLANE file, parsed and indexed at most once for a
+    run of reads of the same text.  The one-slot memo is keyed on the
+    file's full text and on the digit limit `_is_number` read it under,
+    since that limit decides whether a zero-padded index parses.  A read
+    whose key equals the held one returns the held plane, shared and
+    frozen.  Any other read drops the held plane, then parses; only a
+    plane that parsed is kept, so a malformed file raises the same
+    `FormatError` on every read.  Nothing of a verdict is kept: callers
+    that need a certified plane run `plane.certify` on every call."""
+    global _held
+    key = (_read_text(path), sys.get_int_max_str_digits())
+    if key == _held[0]:
+        return _held[1]
+    _held = (None, None)
+    cur = _Cursor(path, _read_lines(path, key[0]))
     _expect_magic(cur, "APLANE 1")
     # at most the points of the plane of the largest field `make_field` builds
     n = _expect_int_field(cur, "points", minimum=1, maximum=DEFAULT_MAX_ORDER ** 2)
@@ -198,7 +225,8 @@ def read_plane(path):
         cur.fail("lines are not in canonical lexicographic order")
     cur.done()
     # each line is strictly increasing, and the lines are sorted
-    return AffinePlane.from_sorted_lines(n, tuple(lines))
+    _held = (key, AffinePlane.from_sorted_lines(n, tuple(lines)))
+    return _held[1]
 
 
 def write_plane(path, P):
@@ -208,7 +236,7 @@ def write_plane(path, P):
 
 
 def read_coll(path):
-    cur = _Cursor(path, _read_lines(path))
+    cur = _Cursor(path, _read_lines(path, _read_text(path)))
     _expect_magic(cur, "COLL 1")
     n = _expect_int_field(cur, "points", minimum=1)
     perm = []

@@ -7,8 +7,10 @@ is canonical.  Each line is also held as an int bitmask of its points
 (`through`), both built once in `from_sorted_lines`, which trusts its
 lines: `from_lines` validates any, and `read_plane` and
 `plane_from_ternary` prove theirs.  The parallel relation is built once
-per plane from them, and every incidence query reads these masks.  Planes
-built from a ternary ring of order q encode the point (x, y) as x*q + y.
+per plane from them, and every incidence query reads these masks; a
+file that `read_plane` reads again unchanged gives back the same plane,
+so its relation too is built once.  Planes built from a ternary ring of
+order q encode the point (x, y) as x*q + y.
 
 A plane is certified by `check_plane_axioms` on every call, and nothing
 of the verdict is kept on the plane.  `certify`, which every

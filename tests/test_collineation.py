@@ -14,6 +14,7 @@ from affplane import collineation
 from affplane.collineation import (shear_horizontal_map, shear_vertical_map,
                                    shift_map, swap_map)
 from affplane.errors import InputError
+from affplane.ternary import TernaryRing
 
 
 def test_identity_is_collineation(p3):
@@ -264,6 +265,26 @@ def test_classify_invariant_under_relabeling(andre9):
     T = to_ternary(andre9)
     U = relabel_ring(T, (0, 1, 3, 2, 5, 4, 7, 6, 8))
     assert classify_ternary(U).verdict == "non-desarguesian"
+
+
+def test_classify_certifies_a_ring_before_non_desarguesian(monkeypatch, andre9):
+    """A table that is no ternary ring gets an error, not a verdict.  A
+    relabelled field ring is not swept: the isomorphism found certifies
+    it.  A relabelled near-field ring is, before its verdict."""
+    from tests_support import relabel_ring
+    T = TernaryRing(3, tuple((x + b + 1) % 3 for a in range(3) for x in range(3)
+                             for b in range(3)))
+    with pytest.raises(InputError, match=r"^ternary axioms fail: T1, T2, T4, T5$"):
+        classify_ternary(T)
+    validated = []
+    validate = collineation.validate
+    monkeypatch.setattr(collineation, "validate", lambda T: validated.append(T) or validate(T))
+    perm = (0, 1, 3, 2, 5, 4, 7, 6, 8)
+    field = relabel_ring(to_ternary(from_field(make_field(3, 2))), perm)
+    assert classify_ternary(field).verdict == "desarguesian" and validated == []
+    near = relabel_ring(to_ternary(andre9), perm)
+    assert not near.validated
+    assert classify_ternary(near).verdict == "non-desarguesian" and validated == [near]
 
 
 def test_classify_rejects_non_prime_power():

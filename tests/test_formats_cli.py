@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+import weakref
 from itertools import count
 
 import pytest
@@ -144,12 +145,20 @@ def _outcome(read, path):
 
 
 def _line_by_line(monkeypatch, read, path):
-    """read(path) with the bulk parsers turned off."""
+    """read(path) with the bulk parsers and the plane memo turned off; a
+    plane it returns was read by `_expect_point_line`, line by line."""
+    expect_point_line, parsed = formats._expect_point_line, []
     with monkeypatch.context() as m:
+        m.setattr(formats, "_held", (None, None))
         m.setattr(formats, "_point_block", lambda block, n: None)
+        m.setattr(formats, "_expect_point_line",
+                  lambda cur, n: parsed.append(expect_point_line(cur, n)) or parsed[-1])
         m.setattr(formats, "_expect_values", lambda cur, count, q, what: tuple(
             formats._expect_value(cur, q, what) for _ in range(count)))
-        return _outcome(read, path)
+        outcome = _outcome(read, path)
+    if isinstance(outcome[1], AffinePlane):
+        assert parsed == list(outcome[1].lines)
+    return outcome
 
 
 BAD_LINES = ["", "0", "9", "0 0", "1 0", "00 1 2", "0 01", "0  1", " 0 1",
@@ -274,6 +283,73 @@ def test_built_and_read_planes_equal_from_lines(tmp_path, andre9_ring, andre16):
         for built in (P, formats.read_plane(path)):
             assert (built.lines, built.masks, built.through) == (ref.lines, ref.masks, ref.through)
             assert built == ref
+
+
+def test_a_plane_read_again_unchanged_is_not_parsed_again(tmp_path, monkeypatch, p3,
+                                                          andre9_plane):
+    """The second read of an unchanged file returns the plane of the first
+    and parses nothing; a rewritten file is parsed again."""
+    path = tmp_path / "p.aplane"
+    formats.write_plane(path, p3)
+    first = formats.read_plane(path)
+    parses = []
+    point_block = formats._point_block
+    monkeypatch.setattr(formats, "_point_block",
+                        lambda block, n: parses.append(n) or point_block(block, n))
+    assert formats.read_plane(path) is first and parses == []
+    formats.write_plane(path, andre9_plane)
+    assert formats.read_plane(path) == andre9_plane and parses == [81]
+
+
+def test_a_malformed_plane_read_after_a_good_one_raises_as_at_first(tmp_path, monkeypatch,
+                                                                    andre9_plane):
+    """An error is never stored, and a good read does not hide one: a bad
+    file raises the message, path and line it raises with no plane held."""
+    good, bad = tmp_path / "good.aplane", tmp_path / "bad.aplane"
+    formats.write_plane(good, andre9_plane)
+    lines = good.read_text().split("\n")
+    lines[9] = " ".join(reversed(lines[9].split(" ")))
+    bad.write_text("\n".join(lines))
+
+    def error():
+        with pytest.raises(FormatError) as exc:
+            formats.read_plane(bad)
+        return str(exc.value), exc.value.path, exc.value.line_no
+
+    monkeypatch.setattr(formats, "_held", (None, None))
+    fresh = error()
+    assert fresh == (f"{bad}:10: point indices must be strictly increasing", bad, 10)
+    for _ in range(2):
+        formats.read_plane(good)
+        assert error() == fresh == error()
+
+
+def test_reading_another_plane_drops_the_held_one(tmp_path, monkeypatch, p3, andre9_plane):
+    monkeypatch.setattr(formats, "_held", (None, None))  # so the read parses a new plane
+    path = tmp_path / "p.aplane"
+    formats.write_plane(path, andre9_plane)
+    held = weakref.ref(formats.read_plane(path))
+    assert held() is not None
+    formats.write_plane(tmp_path / "q.aplane", p3)
+    formats.read_plane(tmp_path / "q.aplane")
+    assert held() is None
+
+
+def test_the_plane_memo_is_keyed_on_the_digit_limit(tmp_path):
+    """A zero-padded index of 4,301 digits parses with no digit limit and
+    not under the default one, so the same text is read again."""
+    path = tmp_path / "p.aplane"
+    path.write_text(f"APLANE 1\npoints 3\nlines 1\n0 {LONG}\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert formats.read_plane(path).lines == ((0, 1),)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(FormatError) as exc:
+            formats.read_plane(path)
+        assert exc.value.line_no == 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_coll_rejects_non_permutation(tmp_path):
