@@ -10,20 +10,14 @@ order so that write-then-read is byte-stable.
     APLANE 1  plane: header, `points <n>`, `lines <m>`, then m lines of
               strictly increasing point indices
     COLL 1    collineation: header, `points <n>`, then n lines `i -> p`
-
-`read_plane` keeps the last plane it parsed in one slot, keyed on the
-file's full text, so a file read again unchanged is not parsed or
-indexed again: the read returns the same frozen `AffinePlane`, whose
-`parallel` and `classes` are then built once.  A rewritten file is
-parsed again, errors are never stored, and the held plane is dropped
-before a new parse, so no two parsed planes are held at once.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import suppress
-from itertools import repeat
+from itertools import accumulate, islice, repeat
+from operator import lt
 
 from .errors import FormatError
 from .gf import DEFAULT_MAX_ORDER
@@ -32,15 +26,12 @@ from .quasifield import QuasiField
 from .ternary import TernaryRing
 
 
-def _read_text(path):
+def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise FormatError(str(exc), path=path) from exc
-
-
-def _read_lines(path, text):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -134,7 +125,7 @@ def _tokens(n):
 
 
 def read_trs(path):
-    cur = _Cursor(path, _read_lines(path, _read_text(path)))
+    cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "TRS 1")
     q = _expect_int_field(cur, "q", minimum=2)
     table = _expect_values(cur, q ** 3, q, "table value")
@@ -148,7 +139,7 @@ def write_trs(path, T):
 
 
 def read_qf(path):
-    cur = _Cursor(path, _read_lines(path, _read_text(path)))
+    cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "QF 1")
     q = _expect_int_field(cur, "q", minimum=2)
     add = _expect_values(cur, q * q, q, "addition value")
@@ -163,19 +154,24 @@ def write_qf(path, Q):
 
 
 def _point_block(block, n):
-    """The lines of an APLANE block as tuples of point indices, parsed line
-    by line through a table of the forms `write_plane` gives them, or None
-    unless every line holds strictly increasing indices below n; the block
-    is then read by `_expect_point_line`, which names the first bad line."""
-    if n > sum(map(str.count, block, repeat(" "))) + len(block):
+    """The lines of an APLANE block as tuples of point indices, parsed as
+    one run of tokens through a table of the forms `write_plane` gives
+    them, or None unless every line holds strictly increasing indices
+    below n; the block is then read by `_expect_point_line`, which names
+    the first bad line."""
+    sizes = [raw.count(" ") + 1 for raw in block]  # tokens per line
+    if n > sum(sizes):
         return None  # the table costs n; no plane has fewer incidences
-    point = _tokens(n).__getitem__
     with suppress(KeyError):  # a token that `write_plane` does not give
-        lines = [tuple(map(point, raw.split(" "))) for raw in block]
-        # strictly increasing: sorted, and no point repeated
-        if (list(map(list, lines)) == list(map(sorted, lines))
-                and list(map(len, map(set, lines))) == list(map(len, lines))):
-            return lines
+        points = tuple(map(_tokens(n).__getitem__, " ".join(block).split(" ")))
+        ends = list(accumulate(sizes))
+        # strictly increasing: each point below the next, but for the
+        # last of a line and the first of the line after it
+        rises = list(map(lt, points, islice(points, 1, None)))
+        for end in ends[:-1]:
+            rises[end - 1] = True
+        if all(rises):
+            return list(map(points.__getitem__, map(slice, [0, *ends], ends)))
     return None
 
 
@@ -192,25 +188,8 @@ def _expect_point_line(cur, n):
     return points
 
 
-_held = (None, None)  # (key, plane) of the last plane `read_plane` parsed
-
-
 def read_plane(path):
-    """The plane of an APLANE file, parsed and indexed at most once for a
-    run of reads of the same text.  The one-slot memo is keyed on the
-    file's full text and on the digit limit `_is_number` read it under,
-    since that limit decides whether a zero-padded index parses.  A read
-    whose key equals the held one returns the held plane, shared and
-    frozen.  Any other read drops the held plane, then parses; only a
-    plane that parsed is kept, so a malformed file raises the same
-    `FormatError` on every read.  Nothing of a verdict is kept: callers
-    that need a certified plane run `plane.certify` on every call."""
-    global _held
-    key = (_read_text(path), sys.get_int_max_str_digits())
-    if key == _held[0]:
-        return _held[1]
-    _held = (None, None)
-    cur = _Cursor(path, _read_lines(path, key[0]))
+    cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "APLANE 1")
     # at most the points of the plane of the largest field `make_field` builds
     n = _expect_int_field(cur, "points", minimum=1, maximum=DEFAULT_MAX_ORDER ** 2)
@@ -225,8 +204,7 @@ def read_plane(path):
         cur.fail("lines are not in canonical lexicographic order")
     cur.done()
     # each line is strictly increasing, and the lines are sorted
-    _held = (key, AffinePlane.from_sorted_lines(n, tuple(lines)))
-    return _held[1]
+    return AffinePlane.from_sorted_lines(n, tuple(lines))
 
 
 def write_plane(path, P):
@@ -236,7 +214,7 @@ def write_plane(path, P):
 
 
 def read_coll(path):
-    cur = _Cursor(path, _read_lines(path, _read_text(path)))
+    cur = _Cursor(path, _read_lines(path))
     _expect_magic(cur, "COLL 1")
     n = _expect_int_field(cur, "points", minimum=1)
     perm = []

@@ -2,15 +2,14 @@
 
 Points are integers 0..n-1; lines are strictly increasing tuples of point
 indices, and the line list is sorted lexicographically so serialization
-is canonical.  Each line is also held as an int bitmask of its points
-(`masks`), and each point as the bitmask of the line indices through it
-(`through`), both built once in `from_sorted_lines`, which trusts its
-lines: `from_lines` validates any, and `read_plane` and
-`plane_from_ternary` prove theirs.  The parallel relation is built once
-per plane from them, and every incidence query reads these masks; a
-file that `read_plane` reads again unchanged gives back the same plane,
-so its relation too is built once.  Planes built from a ternary ring of
-order q encode the point (x, y) as x*q + y.
+is canonical.  `from_sorted_lines` trusts its lines: `from_lines`
+validates any, and `read_plane` and `plane_from_ternary` prove theirs.
+Each line is also held as an int bitmask of its points (`masks`), and
+each point as the bitmask of the line indices through it (`through`);
+these, and the parallel relation built from them, are built once per
+plane, on first use, so a plane that is only written builds none of
+them.  Every incidence query reads these masks.  Planes built from a
+ternary ring of order q encode the point (x, y) as x*q + y.
 
 A plane is certified by `check_plane_axioms` on every call, and nothing
 of the verdict is kept on the plane.  `certify`, which every
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from math import isqrt
-from operator import add, or_, xor
+from operator import add, itemgetter, or_, xor
 
 from .errors import InputError
 from .ternary import AxiomReport, Isotopism, TernaryRing
@@ -45,8 +44,6 @@ _BIT = (1).__lshift__  # p -> the bitmask 1 << p
 class AffinePlane:
     n: int
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
-    masks: tuple  # per line, the int bitmask of its points
-    through: tuple  # per point, the int bitmask of its line indices
 
     @classmethod
     def from_lines(cls, n, lines):
@@ -66,19 +63,29 @@ class AffinePlane:
         prove it.  `from_lines` sorts, then rejects bad points.  Both parse
         paths of `read_plane` take the tokens 0..n-1 only, each line strictly
         increasing, then reject unsorted lines.  `plane_from_ternary` sorts
-        its lines, x*q + y over increasing x with y in 0..q-1.  The table of
-        the n point bits, which holds about n^2/16 bytes, is built only
-        when it costs no more than the incidences it serves, as in
+        its lines, x*q + y over increasing x with y in 0..q-1."""
+        return cls(n, lines)
+
+    @cached_property
+    def masks(self):
+        """Per line, the int bitmask of its points.  The table of the n
+        point bits, which holds about n^2/16 bytes, is built only when it
+        costs no more than the incidences it serves, as in
         `formats._point_block`; otherwise each incidence is shifted."""
+        n, lines = self.n, self.lines
         point_bit = (list(map(_BIT, range(n))).__getitem__ if n <= sum(map(len, lines))
                      else _BIT)
-        masks = tuple(map(sum, map(map, repeat(point_bit), lines)))
-        through = [0] * n
-        for i, line in enumerate(lines):
+        return tuple(map(sum, map(map, repeat(point_bit), lines)))
+
+    @cached_property
+    def through(self):
+        """Per point, the bitmask of the line indices through it."""
+        through = [0] * self.n
+        for i, line in enumerate(self.lines):
             bit = 1 << i
             for p in line:
                 through[p] |= bit
-        return cls(n, lines, masks, tuple(through))
+        return tuple(through)
 
     @cached_property
     def parallel(self):
@@ -87,8 +94,7 @@ class AffinePlane:
         m = len(self.lines)
         # the lines through a point of each line; each is among all m, so
         # the xor with all of them leaves the rest
-        meets = map(reduce, repeat(or_), map(map, repeat(self.through.__getitem__), self.lines),
-                    repeat(0))
+        meets = (reduce(or_, _gather(line)(self.through), 0) for line in self.lines)
         return tuple(map(or_, map(xor, meets, repeat((1 << m) - 1)), map(_BIT, range(m))))
 
     @cached_property
@@ -104,6 +110,15 @@ class AffinePlane:
 
     def __repr__(self):
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
+
+
+def _gather(line):
+    """The map s -> (s[p] for p in line) as a tuple, in one C call for a
+    line of two points or more (`itemgetter` returns one index's item
+    bare)."""
+    if len(line) > 1:
+        return itemgetter(*line)
+    return lambda s: tuple(map(s.__getitem__, line))
 
 
 def plane_from_ternary(T):

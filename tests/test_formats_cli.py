@@ -1,7 +1,6 @@
 import random
 import sys
 import tracemalloc
-import weakref
 from itertools import count
 
 import pytest
@@ -145,11 +144,10 @@ def _outcome(read, path):
 
 
 def _line_by_line(monkeypatch, read, path):
-    """read(path) with the bulk parsers and the plane memo turned off; a
-    plane it returns was read by `_expect_point_line`, line by line."""
+    """read(path) with the bulk parsers turned off; a plane it returns was
+    read by `_expect_point_line`, line by line."""
     expect_point_line, parsed = formats._expect_point_line, []
     with monkeypatch.context() as m:
-        m.setattr(formats, "_held", (None, None))
         m.setattr(formats, "_point_block", lambda block, n: None)
         m.setattr(formats, "_expect_point_line",
                   lambda cur, n: parsed.append(expect_point_line(cur, n)) or parsed[-1])
@@ -210,6 +208,19 @@ def test_bulk_plane_reader_agrees_line_by_line(tmp_path, monkeypatch, p3, andre1
     outcomes = _agree(monkeypatch, formats.read_plane, path, variants)
     assert {"returns", "point index out of range",
             "point indices must be strictly increasing"} <= outcomes
+
+
+def test_a_well_formed_plane_file_is_parsed_in_bulk(tmp_path, monkeypatch, p3, andre9_plane,
+                                                    andre16):
+    """`_point_block` takes every canonical file, single-point lines and a
+    line that ends above the next one starts included, so no line of one
+    is read by `_expect_point_line`."""
+    monkeypatch.setattr(formats, "_expect_point_line", lambda cur, n: pytest.fail(cur.pos))
+    path = tmp_path / "p.aplane"
+    for P in (p3, andre9_plane, plane_from_ternary(to_ternary(andre16)),
+              AffinePlane.from_lines(4, [(3,), (0, 1, 2), (1,), (0, 3)])):
+        formats.write_plane(path, P)
+        assert formats.read_plane(path) == P
 
 
 def test_bulk_table_reader_agrees_line_by_line(tmp_path, monkeypatch, t3, andre16):
@@ -283,73 +294,6 @@ def test_built_and_read_planes_equal_from_lines(tmp_path, andre9_ring, andre16):
         for built in (P, formats.read_plane(path)):
             assert (built.lines, built.masks, built.through) == (ref.lines, ref.masks, ref.through)
             assert built == ref
-
-
-def test_a_plane_read_again_unchanged_is_not_parsed_again(tmp_path, monkeypatch, p3,
-                                                          andre9_plane):
-    """The second read of an unchanged file returns the plane of the first
-    and parses nothing; a rewritten file is parsed again."""
-    path = tmp_path / "p.aplane"
-    formats.write_plane(path, p3)
-    first = formats.read_plane(path)
-    parses = []
-    point_block = formats._point_block
-    monkeypatch.setattr(formats, "_point_block",
-                        lambda block, n: parses.append(n) or point_block(block, n))
-    assert formats.read_plane(path) is first and parses == []
-    formats.write_plane(path, andre9_plane)
-    assert formats.read_plane(path) == andre9_plane and parses == [81]
-
-
-def test_a_malformed_plane_read_after_a_good_one_raises_as_at_first(tmp_path, monkeypatch,
-                                                                    andre9_plane):
-    """An error is never stored, and a good read does not hide one: a bad
-    file raises the message, path and line it raises with no plane held."""
-    good, bad = tmp_path / "good.aplane", tmp_path / "bad.aplane"
-    formats.write_plane(good, andre9_plane)
-    lines = good.read_text().split("\n")
-    lines[9] = " ".join(reversed(lines[9].split(" ")))
-    bad.write_text("\n".join(lines))
-
-    def error():
-        with pytest.raises(FormatError) as exc:
-            formats.read_plane(bad)
-        return str(exc.value), exc.value.path, exc.value.line_no
-
-    monkeypatch.setattr(formats, "_held", (None, None))
-    fresh = error()
-    assert fresh == (f"{bad}:10: point indices must be strictly increasing", bad, 10)
-    for _ in range(2):
-        formats.read_plane(good)
-        assert error() == fresh == error()
-
-
-def test_reading_another_plane_drops_the_held_one(tmp_path, monkeypatch, p3, andre9_plane):
-    monkeypatch.setattr(formats, "_held", (None, None))  # so the read parses a new plane
-    path = tmp_path / "p.aplane"
-    formats.write_plane(path, andre9_plane)
-    held = weakref.ref(formats.read_plane(path))
-    assert held() is not None
-    formats.write_plane(tmp_path / "q.aplane", p3)
-    formats.read_plane(tmp_path / "q.aplane")
-    assert held() is None
-
-
-def test_the_plane_memo_is_keyed_on_the_digit_limit(tmp_path):
-    """A zero-padded index of 4,301 digits parses with no digit limit and
-    not under the default one, so the same text is read again."""
-    path = tmp_path / "p.aplane"
-    path.write_text(f"APLANE 1\npoints 3\nlines 1\n0 {LONG}\n")
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        assert formats.read_plane(path).lines == ((0, 1),)
-        sys.set_int_max_str_digits(4300)
-        with pytest.raises(FormatError) as exc:
-            formats.read_plane(path)
-        assert exc.value.line_no == 4
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_coll_rejects_non_permutation(tmp_path):

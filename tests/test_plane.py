@@ -105,6 +105,29 @@ def test_parallel_through(p3):
     assert not set(p3.lines[again]) & set(p3.lines[other]) or again == other
 
 
+def test_parallel_is_equal_or_disjoint(p3, andre9_plane):
+    """Per line, the lines that share no point with it, and itself, on
+    planes and on line sets with lines of no, one and two points."""
+    for P in (p3, andre9_plane, AffinePlane.from_lines(5, [(), (3,), (0, 1), (1, 2, 4), (3,)]),
+              *(AffinePlane.from_lines(P.n, lines) for P in (p3, andre9_plane)
+                for lines in _plane_mutants(P, 0).values())):
+        assert P.parallel == tuple(
+            sum(1 << j for j, other in enumerate(P.lines) if j == i or not set(line) & set(other))
+            for i, line in enumerate(P.lines))
+
+
+def test_a_plane_builds_its_masks_on_first_use(tmp_path, andre9_ring):
+    """A plane that is only written builds no bitmask; its first query
+    builds the ones it reads."""
+    from affplane import formats
+    P = plane_from_ternary(andre9_ring)
+    formats.write_plane(tmp_path / "p.aplane", P)
+    assert {"masks", "through", "parallel"}.isdisjoint(vars(P))
+    line_through(P, 0, 1)
+    assert "through" in vars(P) and "masks" not in vars(P)
+    assert P.masks[0] == sum(1 << p for p in P.lines[0])
+
+
 def test_parallel_classes(p3, andre9_plane):
     classes = parallel_classes(p3)
     assert len(classes) == 4
