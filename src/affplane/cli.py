@@ -194,8 +194,6 @@ def _cmd_isotopy(args):
 
 def _cmd_translate(args):
     P = formats.read_plane(args.plane)
-    if not (0 <= args.source < P.n and 0 <= args.target < P.n):
-        raise InputError("point index out of range")
     cert = translation_candidate(P, args.source, args.target)
     if cert is None:
         print("absent")

@@ -12,8 +12,8 @@ from operator import eq
 
 from .errors import InputError
 from .gf import make_field
-from .plane import (_BIT, _bits, certify, intersection, line_through,
-                    parallel_classes, plane_from_ternary)
+from .plane import (_BIT, _bits, _lines_in_range, _points_in_range, certify,
+                    intersection, line_through, parallel_classes, plane_from_ternary)
 from .quasifield import (LEFT_AXIOMS, associativity_witness, check_vw,
                          from_field, to_ternary)
 from .ternary import find_isomorphism, validate
@@ -160,6 +160,7 @@ def translation_candidate(P, z, z2):
     smallest point off L, aux, and its image (the result never depends
     on which point off L is used).
     """
+    _points_in_range(P, z, z2)
     if z == z2:
         raise InputError("source and target must differ")
     certify(P)
@@ -192,31 +193,35 @@ def diag_automorphism(Q, u, v):
     return as_collineation(P, perm)
 
 
-def _field_perm(K, point_fn):
-    q = K.q
-    return tuple(point_fn(x, y)
+def _affine_perm(K, p0, u, w):
+    """The point permutation of (x, y) -> p0 + x u + y w on the field
+    plane, for p0, u and w pairs over K."""
+    q, add, mul = K.q, K.add, K.mul
+    (c0, d0), (u1, u2), (w1, w2) = p0, u, w
+    return tuple(add(c0, add(mul(x, u1), mul(y, w1))) * q
+                 + add(d0, add(mul(x, u2), mul(y, w2)))
                  for x in range(q) for y in range(q))
 
 
 def swap_map(K):
     """(x, y) -> (y, x) on the field plane."""
-    return _field_perm(K, lambda x, y: y * K.q + x)
+    return _affine_perm(K, (0, 0), (0, 1), (1, 0))
 
 
 def shift_map(K, c, d):
     """(x, y) -> (x+c, y+d) on the field plane."""
-    return _field_perm(K, lambda x, y: K.add(x, c) * K.q + K.add(y, d))
+    return _affine_perm(K, (c, d), (1, 0), (0, 1))
 
 
 def shear_vertical_map(K, c):
     """(x, y) -> (x, y - cx): takes the slope-c line through 0 to the
     first axis, fixing verticals."""
-    return _field_perm(K, lambda x, y: x * K.q + K.sub(y, K.mul(c, x)))
+    return _affine_perm(K, (0, 0), (1, K.neg(c)), (0, 1))
 
 
 def shear_horizontal_map(K, c):
     """(x, y) -> (x - cy, y): fixes the first axis."""
-    return _field_perm(K, lambda x, y: K.sub(x, K.mul(c, y)) * K.q + y)
+    return _affine_perm(K, (0, 0), (1, 0), (K.neg(c), 1))
 
 
 def frame_mover(K, l2, m2):
@@ -233,8 +238,7 @@ def frame_mover(K, l2, m2):
     """
     P = _left_plane(from_field(K))
     q = K.q
-    if not (0 <= l2 < len(P.lines) and 0 <= m2 < len(P.lines)):
-        raise InputError("line index out of range")
+    _lines_in_range(P, l2, m2)
     if l2 == m2 or not P.masks[l2] & P.masks[m2]:
         raise InputError("target lines must be distinct and non-parallel")
 
@@ -244,31 +248,13 @@ def frame_mover(K, l2, m2):
         (x0, y0), (x1, y1) = divmod(line[0], q), divmod(line[1], q)
         return (0, 1) if x0 == x1 else (1, K.sub(y1, y0))
 
-    c0, d0 = divmod(intersection(P, l2, m2), q)
-    (u1, u2), (w1, w2) = direction(P.lines[l2]), direction(P.lines[m2])
-    add, mul = K.add, K.mul
-    perm = tuple(add(c0, add(mul(x, u1), mul(y, w1))) * q
-                 + add(d0, add(mul(x, u2), mul(y, w2)))
-                 for x in range(q) for y in range(q))
-    return as_collineation(P, perm)
+    p0 = divmod(intersection(P, l2, m2), q)
+    return as_collineation(P, _affine_perm(K, p0, direction(P.lines[l2]),
+                                           direction(P.lines[m2])))
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise InputError(f"{q} is not a prime power")
-            return p, n
-    raise InputError(f"{q} is not a prime power")
-
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -278,9 +264,16 @@ class ClassificationResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _field_ring(p, n):
-    """The validated ternary ring of GF(p^n), built and checked on first
-    use of each order; the ring is immutable, so callers share it."""
+def _field_ring(q):
+    """The validated ternary ring of GF(q), built and checked on first
+    use of each order; the ring is immutable, so callers share it.  q is
+    p^n for its least divisor p > 1, or no prime power."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    n = 1
+    while p ** n < q:
+        n += 1
+    if p ** n != q:
+        raise InputError(f"{q} is not a prime power")
     return to_ternary(from_field(make_field(p, n)))
 
 
@@ -298,8 +291,7 @@ def classify_ternary(T):
     the operation, 0 and 1 alone, so each carries over through σ from
     the validated field ring to T.
     """
-    p, n = _factor_prime_power(T.q)
-    perm = find_isomorphism(T, _field_ring(p, n))
+    perm = find_isomorphism(T, _field_ring(T.q))
     if perm is not None:
         return ClassificationResult("desarguesian", perm, "isomorphism-found")
     validate(T)

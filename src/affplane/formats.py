@@ -204,7 +204,7 @@ def read_plane(path):
         cur.fail("lines are not in canonical lexicographic order")
     cur.done()
     # each line is strictly increasing, and the lines are sorted
-    return AffinePlane.from_sorted_lines(n, tuple(lines))
+    return AffinePlane(n, tuple(lines))
 
 
 def write_plane(path, P):

@@ -2,7 +2,7 @@
 
 Points are integers 0..n-1; lines are strictly increasing tuples of point
 indices, and the line list is sorted lexicographically so serialization
-is canonical.  `from_sorted_lines` trusts its lines: `from_lines`
+is canonical.  `AffinePlane(n, lines)` trusts its lines: `from_lines`
 validates any, and `read_plane` and `plane_from_ternary` prove theirs.
 Each line is also held as an int bitmask of its points (`masks`), and
 each point as the bitmask of the line indices through it (`through`);
@@ -42,6 +42,13 @@ _BIT = (1).__lshift__  # p -> the bitmask 1 << p
 
 @dataclass(frozen=True)
 class AffinePlane:
+    """The plane of lines in canonical order, unchecked: each a strictly
+    increasing tuple of points in 0..n-1, and the lines sorted.  Callers
+    prove it.  `from_lines` sorts, then rejects bad points.  Both parse
+    paths of `read_plane` take the tokens 0..n-1 only, each line strictly
+    increasing, then reject unsorted lines.  `plane_from_ternary` sorts
+    its lines, x*q + y over increasing x with y in 0..q-1."""
+
     n: int
     lines: tuple  # tuple of sorted point tuples, lexicographically sorted
 
@@ -54,16 +61,6 @@ class AffinePlane:
                 raise InputError("line contains an out-of-range point")
             if len(set(line)) != len(line):
                 raise InputError("line contains a repeated point")
-        return cls.from_sorted_lines(n, lines)
-
-    @classmethod
-    def from_sorted_lines(cls, n, lines):
-        """The plane of lines in canonical order, unchecked: each a strictly
-        increasing tuple of points in 0..n-1, and the lines sorted.  Callers
-        prove it.  `from_lines` sorts, then rejects bad points.  Both parse
-        paths of `read_plane` take the tokens 0..n-1 only, each line strictly
-        increasing, then reject unsorted lines.  `plane_from_ternary` sorts
-        its lines, x*q + y over increasing x with y in 0..q-1."""
         return cls(n, lines)
 
     @cached_property
@@ -152,7 +149,7 @@ def plane_from_ternary(T):
     lines = [tuple(range(x0, x0 + q)) for x0 in xq]
     lines += (tuple(map(add, xq, T.table[block + b:block + qq:q]))
               for block in range(0, q * qq, qq) for b in range(q))
-    return AffinePlane.from_sorted_lines(qq, tuple(sorted(lines)))
+    return AffinePlane(qq, tuple(sorted(lines)))
 
 
 PLANE_AXIOMS = ("A1", "A2", "A3", "parallel-transitive")
@@ -281,8 +278,21 @@ def certify(P):
         raise InputError(f"plane axioms fail: {', '.join(failing)}")
 
 
+def _points_in_range(P, *points):
+    """Raise unless each point index lies in 0..n-1."""
+    if not all(0 <= p < P.n for p in points):
+        raise InputError("point index out of range")
+
+
+def _lines_in_range(P, *lines):
+    """Raise unless each line index lies in 0..m-1, for the m lines."""
+    if not all(0 <= li < len(P.lines) for li in lines):
+        raise InputError("line index out of range")
+
+
 def line_through(P, p1, p2):
     """Index of the unique line through two distinct points."""
+    _points_in_range(P, p1, p2)
     if p1 == p2:
         raise InputError("points must be distinct")
     hits = P.through[p1] & P.through[p2]
@@ -293,6 +303,8 @@ def line_through(P, p1, p2):
 
 def parallel_through(P, l, p):
     """Index of the unique line through p parallel to l (l itself if p in l)."""
+    _lines_in_range(P, l)
+    _points_in_range(P, p)
     if P.masks[l] >> p & 1:
         return l
     hits = P.parallel[l] & P.through[p]
@@ -303,6 +315,7 @@ def parallel_through(P, l, p):
 
 def intersection(P, l1, l2):
     """The unique common point of two non-parallel lines."""
+    _lines_in_range(P, l1, l2)
     common = P.masks[l1] & P.masks[l2]
     if common.bit_count() != 1:
         raise InputError(f"lines {l1},{l2} meet in {common.bit_count()} points")
@@ -343,15 +356,12 @@ def canonical_frame(P):
 
 @dataclass(frozen=True)
 class Coordinatization:
-    """A ternary ring together with the point labeling that produced it."""
+    """A ternary ring together with the point labeling that produced it.
+    The origin is `point_of[0]`, the first axis `point_of[::q]` (label x
+    at (x, 0)) and the second axis `point_of[:q]` (label y at (0, y))."""
 
     ring: TernaryRing
-    frame: CoordinateFrame
-    origin: int
-    axis1_points: tuple  # label -> point on the first axis
-    axis2_points: tuple  # label -> point on the second axis
     point_of: tuple      # coordinate x*q+y -> plane point
-    coord_of: dict       # plane point -> (x, y)
     line_slopes: dict    # line index -> slope label; verticals absent
 
 
@@ -431,23 +441,18 @@ def coordinatize(P, frame):
 
     unit_foot = intersection(P, parallel_through(P, m, frame.z), l)
     rest = sorted(p for p in P.lines[l] if p not in (origin, unit_foot))
-    axis1_points = (origin, unit_foot, *rest)
 
     # per point x*q, and its foot on the second axis along the first
     # axis's class; the diagonal's point with x = t has y = t, which
     # carries the labels to the second axis
-    xqs = _class_coordinates(P, m, l, {p: x * q for x, p in enumerate(axis1_points)})
+    xqs = _class_coordinates(P, m, l, {p: x * q for x, p
+                                       in enumerate((origin, unit_foot, *rest))})
     feet = _class_coordinates(P, l, m, range(P.n))
-    axis2_points = [None] * q
-    for p in P.lines[line_through(P, origin, frame.z)]:
-        axis2_points[xqs[p] // q] = feet[p]
-    axis2_points = tuple(axis2_points)
-    ys = list(map({p: y for y, p in enumerate(axis2_points)}.__getitem__, feet))
-    coords = list(map(add, xqs, ys))  # x*q + y
+    y_of_foot = {feet[p]: xqs[p] // q for p in P.lines[line_through(P, origin, frame.z)]}
+    ys = list(map(y_of_foot.__getitem__, feet))
     point_of = [None] * (q * q)
-    for p, c in enumerate(coords):
+    for p, c in enumerate(map(add, xqs, ys)):  # x*q + y
         point_of[c] = p
-    coord_of = dict(zip(range(P.n), map(divmod, coords, repeat(q))))
 
     # slopes: the y where a line through the origin meets the vertical
     # x = 1, shared by every line of its parallel mask; the line of slope
@@ -466,8 +471,7 @@ def coordinatize(P, frame):
                    if par in slope_of}  # verticals absent
 
     ring = TernaryRing(q, tuple(table), validated=True)
-    return Coordinatization(ring, frame, origin, axis1_points, axis2_points,
-                            tuple(point_of), coord_of, line_slopes)
+    return Coordinatization(ring, tuple(point_of), line_slopes)
 
 
 def isotopism_from_frames(P, frame1, frame2):
@@ -478,13 +482,10 @@ def isotopism_from_frames(P, frame1, frame2):
     c1 = coordinatize(P, frame1)
     c2 = coordinatize(P, frame2)
     q = c1.ring.q
-    label2_axis1 = {p: i for i, p in enumerate(c2.axis1_points)}
-    label2_axis2 = {p: i for i, p in enumerate(c2.axis2_points)}
-    G = tuple(label2_axis1[c1.axis1_points[x]] for x in range(q))
-    H = tuple(label2_axis2[c1.axis2_points[y]] for y in range(q))
+    coord2 = {p: c for c, p in enumerate(c2.point_of)}  # x*q + y in frame 2
+    G = tuple(coord2[p] // q for p in c1.point_of[::q])
+    H = tuple(coord2[p] % q for p in c1.point_of[:q])
     F = [None] * q
-    for li in _bits(P.through[c1.origin]):
-        if li == frame1.m:
-            continue
+    for li in _bits(P.through[c1.point_of[0]] & ~(1 << frame1.m)):
         F[c1.line_slopes[li]] = c2.line_slopes[li]
     return Isotopism(tuple(F), G, H)

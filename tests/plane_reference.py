@@ -213,8 +213,7 @@ def coordinatize(P, frame):
                 table[(a * q + x) * q + b] = y
 
     ring = validate(TernaryRing(q, tuple(table)))
-    return plane.Coordinatization(ring, frame, origin, axis1_points, axis2_points,
-                                  tuple(point_of), coord_of, line_slopes)
+    return plane.Coordinatization(ring, tuple(point_of), line_slopes)
 
 
 def _induced_line_map(P, perm):

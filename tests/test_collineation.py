@@ -5,9 +5,9 @@ import pytest
 import plane_reference
 from affplane import (as_collineation, build_left, canonical_frame, check_vw,
                       classify, classify_ternary, diag_automorphism,
-                      frame_mover, from_field,
+                      frame_mover, from_field, intersection,
                       is_collineation, is_translation, line_through,
-                      make_field, no_fixed_points, opposite,
+                      make_field, no_fixed_points, opposite, parallel_through,
                       plane_from_ternary, to_ternary, translation_candidate,
                       translation_from_shift)
 from affplane import collineation
@@ -42,6 +42,8 @@ def test_two_cycle_is_not_collineation(p3):
 
 def test_non_bijection_rejected(p3):
     assert not is_collineation(p3, (0,) * 9)
+    with pytest.raises(InputError, match="^not a bijection on points$"):
+        as_collineation(p3, (0,) * 9)
 
 
 def test_gf3_shift(p3, k3):
@@ -94,6 +96,12 @@ def test_shifts_build_one_plane_per_quasifield(monkeypatch, andre9_spec):
     assert len(built) == 1
 
 
+def test_shift_rejects_components_out_of_range(k3):
+    for c, d in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+        with pytest.raises(InputError, match="^shift components out of range$"):
+            translation_from_shift(from_field(k3), c, d)
+
+
 def test_shift_rejects_right_quasifield(andre9):
     with pytest.raises(InputError):
         translation_from_shift(opposite(andre9), 1, 0)
@@ -121,6 +129,28 @@ def test_translation_candidate_aux_independent(andre9_plane):
 def test_translation_candidate_rejects_equal_points(p3):
     with pytest.raises(InputError):
         translation_candidate(p3, 4, 4)
+
+
+@pytest.mark.parametrize("query,args,kind", [
+    (translation_candidate, (0, -2), "point"),
+    (translation_candidate, (-1, 3), "point"),
+    (translation_candidate, (9, 3), "point"),
+    (translation_candidate, (9, 9), "point"),
+    (line_through, (-1, 0), "point"),
+    (line_through, (0, 9), "point"),
+    (intersection, (-1, 1), "line"),
+    (intersection, (0, 12), "line"),
+    (parallel_through, (-1, 4), "line"),
+    (parallel_through, (0, -1), "point"),
+    (parallel_through, (0, 9), "point"),
+])
+def test_indices_out_of_range_are_rejected(p3, query, args, kind):
+    """The GF(3) plane has points 0..8 and lines 0..11.  As a sequence
+    index -1 is the last one, and 9 or 12 would raise IndexError (or a
+    negative shift count, as a bit position); each is refused instead, a
+    point before the source and target are compared."""
+    with pytest.raises(InputError, match=f"^{kind} index out of range$"):
+        query(p3, *args)
 
 
 def test_translation_fixes_joining_line_class(andre9_plane):
@@ -153,6 +183,17 @@ def test_transposed_plane_nonisomorphism_certificate(andre9, andre9_plane):
 
 # ---------------------------------------------------------------------------
 # automorphism families
+
+def test_a_homothety_is_no_translation(p3, k3):
+    """(x, y) -> (2x, 2y) takes each line to a parallel one, but moves
+    every line of each class off the origin, so it fixes no class
+    linewise."""
+    homothety = diag_automorphism(from_field(k3), 2, 2)
+    line_map = homothety.line_map
+    assert tuple(map(p3.parallel.__getitem__, line_map)) == p3.parallel
+    assert line_map != tuple(range(len(p3.lines)))
+    assert is_translation(p3, homothety.perm) is None
+
 
 def test_diag_automorphism_identity(andre9):
     d = diag_automorphism(andre9, 1, 1)
@@ -229,6 +270,12 @@ def test_frame_mover_all_pairs():
                 assert (mover.line_map[axes.l], mover.line_map[axes.m]) == (l2, m2)
 
 
+def test_frame_mover_rejects_line_indices_out_of_range(k3):
+    for l2, m2 in ((-1, 0), (0, -1), (12, 0), (0, 12)):
+        with pytest.raises(InputError, match="^line index out of range$"):
+            frame_mover(k3, l2, m2)
+
+
 def test_frame_mover_rejects_parallel(k3, p3):
     vert0 = p3.lines.index((0, 1, 2))
     vert1 = p3.lines.index((3, 4, 5))
@@ -288,7 +335,6 @@ def test_classify_certifies_a_ring_before_non_desarguesian(monkeypatch, andre9):
 
 
 def test_classify_rejects_non_prime_power():
-    from affplane.collineation import _factor_prime_power
-    with pytest.raises(InputError):
-        _factor_prime_power(12)
-    assert _factor_prime_power(27) == (3, 3)
+    with pytest.raises(InputError, match="^12 is not a prime power$"):
+        classify_ternary(TernaryRing(12, (0,) * 12 ** 3))
+    assert collineation._field_ring(27).q == 27

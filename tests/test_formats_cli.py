@@ -68,6 +68,9 @@ def test_lf_and_no_trailing_whitespace(tmp_path, t3):
     ("TRS 1\nq 3\n" + "0\n" * 26, 29),  # truncated table
     ("TRS 1\nq 3\n" + "0\n" * 27 + "0\n", 30),  # trailing content
     ("TRS 1\nq 3\n5\n" + "0\n" * 26, 3),  # value out of range
+    ("TRS 1\r\nq 3\n" + "0\n" * 27, 1),  # CR
+    ("TRS 1\nq 3 \n" + "0\n" * 27, 2),  # trailing space
+    ("TRS 1\nq 1\n0\n", 2),  # order below 2
 ])
 def test_trs_malformed(tmp_path, content, line_no):
     path = tmp_path / "bad.trs"
@@ -296,6 +299,20 @@ def test_built_and_read_planes_equal_from_lines(tmp_path, andre9_ring, andre16):
             assert built == ref
 
 
+@pytest.mark.parametrize("reader,content,line_no", [
+    (formats.read_plane, "APLANE 1\npoints 0\nlines 0\n", 2),
+    (formats.read_coll, "COLL 1\npoints 0\n", 2),
+    (formats.read_coll, "COLL 1\npoints 2\n1 -> 0\n0 -> 1\n", 3),  # wrong source
+    (formats.read_coll, "COLL 1\npoints 2\n0 -> 1\n1 -> 2\n", 4),  # image out of range
+], ids=["aplane-points-0", "coll-points-0", "coll-source", "coll-image"])
+def test_plane_and_coll_malformed(tmp_path, reader, content, line_no):
+    path = tmp_path / "bad"
+    path.write_text(content)
+    with pytest.raises(FormatError) as exc:
+        reader(path)
+    assert exc.value.line_no == line_no
+
+
 def test_coll_rejects_non_permutation(tmp_path):
     path = tmp_path / "bad.coll"
     path.write_text("COLL 1\npoints 2\n0 -> 0\n1 -> 0\n")
@@ -325,6 +342,11 @@ def test_cli_phi_validation(tmp_path, capsys):
                  "--phi", "1,0", "--out", str(out)])
     assert code == 2
     assert "first phi entry" in capsys.readouterr().err
+    code = main(["andre", "--p", "3", "--n", "2", "--subfield-deg", "1",
+                 "--phi", "0,x", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --phi must be comma-separated integers\n"
+    assert not out.exists()
 
 
 def test_cli_out_directory_exits_two(tmp_path, capsys):
@@ -413,6 +435,10 @@ def test_cli_translate(tmp_path, capsys, t3):
     assert "found" in out
     perm = formats.read_coll(coll)
     assert perm[0] == 4
+    for source, target in (("9", "0"), ("0", "-1"), ("9", "9")):
+        assert main(["translate", str(plane), "--from", source, "--to", target]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: point index out of range\n")
 
 
 def test_cli_translate_writes_before_it_prints(tmp_path, capsys, k9):

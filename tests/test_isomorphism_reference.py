@@ -345,5 +345,5 @@ def test_classifications_pull_each_kind_back_once_per_map(monkeypatch):
     collineation._field_ring.cache_clear()
     found = [classify_ternary(T).isomorphism is not None for T in rings]
     assert sum(found) >= 8 and len(pulls) == sum(found)
-    assert len(builds) == 1 and builds[0] is collineation._field_ring(2, 4)
+    assert len(builds) == 1 and builds[0] is collineation._field_ring(16)
     assert all(len(ks) == len(set(ks)) <= 16 for ks in pulls)

@@ -190,7 +190,7 @@ def test_round_trip_andre9(andre9_ring, andre9_plane):
 
 def test_diagonal_slope_is_one(p3):
     coord = coordinatize(p3, canonical_frame(p3))
-    diag = line_through(p3, coord.origin, canonical_frame(p3).z)
+    diag = line_through(p3, coord.point_of[0], canonical_frame(p3).z)
     assert coord.line_slopes[diag] == 1
 
 
@@ -211,6 +211,9 @@ def test_frame_validation(p3):
         coordinatize(p3, CoordinateFrame(frame.l, frame.l, frame.z))
     with pytest.raises(InputError):
         coordinatize(p3, CoordinateFrame(frame.l, frame.m, 0))
+    for z in (-1, 9):
+        with pytest.raises(InputError, match="^frame unit point out of range$"):
+            coordinatize(p3, CoordinateFrame(frame.l, frame.m, z))
     with pytest.raises(InputError):
         vert0 = p3.lines.index((0, 1, 2))
         vert1 = p3.lines.index((3, 4, 5))

@@ -300,6 +300,17 @@ def test_complete_isotopism_reconstruction(t3):
     assert rebuilt == iso
 
 
+@pytest.mark.parametrize("call", [
+    lambda T, U: is_isomorphism(T, U, (0, 1, 2)),
+    lambda T, U: is_isotopism(T, U, Isotopism((0, 1, 2), (0, 1, 2), (0, 1, 2))),
+    lambda T, U: complete_isotopism(T, U, (0, 1, 2), 1, 1),
+    lambda T, U: find_isotopism(T, U),
+], ids=["is_isomorphism", "is_isotopism", "complete_isotopism", "find_isotopism"])
+def test_maps_between_carriers_of_different_sizes_are_rejected(t3, k4, call):
+    with pytest.raises(InputError, match="^carrier sizes differ$"):
+        call(t3, to_ternary(from_field(k4)))
+
+
 def test_complete_isotopism_rejects_bad_h(t3):
     with pytest.raises(InputError):
         complete_isotopism(t3, t3, (1, 0, 2), 0, 0)
