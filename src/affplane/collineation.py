@@ -210,18 +210,27 @@ def swap_map(K):
 
 def shift_map(K, c, d):
     """(x, y) -> (x+c, y+d) on the field plane."""
+    if not (0 <= c < K.q and 0 <= d < K.q):
+        raise InputError("shift components out of range")
     return _affine_perm(K, (c, d), (1, 0), (0, 1))
+
+
+def _shear_factor(K, c):
+    """-c, for a shear factor c of K."""
+    if not 0 <= c < K.q:
+        raise InputError("shear factor out of range")
+    return K.neg(c)
 
 
 def shear_vertical_map(K, c):
     """(x, y) -> (x, y - cx): takes the slope-c line through 0 to the
     first axis, fixing verticals."""
-    return _affine_perm(K, (0, 0), (1, K.neg(c)), (0, 1))
+    return _affine_perm(K, (0, 0), (1, _shear_factor(K, c)), (0, 1))
 
 
 def shear_horizontal_map(K, c):
     """(x, y) -> (x - cy, y): fixes the first axis."""
-    return _affine_perm(K, (0, 0), (1, 0), (K.neg(c), 1))
+    return _affine_perm(K, (0, 0), (1, 0), (_shear_factor(K, c), 1))
 
 
 def frame_mover(K, l2, m2):

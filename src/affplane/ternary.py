@@ -26,13 +26,18 @@ pair that fails, to name its witnesses.
 pulled back through H, once per kind of row (`TernaryRing.row_kinds`).
 `is_isomorphism`, `is_isotopism` and `complete_isotopism` verify through
 it, and so does `find_isomorphism`, which forces a map's values, at each
-full map.
+full map.  `find_isomorphism` first compares the left power orders of
+the two rings (`_left_orders`, an isomorphism invariant): different
+multisets answer None at once, and a branch element tries only images
+of its own order.
 
 `find_isotopism` certifies both rings with `validate` and answers at
 once when `collineation.classify_ternary` tells their planes apart (the
-Desarguesian shortcut); otherwise it verifies only the candidates that
-pass a filter implied by the isotopism identity, b-row by b-row.  Its
-docstring has the proofs.
+Desarguesian shortcut), or when two linear non-Desarguesian rings differ
+in one of the two distributive laws (an isotopism invariant); otherwise
+it verifies only the candidates that pass a filter implied by the
+isotopism identity, b-row by b-row.  Both invariants are computed on
+every call and kept nowhere.  The search docstrings have the proofs.
 """
 
 from __future__ import annotations
@@ -362,28 +367,69 @@ def is_isomorphism(T, U, perm):
     return isotopism_failure(T, U, perm, perm, perm) is None
 
 
+def _left_orders(T):
+    """Per element e, the left power order of e: the least k in 1..q with
+    L_e^k(1) = 1, where L_e(x) = <ex+0>, or 0 when there is none.
+
+    On a field ring it is the multiplicative order of e.  The values
+    L_e^k(1) for k = 0..q are q + 1 values in a set of q, so two of them
+    are equal and from there the sequence runs round one cycle of at most
+    q values; if 1 ever recurs it lies on that cycle, the sequence is
+    periodic from k = 0, and 1 recurs within q steps.  So q steps decide
+    it, and the whole list costs O(q^2) lookups.
+    """
+    q = T.q
+    heads = T.table[::q]  # heads[e*q + x] = <ex+0>
+    steps = range(1, q + 1)
+    orders = []
+    for e in range(q):
+        row, x = heads[e * q:(e + 1) * q], 1
+        for k in steps:
+            x = row[x]
+            if x == 1:
+                orders.append(k)
+                break
+        else:
+            orders.append(0)
+    return orders
+
+
 def find_isomorphism(T, U):
     """The lexicographically least isomorphism T -> U, or None.
 
-    A forcing search.  An isomorphism σ sends <ax+b> to <σa σx σb>, so
-    each triple over the assigned elements is read once, when the last
-    of them is assigned, and its value is assigned in turn; a clash (two
+    A forcing search, pruned by the left power orders (`_left_orders`).
+    An isomorphism σ fixes 0 and 1 and sends <ax+b> to <σa σx σb>, so
+    σ(<ex+0>) = <σe σx+0>, that is σ∘L_e = L_σe∘σ, and σ(L_e^k(1)) =
+    L_σe^k(1).  As σ is a bijection fixing 1, L_e^k(1) = 1 exactly when
+    L_σe^k(1) = 1, so ord_T(e) = ord_U(σe) for every e.  Hence:
+    - when the sorted order lists of T and U differ there is no
+      isomorphism, and the answer is None at once;
+    - a branch element e tries only the images w with ord_U(w) = ord_T(e).
+    Each triple over the assigned elements is read once, when the last of
+    them is assigned, and its value is assigned in turn; a clash (two
     images for one element, or one image for two) ends the node.  At the
     fixpoint it branches on the least unassigned element, images in
     increasing order, and verifies full maps with `isotopism_failure`,
     which pulls each of U's `row_kinds` back through the map at most
     once (q pull-backs when U is a field ring, whose index is built once
     per ring) and compares T with the pulled rows one a-block at a time.
-    - Forcing drops no extension: an isomorphism agreeing with a node's
-      choices has each value they force, meets no clash and reaches its
-      own leaf, which passes; an exhausted tree certifies "absent".
+    - Forcing and the order filter drop no extension: an isomorphism
+      agreeing with a node's choices has each value they force, gives each
+      branch element an image of its own order, meets no clash and
+      reaches its own leaf, which passes; an exhausted tree, or a
+      mismatch of the order lists, certifies "absent".
     - The first leaf that passes is the least isomorphism: two leaves
-      part at a node's branch element e, agreeing below e (assigned
-      there), and the one visited first has the smaller image of e.
+      part at a node's branch element e, the least unassigned element
+      there, agreeing below e (assigned there), and the one visited
+      first has the smaller image of e.  The filter only drops images,
+      so it keeps the order in which the remaining leaves are visited.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
     q, t, u = T.q, T.table, U.table
+    ord_t, ord_u = _left_orders(T), _left_orders(U)
+    if sorted(ord_t) != sorted(ord_u):
+        return None
     sigma, inv, order = [0, 1] + [-1] * (q - 2), [0, 1] + [-1] * (q - 2), [0, 1]
 
     def search(k):
@@ -403,7 +449,7 @@ def find_isomorphism(T, U):
         if len(order) == q:
             return isotopism_failure(T, U, sigma, sigma, sigma) is None
         e, k = sigma.index(-1), len(order)
-        for img in [w for w in range(q) if inv[w] < 0]:
+        for img in [w for w in range(q) if inv[w] < 0 and ord_u[w] == ord_t[e]]:
             sigma[e], inv[img] = img, e
             order.append(e)
             if search(k):
@@ -446,9 +492,11 @@ def _row_checks(T):
     a = f1 or x = g1 when the rings are linear and H is additive, and in
     lexicographic order it would pass the whole run of rows with a = f1
     before failing: over the nine searches among the order-9 field,
-    near-field and transposed rings (the shortcut answers four of them),
-    this order compares 2,067 rows, against 5,043 in lexicographic
-    order.
+    near-field and transposed rings, with the classifier stubbed to one
+    verdict so that neither shortcut answers, this order compares 5,795
+    rows, against 19,251 in (a, x) order with the same rows first.  The
+    shortcuts answer six of those searches, and in the other three the
+    first candidate verified is the isotopism, all 81 rows of it.
     """
     q = T.q
     checks = [(i // q, i % q, itemgetter(*row)) for i, row in enumerate(_b_rows(T))]
@@ -465,9 +513,11 @@ def _identity_holds(checks, urows, F, G, H, gather):
     its checks and rows are built once per search and most candidates
     fail in their first few rows, while the pull-back builds H⁻¹ and
     compares whole a-blocks.  Between the order-9 Hall and dual Hall
-    rings, the 384 candidates that pass the (f1, g1) filter, all
-    rejected, take 0.48 ms here and 8.3 ms through `isotopism_failure`
-    (best of 5 timeit runs, Python 3.11, 2-vCPU host)."""
+    rings, with both shortcuts stubbed off (the distributive laws tell
+    these rings apart before any candidate), the 384 candidates that
+    pass the (f1, g1) filter, all rejected, take 0.48 ms here and 8.3 ms
+    through `isotopism_failure` (best of 5 timeit runs, Python 3.11,
+    2-vCPU host)."""
     q = len(H)
     for a, x, image in checks:
         if image(H) != gather(urows[F[a] * q + G[x]]):
@@ -508,11 +558,13 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
+    if not _is_bijection(H, T.q):
+        return None
     if H[0] != 0:
         raise InputError("H must fix 0")
     F = tuple(map(H.__getitem__, _f_slice(T, g_inv1)))
     G = tuple(map(H.__getitem__, _g_slice(T, f_inv1)))
-    if (_is_bijection(F, T.q) and _is_bijection(G, T.q) and _is_bijection(H, T.q)
+    if (_is_bijection(F, T.q) and _is_bijection(G, T.q)
             and isotopism_failure(T, U, F, G, H) is None):
         return Isotopism(F, G, H)
     return None
@@ -576,6 +628,25 @@ def _h_candidates(T, U):
             untried.append(iter(every if pair is None else (plus[H[pair[0]]][H[pair[1]]],)))
 
 
+def _distributive_laws(T):
+    """(left, right) for a linear T: whether a(x+y) = ax + ay, and whether
+    (x+y)a = xa + ya, on all of the carrier, with y + b = <1y+b> and
+    ax = <ax+0>.
+
+    Each law is swept by the quasi-field's VW4 (VW4-r) sweep on T's
+    addition rows <1y+b> and product rows <ax+0>, up to its first
+    witness only.
+    """
+    # imported here, not at the top: quasifield imports this module
+    from .quasifield import _vw4_sweep, _vw4r_sweep
+    q, t = T.q, T.table
+    qq = q * q
+    plus = [t[i:i + q] for i in range(qq, 2 * qq, q)]  # plus[y][b] = <1y+b>
+    times = [t[i:i + qq:q] for i in range(0, q * qq, qq)]  # times[a][x] = <ax+0>
+    return (next(_vw4_sweep(plus, times), None) is None,
+            next(_vw4r_sweep(plus, times), None) is None)
+
+
 def find_isotopism(T, U):
     """Isotopism search in lexicographic (H, f1, g1) order.
 
@@ -594,6 +665,23 @@ def find_isotopism(T, U):
       of a Desarguesian plane is the linear ring of a skew field (Hall),
       a field since it is finite (Wedderburn), and there is one field of
       each order.  So an isotopism makes the two verdicts equal.
+    - **Distributive laws.**  When both verdicts are "non-desarguesian"
+      and both rings are linear, the answer is None at once unless T and
+      U agree on each of the laws a(x+y) = ax + ay and (x+y)a = xa + ya
+      (`_distributive_laws`).  Proof: let (F, G, H) be an isotopism.  H
+      is additive (`_h_candidates`), and F(0) = G(0) = 0: the identity
+      at (0, x, b) gives H(b) = F(0)G(x) + H(b) for every x, so
+      F(0)G(x) = 0, and at G(x) = 1 that is F(0) = 0; likewise G(0) =
+      0.  The identity at (1, x, 0) gives H = L_F(1)∘G and at (a, 1, 0)
+      it gives H = R_G(1)∘F, where L_c: y -> cy and R_c: y -> yc in U
+      are bijections for c != 0 (by T4 with a' = 0, and by T5 with x' =
+      0 and y' = 0).  If U is left distributive, every L_c is additive,
+      so G = L_F(1)⁻¹∘H is additive, and H(a(x+y)) = F(a)(G(x) + G(y))
+      = H(ax) + H(ay) = H(ax + ay); H is injective, so T is left
+      distributive.  The right law follows in the same way from F =
+      R_G(1)⁻¹∘H, and the inverse (F⁻¹, G⁻¹, H⁻¹) is an isotopism U ->
+      T, so each law holds in T exactly when it holds in U.  A
+      Desarguesian pair is not compared: a field satisfies both laws.
     - **Candidates.**  The candidate H are those of `_h_candidates`: the
       additive bijections when both rings are linear
       (`<ax+b> = <1<ax+0>+b>` and `<1y+0> = y`), which every isotopism
@@ -612,7 +700,7 @@ def find_isotopism(T, U):
       identity, so it is skipped unverified; no axiom is used.
     Every other pair is verified b-row by b-row (`_identity_holds`), on
     all q^3 triples.  "Absent" rests on the exhausted candidate space,
-    or, when the shortcut answers, on the theorem above.
+    or, when a shortcut answers, on its proof above.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -623,7 +711,11 @@ def find_isotopism(T, U):
     T, U = validate(T), validate(U)
     # imported here, not at the top: collineation imports this module
     from .collineation import classify_ternary
-    if classify_ternary(T).verdict != classify_ternary(U).verdict:
+    verdict = classify_ternary(T).verdict
+    if verdict != classify_ternary(U).verdict:
+        return None
+    if (verdict == "non-desarguesian" and _is_linear(T) and _is_linear(U)
+            and _distributive_laws(T) != _distributive_laws(U)):
         return None
     # per f1 (g1), the map H -> G (F)
     g_picks = [(f1, itemgetter(*_g_slice(T, f1))) for f1 in range(1, q)]

@@ -240,6 +240,16 @@ def test_individual_frame_maps_are_collineations():
             assert is_collineation(P, shear_horizontal_map(K, c))
 
 
+def test_frame_maps_reject_parameters_out_of_range(k3):
+    for c, d in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+        with pytest.raises(InputError, match="^shift components out of range$"):
+            shift_map(k3, c, d)
+    for shear in (shear_vertical_map, shear_horizontal_map):
+        for c in (-1, 3):
+            with pytest.raises(InputError, match="^shear factor out of range$"):
+                shear(k3, c)
+
+
 def test_frame_mover_identity(p3, k3):
     horiz = p3.lines.index((0, 3, 6))
     vert = p3.lines.index((0, 1, 2))

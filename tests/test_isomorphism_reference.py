@@ -9,6 +9,13 @@ rings, which only the checks can reject, and on Hypothesis tables of
 order <= 5.  Its leaf checks are counted, with no timing: a
 classification of an order-16 ring verifies at most one full map.
 
+The left power orders that prune the search must move with every
+relabelling that fixes 0 and 1 (Hypothesis), and be the multiplicative
+orders on a field.  With them, the search must still agree with the
+reference on relabelled field rings up to order 27 and on the André rings
+of orders 16 and 25; it must verify fewer full maps in GF(27)
+classifications, and read no table entry when the order lists differ.
+
 The leaf check `ternary.isotopism_failure`, with F = G = H = the map,
 must return the same triple (or None) as
 `isomorphism_reference.isomorphism_failure` on random
@@ -19,6 +26,7 @@ for every row, and its pull-backs are counted: each kind at most once
 per map, with the field ring's index built once.
 """
 
+import functools
 import itertools
 import random
 from functools import cached_property
@@ -28,8 +36,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isomorphism_reference as ref
-from affplane import (CoordinateFrame, TernaryRing, build_left,
-                      classify_ternary, coordinatize, enumerate_phi,
+from affplane import (ClassificationResult, CoordinateFrame, TernaryRing,
+                      build_left, classify_ternary, coordinatize, enumerate_phi,
                       find_isomorphism, from_field, galois_subgroup,
                       make_field, opposite, plane_from_ternary,
                       spec_from_exponents, to_ternary)
@@ -156,6 +164,126 @@ def test_order16_classifications_verify_at_most_one_map(monkeypatch):
         result = classify_ternary(T)
         assert len(calls) <= 1
         assert len(calls) == (result.isomorphism is not None)
+
+
+# ---------------------------------------------------------------------------
+# the left power orders: an isomorphism invariant that prunes the search
+
+@functools.cache
+def _order_rings():
+    """Field rings of orders 4 to 27, and the left and transposed
+    non-field André rings of orders 9, 16 and 25."""
+    rings = [to_ternary(from_field(make_field(p, n)))
+             for p, n in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))]
+    for p, n, d in ((3, 2, 1), (2, 4, 2), (5, 2, 1)):
+        K = make_field(p, n)
+        for spec in enumerate_phi(K, galois_subgroup(K, d)):
+            if any(spec.phi):
+                Q = build_left(spec)
+                rings += [to_ternary(Q), to_ternary(opposite(Q))]
+    return rings
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_left_power_orders_move_with_a_relabelling(data):
+    """ord(e) in T is ord(perm(e)) in T relabelled along perm, for any
+    perm that fixes 0 and 1."""
+    T = data.draw(st.sampled_from(_order_rings()))
+    perm = [0, 1] + data.draw(st.permutations(range(2, T.q)))
+    orders = ternary._left_orders(T)
+    moved = ternary._left_orders(relabel_ring(T, perm))
+    assert [moved[perm[e]] for e in range(T.q)] == orders
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_left_power_orders_of_a_field_ring_are_multiplicative_orders(p, n):
+    K = make_field(p, n)
+
+    def order(e):
+        k, x = 1, e
+        while x != 1:
+            k, x = k + 1, K.mul(x, e)
+        return k
+
+    orders = ternary._left_orders(to_ternary(from_field(K)))
+    assert orders == [0] + [order(e) for e in range(1, K.q)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_order_pruned_search_matches_the_reference(p, n, monkeypatch):
+    """Every ordered pair of the field ring and three seeded relabellings
+    of it, and at orders 16 and 25 also of the André rings over every
+    proper subfield and a relabelling of two of them: the same map or
+    None as the backtracking reference, run here up to order 27."""
+    monkeypatch.setattr(ref, "SEARCH_BOUND", 27)
+    field = to_ternary(from_field(make_field(p, n)))
+    rng = random.Random(p ** n + 2)
+    rings = [field] + [relabel_ring(field, _relabelling(field.q, rng)) for _ in range(3)]
+    if p ** n in (16, 25):
+        andre = [T for T in base_rings(p, n) if T.table != field.table]
+        rings += andre + [relabel_ring(T, _relabelling(T.q, rng)) for T in andre[:2]]
+    results = {(i, j): assert_agrees(T, U)
+               for (i, T), (j, U) in itertools.product(enumerate(rings), repeat=2)}
+    assert all(results[i, j] is not None for i in range(4) for j in range(4))
+    assert (None in results.values()) == (p ** n in (16, 25))
+
+
+def test_order_filter_cuts_the_full_maps_of_gf27_classifications(monkeypatch):
+    """Five seeded relabellings of the GF(27) ring: a branch element tries
+    only images of its own left power order, so forcing leaves 2, 3, 3, 2
+    and 8 full maps to verify, where trying every unassigned image leaves
+    3, 5, 5, 4 and 19."""
+    field = to_ternary(from_field(make_field(3, 3)))
+    rng = random.Random(27)
+    calls = []
+    failure = ternary.isotopism_failure
+
+    def count(*args):
+        calls.append(args)
+        return failure(*args)
+
+    monkeypatch.setattr(ternary, "isotopism_failure", count)
+    leaves = []
+    for _ in range(5):
+        U = relabel_ring(field, _relabelling(27, rng))
+        del calls[:]
+        assert classify_ternary(U).verdict == "desarguesian"
+        leaves.append(len(calls))
+    assert leaves == [2, 3, 3, 2, 8]
+
+
+def test_left_andre16_rings_are_absent_before_the_search(monkeypatch):
+    """The three non-field left André rings of order 16 have other left
+    power orders than GF(16): the search reads no single entry of either
+    table, and the classification verifies no map and keeps its reason."""
+    reads = []
+
+    class CountedTable(tuple):
+        def __getitem__(self, i):
+            if not isinstance(i, slice):
+                reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    calls = []
+    failure = ternary.isotopism_failure
+
+    def count(*args):
+        calls.append(args)
+        return failure(*args)
+
+    monkeypatch.setattr(ternary, "isotopism_failure", count)
+    K = make_field(2, 4)
+    field = to_ternary(from_field(K))
+    counted_field = TernaryRing(16, CountedTable(field.table))
+    rings = [to_ternary(build_left(spec)) for spec in enumerate_phi(K, galois_subgroup(K, 2))
+             if any(spec.phi)]
+    assert len(rings) == 3
+    for T in rings:
+        assert find_isomorphism(TernaryRing(16, CountedTable(T.table)), counted_field) is None
+        assert classify_ternary(T) == ClassificationResult(
+            "non-desarguesian", None, "search-exhausted")
+    assert not reads and not calls
 
 
 @st.composite

@@ -12,8 +12,13 @@ reference needs about 7 s for each.  They are compared with
 `isotopism_reference.additive_find_isotopism`, the search without the
 Desarguesian shortcut and the (f1, g1) filter: every pair of validated
 rings of order <= 9 that the constructions below give, found and absent.
-With the classifier stubbed to one verdict, so that the shortcut cannot
-answer, the search must still find each absent pair absent.
+With the classifier stubbed to one verdict, so that no shortcut can
+answer, the search must still find each absent pair absent.  The
+distributive laws that `find_isotopism` compares between non-Desarguesian
+linear rings must be the quasi-field's VW4 and VW4-r flags, and the
+comparison must answer exactly where the proof allows: every ordered pair
+of order-9 coordinate rings gets the additive search's answer, and the
+Hall against dual Hall pair verifies no candidate.
 """
 
 import functools
@@ -30,12 +35,12 @@ import isotopism_reference as ref
 from affplane import (ClassificationResult, CoordinateFrame, InputError,
                       TernaryRing, build_left, build_right, canonical_frame,
                       check_ternary_axioms, coordinatize, enumerate_phi,
-                      find_isotopism, from_field, galois_subgroup, make_field,
-                      opposite, plane_from_ternary, spec_from_exponents,
-                      to_ternary)
+                      find_isotopism, from_field, from_ternary, galois_subgroup,
+                      make_field, opposite, plane_from_ternary,
+                      spec_from_exponents, to_ternary)
 from affplane import collineation, ternary
 from affplane.ternary import _h_candidates
-from tests_support import relabel_ring
+from tests_support import relabel_ring, swept_report
 
 ORDER9 = ("field", "near-field", "transposed")
 
@@ -77,26 +82,40 @@ def assert_agrees_or_rejects(T, U):
 
 def _same_verdict(T):
     """A stub for `collineation.classify_ternary`: one verdict for every
-    ring, so that the Desarguesian shortcut never answers."""
+    ring, "desarguesian", so that neither the Desarguesian shortcut nor
+    the distributive-law comparison answers."""
     return ClassificationResult("desarguesian")
 
 
-@pytest.fixture(scope="module")
-def order9_rings():
+def _order9_coordinate_rings(count, seed):
     """Coordinate rings of the order-9 field, near-field and transposed
-    near-field planes at two seeded unit points each."""
+    near-field planes at `count` seeded unit points each, by plane."""
     K = make_field(3, 2)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     sources = (from_field(K), near, opposite(near))
-    rng = random.Random(9)
+    rng = random.Random(seed)
     off_axes = [x * 9 + y for x in range(1, 9) for y in range(1, 9)]
     rings = {}
     for name, Q in zip(ORDER9, sources):
         P = plane_from_ternary(to_ternary(Q))
         frame = canonical_frame(P)
         rings[name] = [coordinatize(P, CoordinateFrame(frame.l, frame.m, z)).ring
-                       for z in rng.sample(off_axes, 2)]
+                       for z in rng.sample(off_axes, count)]
     return rings
+
+
+@pytest.fixture(scope="module")
+def order9_rings():
+    """The order-9 coordinate rings at two seeded unit points each."""
+    return _order9_coordinate_rings(2, 9)
+
+
+@pytest.fixture(scope="module")
+def order9_named_rings():
+    """(plane, ring) for the order-9 coordinate rings at three seeded unit
+    points each."""
+    return [(name, T) for name, rings in _order9_coordinate_rings(3, 10).items()
+            for T in rings]
 
 
 @pytest.mark.parametrize("name", ORDER9)
@@ -314,7 +333,8 @@ def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
 
 def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch):
     """The (f1, g1) filter leaves at most q - 1 = 8 pairs of the 64 whose
-    F and G are bijections, for each of the 48 additive H."""
+    F and G are bijections, for each of the 48 additive H.  The classifier
+    is stubbed to one verdict, so that neither shortcut answers."""
     K = make_field(3, 2)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     T, U = to_ternary(near), to_ternary(opposite(near))
@@ -326,7 +346,98 @@ def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch)
         return holds(checks, urows, F, G, H, gather)
 
     monkeypatch.setattr(ternary, "_identity_holds", count)
+    monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
     assert find_isotopism(T, U) is None
     assert len(list(_h_candidates(T, U))) == len(verified) == 48
     assert max(verified.values()) <= 8
     assert sum(verified.values()) <= 384
+
+
+# ---------------------------------------------------------------------------
+# the distributive laws: an isotopism invariant of linear rings
+
+def test_every_pair_of_order9_coordinate_rings_matches_the_additive_search(
+        order9_named_rings):
+    """Every ordered pair of the field, near-field and transposed
+    coordinate rings, found and absent: the answer of the search with no
+    shortcut, and an isotopism exactly within one plane."""
+    for (a, T), (b, U) in itertools.product(order9_named_rings, repeat=2):
+        iso = find_isotopism(T, U)
+        assert iso == ref.additive_find_isotopism(T, U)
+        assert (iso is not None) == (a == b)
+
+
+def test_distributive_laws_are_the_quasi_fields_vw4_flags(order9_named_rings):
+    """(a(x+y) = ax + ay, (x+y)a = xa + ya) is the pair of VW4 and VW4-r
+    flags of the quasi-field read off the ring, on the order-9 coordinate
+    rings and the field and André rings of orders 16, 25 and 27."""
+    rings = [T for _, T in order9_named_rings]
+    for p, n, d in ((2, 4, 2), (5, 2, 1), (3, 3, 1)):
+        K = make_field(p, n)
+        for spec in enumerate_phi(K, galois_subgroup(K, d)):
+            Q = build_left(spec)
+            rings += [to_ternary(Q), to_ternary(opposite(Q))]
+    seen = set()
+    for T in rings:
+        flags = swept_report(from_ternary(T)).flags()
+        laws = ternary._distributive_laws(T)
+        assert laws == (flags["VW4"], flags["VW4-r"])
+        seen.add(laws)
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_laws_are_compared_only_between_non_desarguesian_rings(
+        order9_named_rings, monkeypatch):
+    """Over every ordered pair of the order-9 coordinate rings, the laws
+    are swept only when neither ring is a field plane's, and a near-field
+    ring against a transposed one differs in both laws and gets None with
+    no candidate verified."""
+    laws, verified = [], []
+    distributive_laws, holds = ternary._distributive_laws, ternary._identity_holds
+
+    def record(T):
+        laws.append(distributive_laws(T))
+        return laws[-1]
+
+    def count(*args):
+        verified.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(ternary, "_distributive_laws", record)
+    monkeypatch.setattr(ternary, "_identity_holds", count)
+    for (a, T), (b, U) in itertools.product(order9_named_rings, repeat=2):
+        del laws[:], verified[:]
+        iso = find_isotopism(T, U)
+        compared = "field" not in (a, b)
+        assert len(laws) == 2 * compared
+        if compared and a != b:
+            assert iso is None and not verified
+            assert laws[0] != laws[1] and laws[0] == laws[1][::-1]
+
+
+def test_hall_against_dual_hall_verifies_no_candidate(monkeypatch):
+    """The near-field ring satisfies the left law only and its transpose
+    the right law only, so neither search verifies a candidate."""
+    K = make_field(3, 2)
+    near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
+    T, U = to_ternary(near), to_ternary(opposite(near))
+    verified = []
+    holds = ternary._identity_holds
+
+    def count(*args):
+        verified.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(ternary, "_identity_holds", count)
+    assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
+    assert not verified
+
+
+def test_a_difference_in_either_law_answers_none(order9_rings, monkeypatch):
+    """Two isotopic near-field rings, with `_distributive_laws` stubbed to
+    tell them apart by the right law alone, then by the left law alone."""
+    T, U = order9_rings["near-field"]
+    assert find_isotopism(T, U) is not None
+    for laws in (lambda R: (True, R is U), lambda R: (R is U, True)):
+        monkeypatch.setattr(ternary, "_distributive_laws", laws)
+        assert find_isotopism(T, U) is None

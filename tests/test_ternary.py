@@ -316,6 +316,11 @@ def test_complete_isotopism_rejects_bad_h(t3):
         complete_isotopism(t3, t3, (1, 0, 2), 0, 0)
 
 
+@pytest.mark.parametrize("H", [(), (0,), (0, 1), (0, 1, 2, 0), (0, 1, 1), (0, 1, 3)])
+def test_complete_isotopism_returns_none_for_an_h_that_is_no_bijection(t3, H):
+    assert complete_isotopism(t3, t3, H, 1, 1) is None
+
+
 def test_find_isotopism_absent_between_order_9_planes(k9, andre9):
     """The Desarguesian, Hall and dual Hall planes of order 9 are pairwise
     non-isomorphic, so no two of their coordinate rings are isotopic."""
