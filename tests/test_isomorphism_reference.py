@@ -26,10 +26,9 @@ for every row, and its pull-backs are counted: each kind at most once
 per map, with the field ring's index built once.
 """
 
-import functools
 import itertools
 import random
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -169,7 +168,7 @@ def test_order16_classifications_verify_at_most_one_map(monkeypatch):
 # ---------------------------------------------------------------------------
 # the left power orders: an isomorphism invariant that prunes the search
 
-@functools.cache
+@cache
 def _order_rings():
     """Field rings of orders 4 to 27, and the left and transposed
     non-field André rings of orders 9, 16 and 25."""
