@@ -7,15 +7,17 @@ verifies the axiom table, and compares the algebraic predictions
 (associativity from phi being a homomorphism, right distributivity from
 phi being constant) against the exhaustive scans.  The associativity
 scan runs on a fresh copy of the build's tables, since a build answers
-`associativity_witness` from the proof it keeps.
+`associativity_witness` from the proof it keeps.  A prediction that a
+scan contradicts raises `InternalCheckError`, naming phi, under
+`python -O` too.
 """
 
 import argparse
 
-from affplane import (LEFT_AXIOMS, QuasiField, associativity_witness,
-                      build_left, check_vw, classify, enumerate_phi,
-                      galois_subgroup, make_field, predicts_associative,
-                      predicts_right_distributive)
+from affplane import (LEFT_AXIOMS, InternalCheckError, QuasiField,
+                      associativity_witness, build_left, check_vw, classify,
+                      enumerate_phi, galois_subgroup, make_field,
+                      predicts_associative, predicts_right_distributive)
 
 SUITE = (
     (3, 2, 1),   # GF(9), group of order 2 over GF(3)
@@ -23,6 +25,13 @@ SUITE = (
     (5, 2, 1),   # GF(25), group of order 2 over GF(5)
     (3, 3, 1),   # GF(27), group of order 3 over GF(3)
 )
+
+
+def confirm(spec, prediction, predicted, scanned):
+    """Raise unless the scan agrees with the algebraic prediction."""
+    if predicted != scanned:
+        raise InternalCheckError(f"phi={spec.phi}: predicted {prediction}={predicted}, "
+                                 f"but the scan says {scanned}")
 
 
 def survey(p, n, d, do_classify):
@@ -35,9 +44,10 @@ def survey(p, n, d, do_classify):
         report = check_vw(Q)
         fresh = QuasiField(Q.q, Q.add_table, Q.mul_table)  # no kept proof
         assoc = associativity_witness(fresh) is None
-        assert predicts_associative(spec) == assoc
+        confirm(spec, "associative", predicts_associative(spec), assoc)
         right_distributive = report.flags()["VW4-r"]
-        assert predicts_right_distributive(spec) == right_distributive
+        confirm(spec, "right-distributive", predicts_right_distributive(spec),
+                right_distributive)
         line = (f"  phi={spec.phi}: left axioms "
                 f"{'pass' if report.passes(*LEFT_AXIOMS) else 'FAIL'}, "
                 f"associative={assoc}, right-distributive={right_distributive}")

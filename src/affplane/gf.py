@@ -84,15 +84,30 @@ def _monic_polys(p, deg):
         yield list(tail) + [1]
 
 
+def _has_root(poly, p):
+    # Horner's rule at each r in GF(p)
+    for r in range(p):
+        v = 0
+        for c in reversed(poly):
+            v = (v * r + c) % p
+        if v == 0:
+            return True
+    return False
+
+
 def is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """No factor of degree 1 to deg/2: a root decides degree 1, since
+    X - r divides f exactly when f(r) = 0, and trial division by every
+    monic polynomial decides degrees 2..deg/2."""
     poly = _trim(poly)
     deg = len(poly) - 1
     if deg < 1:
         return False
     if deg == 1:
         return True
-    for d in range(1, deg // 2 + 1):
+    if _has_root(poly, p):
+        return False
+    for d in range(2, deg // 2 + 1):
         for cand in _monic_polys(p, d):
             if not _poly_rem(poly, cand, p):
                 return False
@@ -253,9 +268,10 @@ def _digit_row(blocks, a, row):
 
 def _find_generator(p, n, modulus):
     # the least element of order q - 1 and its powers, by one polynomial
-    # product per power
+    # product per power; when n > 1 the search starts at p, since the
+    # elements 0..p-1 of GF(p) have orders dividing p - 1 < q - 1
     q = p ** n
-    for g in range(1, q):
+    for g in range(p if n > 1 else 1, q):
         pg = _decode(g, p)
         powers, x = [1], pg
         while x != [1]:

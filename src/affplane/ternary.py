@@ -36,14 +36,17 @@ once when `collineation.classify_ternary` tells their planes apart (the
 Desarguesian shortcut), or when two linear non-Desarguesian rings differ
 in one of the two distributive laws (an isotopism invariant); otherwise
 it verifies only the candidates that pass a filter implied by the
-isotopism identity, b-row by b-row.  Both invariants are computed on
-every call and kept nowhere.  The search docstrings have the proofs.
+isotopism identity.  Between linear rings a candidate is tested on the
+q^2 products <ax+0> alone, one lookup each, since its H is additive;
+any other pair is tested b-row by b-row on all q^3 triples.  Both
+invariants are computed on every call and kept nowhere.  The search
+docstrings have the proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import add, eq, itemgetter
 
@@ -480,45 +483,81 @@ def _is_bijection(seq, q):
     return len(seq) == q and sorted(seq) == list(range(q))
 
 
+def _times(T):
+    """T's product rows: times[a][x] = <ax+0>."""
+    q, t = T.q, T.table
+    qq = q * q
+    return [t[i:i + qq:q] for i in range(0, q * qq, qq)]
+
+
+def _product_entries(T):
+    """(a, x, <ax+0>) for a, x in 1..q-1: T's products, in the order in
+    which `find_isotopism` tests them between linear rings.
+
+    They are taken by the classes of (a + x) mod (q - 1), a increasing
+    within a class; each class meets every a and every x once, so
+    consecutive entries differ in both.  A candidate built from (f1, g1)
+    that passes the filter <c c+0> = c holds on every entry with a = f1
+    or x = g1 when the rings are linear and H is additive, and in
+    lexicographic order it would pass the whole run of entries with a =
+    f1 before failing: over the nine searches among the order-9 field,
+    near-field and transposed rings, with the classifier stubbed to one
+    verdict so that neither shortcut answers, this order tests 5,744
+    entries, against 19,200 in (a, x) order.  The shortcuts answer six
+    of those searches, and in the other three the first candidate
+    verified is the isotopism, all 64 entries of it.
+    """
+    q, heads = T.q, T.table[::T.q]  # heads[a*q + x] = <ax+0>
+    entries = []
+    for s in range(q - 1):
+        for a in range(1, q):
+            x = (s - a) % (q - 1) or q - 1  # the x in 1..q-1 with a + x = s mod (q - 1)
+            entries.append((a, x, heads[a * q + x]))
+    return entries
+
+
+def _products_hold(entries, times, F, G, H):
+    """True iff H(<ax+0>_T) = <F(a)G(x)+0>_U for every entry (a, x,
+    <ax+0>_T) of `entries` (`_product_entries(T)`), one lookup each, in
+    their order; `times` is `_times(U)`.
+
+    This is `find_isotopism`'s candidate test between linear rings, where
+    it decides the identity on all q^3 triples (its docstring has the
+    proof).  Between the order-9 Hall and dual Hall rings, with both
+    shortcuts stubbed off (the distributive laws tell these rings apart
+    before any candidate), the 384 candidates that pass the (f1, g1)
+    filter, all rejected, take 0.08-0.12 ms here, against 0.42-0.66 ms
+    b-row by b-row (`_identity_holds`) and 8.2 ms through
+    `isotopism_failure` (best of 5 timeit runs in each of two processes,
+    Python 3.11, 2-vCPU host)."""
+    for a, x, y in entries:
+        if H[y] != times[F[a]][G[x]]:
+            return False
+    return True
+
+
 def _row_checks(T):
     """Per b-row of T, (a, x, itemgetter of the row): applied to H, it
-    gives the row mapped through H.
-
-    The rows with a, x != 0 come first: on ternary rings the rows with
+    gives the row mapped through H.  The rows with a, x != 0 come first,
+    in the order of `_product_entries`: on ternary rings the rows with
     a = 0 or x = 0 hold automatically, so bad candidates die fast in the
-    others.  Those are taken by the classes of (a + x) mod (q - 1), each
-    of which meets every a and every x once, so consecutive rows differ
-    in both.  A candidate built from (f1, g1) holds on every row with
-    a = f1 or x = g1 when the rings are linear and H is additive, and in
-    lexicographic order it would pass the whole run of rows with a = f1
-    before failing: over the nine searches among the order-9 field,
-    near-field and transposed rings, with the classifier stubbed to one
-    verdict so that neither shortcut answers, this order compares 5,795
-    rows, against 19,251 in (a, x) order with the same rows first.  The
-    shortcuts answer six of those searches, and in the other three the
-    first candidate verified is the isotopism, all 81 rows of it.
-    """
+    others."""
     q = T.q
     checks = [(i // q, i % q, itemgetter(*row)) for i, row in enumerate(_b_rows(T))]
     return sorted(checks, key=lambda c: (not (c[0] and c[1]), (c[0] + c[1]) % (q - 1), c[0]))
 
 
-def _identity_holds(checks, urows, F, G, H, gather):
+def _identity_holds(checks, urows, F, G, H):
     """True iff H(<ax+b>) = <F(a)G(x)+H(b)> on all triples: per (a, x),
     the b-row of T mapped through H must equal U's b-row at (F(a), G(x))
-    gathered at H.  `checks` is `_row_checks(T)`, `urows` is
-    `_b_rows(U)` and `gather` is itemgetter(*H).
+    gathered at H.  `checks` is `_row_checks(T)` and `urows` is
+    `_b_rows(U)`.
 
-    This, not `isotopism_failure`, is `find_isotopism`'s candidate test:
-    its checks and rows are built once per search and most candidates
-    fail in their first few rows, while the pull-back builds H⁻¹ and
-    compares whole a-blocks.  Between the order-9 Hall and dual Hall
-    rings, with both shortcuts stubbed off (the distributive laws tell
-    these rings apart before any candidate), the 384 candidates that
-    pass the (f1, g1) filter, all rejected, take 0.48 ms here and 8.3 ms
-    through `isotopism_failure` (best of 5 timeit runs, Python 3.11,
-    2-vCPU host)."""
-    q = len(H)
+    This, not `isotopism_failure`, is `find_isotopism`'s candidate test
+    when T or U is not linear: its checks and rows are built once per
+    search and most candidates fail in their first few rows, while the
+    pull-back builds H⁻¹ and compares whole a-blocks."""
+    q, gather = len(H), itemgetter(*H)
     for a, x, image in checks:
         if image(H) != gather(urows[F[a] * q + G[x]]):
             return False
@@ -570,9 +609,10 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     return None
 
 
-def _h_candidates(T, U):
+def _h_candidates(T, U, linear=None):
     """Every H with H(0) = 0 that an isotopism T -> U can have, in
-    lexicographic order.
+    lexicographic order.  `linear` says whether T and U are both linear,
+    when the caller has decided it already.
 
     H(1), H(2), ... are assigned in carrier order, images tried in
     increasing order.  When T and U are both linear, every isotopism has
@@ -586,18 +626,24 @@ def _h_candidates(T, U):
     every H is yielded.
     """
     q = T.q
+    qq = q * q
+    if linear is None:
+        linear = _is_linear(T) and _is_linear(U)
     # each sum y + b = v is checked when the last of y, b, v gets its
     # image; y + 0 = y holds in both linear rings and is left out
     sums = [[] for _ in range(q)]
     forced = [None] * q  # per e, one sum y + b = e with y, b < e
-    if _is_linear(T) and _is_linear(U):
+    if linear:
+        t_plus = T.table[qq:2 * qq]  # t_plus[y*q + b] = <1y+b> in T
         for y in range(q):
             for b in range(1, q):
-                v = T.at(1, y, b)
-                sums[max(y, b, v)].append((y, b, v))
-                if v > max(y, b) and forced[v] is None:
-                    forced[v] = (y, b)
-    plus = [U.table[i:i + q] for i in range(q * q, 2 * q * q, q)]  # plus[y][b] = <1y+b>
+                v, last = t_plus[y * q + b], y if y > b else b
+                if v > last:
+                    last = v
+                    if forced[v] is None:
+                        forced[v] = (y, b)
+                sums[last].append((y, b, v))
+    plus = [U.table[i:i + q] for i in range(qq, 2 * qq, q)]  # plus[y][b] = <1y+b>
     H = [0] * q
     used = [True] + [False] * (q - 1)  # 0 is H(0)'s, and never an image of e > 0
     every = range(1, q)
@@ -640,9 +686,8 @@ def _distributive_laws(T):
     # imported here, not at the top: quasifield imports this module
     from .quasifield import _vw4_sweep, _vw4r_sweep
     q, t = T.q, T.table
-    qq = q * q
-    plus = [t[i:i + q] for i in range(qq, 2 * qq, q)]  # plus[y][b] = <1y+b>
-    times = [t[i:i + qq:q] for i in range(0, q * qq, qq)]  # times[a][x] = <ax+0>
+    plus = [t[i:i + q] for i in range(q * q, 2 * q * q, q)]  # plus[y][b] = <1y+b>
+    times = _times(T)
     return (next(_vw4_sweep(plus, times), None) is None,
             next(_vw4r_sweep(plus, times), None) is None)
 
@@ -698,9 +743,24 @@ def find_isotopism(T, U):
       G(g1) by the two definitions, the identity at (f1, g1, 0) reads
       c = <c c+0> in U (H(0) = 0).  A pair that breaks this fails the
       identity, so it is skipped unverified; no axiom is used.
-    Every other pair is verified b-row by b-row (`_identity_holds`), on
-    all q^3 triples.  "Absent" rests on the exhausted candidate space,
-    or, when a shortcut answers, on its proof above.
+    - **Candidate test.**  Every other candidate is verified, by a test
+      chosen once per call.  When both rings are linear it is
+      `_products_hold`: H(<ax+0>_T) = <F(a)G(x)+0>_U for a, x in
+      1..q-1, one lookup per (a, x), in the order of `_product_entries`.
+      Proof that this is the identity on all q^3 triples: the candidate
+      H are additive (`_h_candidates`), H(y + b) = H(y) + H(b) with the
+      additions <1y+b> of T and U.  Both rings are linear, so
+      H(<ax+b>) = H(<ax+0> + b) = H(<ax+0>) + H(b) and <F(a)G(x)+H(b)>
+      = <F(a)G(x)+0> + H(b); y -> y + c is a bijection of U (T4 with
+      a = 1 and a' = 0, as <0y+c'> = c' by T2), so the identity at (a,
+      x, b) holds exactly when it holds at (a, x, 0).  The entries with
+      a = 0 or x = 0 hold: F(0) = H(<0 g1+0>) = H(0) = 0 and G(0) =
+      H(<f1 0+0>) = 0 by T2, so both sides are 0 by T2.  Otherwise the
+      test is `_identity_holds`, b-row by b-row on all q^3 triples.
+      Both tests are exact and the candidates come in the same order, so
+      the answer is the lexicographically first isotopism either way.
+    "Absent" rests on the exhausted candidate space, or, when a shortcut
+    answers, on its proof above.
     """
     if T.q != U.q:
         raise InputError("carrier sizes differ")
@@ -714,21 +774,26 @@ def find_isotopism(T, U):
     verdict = classify_ternary(T).verdict
     if verdict != classify_ternary(U).verdict:
         return None
-    if (verdict == "non-desarguesian" and _is_linear(T) and _is_linear(U)
+    linear = _is_linear(T) and _is_linear(U)
+    if (verdict == "non-desarguesian" and linear
             and _distributive_laws(T) != _distributive_laws(U)):
         return None
+    # the candidate test, chosen once: the q^2 products between linear
+    # rings, the q^3 triples b-row by b-row otherwise
+    if linear:
+        holds = partial(_products_hold, _product_entries(T), _times(U))
+    else:
+        holds = partial(_identity_holds, _row_checks(T), _b_rows(U))
     # per f1 (g1), the map H -> G (F)
     g_picks = [(f1, itemgetter(*_g_slice(T, f1))) for f1 in range(1, q)]
     f_picks = [itemgetter(*_f_slice(T, g1)) for g1 in range(1, q)]
     u = U.table
     idempotent = [u[(c * q + c) * q] == c for c in range(q)]  # <c c+0> = c in U
-    checks, urows = _row_checks(T), _b_rows(U)
-    for H in _h_candidates(T, U):
+    for H in _h_candidates(T, U, linear):
         Fs = [pick(H) for pick in f_picks]
-        gather = itemgetter(*H)
         for f1, pick in g_picks:
             G = pick(H)
             for F in Fs:
-                if idempotent[F[f1]] and _identity_holds(checks, urows, F, G, H, gather):
+                if idempotent[F[f1]] and holds(F, G, H):
                     return Isotopism(F, G, H)
     return None

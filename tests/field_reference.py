@@ -11,7 +11,10 @@ where they are not.
 
 `make_field` is the build `gf` used before it built its tables by rows:
 one polynomial product and remainder per pair, and neg, inv and the
-generator read off the tables.  `verify_field_tables_by_entry` is the
+generator read off the tables, the generator by trying every element
+from 1 up.  Its modulus comes from `smallest_irreducible` here, which
+trial-divides by every monic polynomial of degree 1..n/2, as `gf` did
+before it read degree 1 off the roots.  `verify_field_tables_by_entry` is the
 O(n q^2) certificate as it was before it compared whole rows: the same
 premises in the same order, entry by entry.  They are kept so that the
 tests can require the same tables and the same error messages.
@@ -30,7 +33,7 @@ import itertools
 from affplane.errors import InputError, InternalCheckError
 from affplane.gf import (FiniteField, GaloisGroup, _decode, _encode,
                          _is_automorphism as _is_certified_automorphism,
-                         _poly_mul, _poly_rem, norm, smallest_irreducible)
+                         _poly_mul, _poly_rem, norm)
 
 # full q^3 sweeps over the axioms stay cheap up to this order; bigger
 # fields get structural checks plus a deterministic sample instead
@@ -94,6 +97,28 @@ def _is_automorphism(K, perm, exhaustive):
         if perm[K.mul(x, y)] != K.mul(perm[x], perm[y]):
             return False
     return True
+
+
+def is_irreducible(poly, p):
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    deg = len(poly) - 1
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not _poly_rem(poly, list(tail) + [1], p):
+                return False
+    return True
+
+
+def smallest_irreducible(p, n):
+    """The first monic irreducible of degree n over GF(p), coefficient
+    sequences compared low-degree-first."""
+    return next(tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=n)
+                if is_irreducible(list(tail) + [1], p))
 
 
 def make_field(p, n):

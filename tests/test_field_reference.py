@@ -33,8 +33,8 @@ import field_reference as ref
 from affplane.errors import InternalCheckError
 from affplane.andre import spec_from_exponents
 from affplane.gf import (_is_automorphism, _is_prime, fixed_field,
-                         galois_subgroup, make_field, norm_image,
-                         verify_field_tables)
+                         galois_subgroup, is_irreducible, make_field,
+                         norm_image, verify_field_tables)
 from test_gf import FIELD_ORDERS
 
 PRIME_POWERS = [(p, n) for p in range(2, 257) if _is_prime(p)
@@ -219,6 +219,18 @@ def test_off_sample_image_swaps_are_rejected(p, n, x, y, sample_accepts):
 def test_rows_build_the_reference_tables(p, n):
     # dataclass equality: p, n, q, modulus, generator and all six tables
     assert make_field(p, n) == ref.make_field(p, n)
+
+
+@pytest.mark.parametrize("p, degree", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 2)])
+def test_roots_and_trial_division_agree_on_irreducibility(p, degree):
+    """`is_irreducible` reads factors of degree 1 off the roots; the
+    reference trial-divides by them.  Every polynomial of degree 0 to
+    `degree` over GF(p), leading coefficient 1 or p - 1."""
+    for deg in range(degree + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            for lead in {1, p - 1}:
+                poly = list(tail) + [lead]
+                assert is_irreducible(poly, p) == ref.is_irreducible(poly, p), poly
 
 
 def _error(verify, K):

@@ -18,7 +18,12 @@ distributive laws that `find_isotopism` compares between non-Desarguesian
 linear rings must be the quasi-field's VW4 and VW4-r flags, and the
 comparison must answer exactly where the proof allows: every ordered pair
 of order-9 coordinate rings gets the additive search's answer, and the
-Hall against dual Hall pair verifies no candidate.
+Hall against dual Hall pair verifies no candidate.  Between linear rings
+each candidate is tested on the q^2 products alone (`_products_hold`):
+that test must pass or fail with the b-row test (`_identity_holds`) on
+every candidate the search reaches, over the order-9 coordinate rings
+and the André rings of orders 16, 25 and 27 (the bound raised), with no
+b-rows built; a non-linear ring is still tested b-row by b-row.
 """
 
 import functools
@@ -315,13 +320,13 @@ def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
     T = to_ternary(from_field(K))
     U = to_ternary(build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1))))
     verified = []
-    holds = ternary._identity_holds
+    holds = ternary._products_hold
 
     def count(*args):
         verified.append(args)
         return holds(*args)
 
-    monkeypatch.setattr(ternary, "_identity_holds", count)
+    monkeypatch.setattr(ternary, "_products_hold", count)
     T2, U2 = replace(T, validated=False), replace(U, validated=False)
     for pair in ((T, U), (U, T), (T2, U), (T, U2), (U2, T2)):
         assert find_isotopism(*pair) is None
@@ -339,13 +344,13 @@ def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     T, U = to_ternary(near), to_ternary(opposite(near))
     verified = Counter()
-    holds = ternary._identity_holds
+    holds = ternary._products_hold
 
-    def count(checks, urows, F, G, H, gather):
+    def count(entries, times, F, G, H):
         verified[H] += 1
-        return holds(checks, urows, F, G, H, gather)
+        return holds(entries, times, F, G, H)
 
-    monkeypatch.setattr(ternary, "_identity_holds", count)
+    monkeypatch.setattr(ternary, "_products_hold", count)
     monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
     assert find_isotopism(T, U) is None
     assert len(list(_h_candidates(T, U))) == len(verified) == 48
@@ -441,3 +446,130 @@ def test_a_difference_in_either_law_answers_none(order9_rings, monkeypatch):
     for laws in (lambda R: (True, R is U), lambda R: (R is U, True)):
         monkeypatch.setattr(ternary, "_distributive_laws", laws)
         assert find_isotopism(T, U) is None
+
+
+# ---------------------------------------------------------------------------
+# the candidate test between linear rings: the q^2 products
+
+ANDRE_FIELDS = [(2, 4, 2), (5, 2, 1), (3, 3, 1)]  # orders 16, 25 and 27
+
+
+def _andre_rings(p, n, d):
+    """The rings of the left André quasi-fields of GF(p^n) over the field
+    fixed by its Galois subgroup of order d (the field among them), and
+    the rings of their transposes."""
+    K = make_field(p, n)
+    quasi_fields = [build_left(spec) for spec in enumerate_phi(K, galois_subgroup(K, d))]
+    return [to_ternary(R) for Q in quasi_fields for R in (Q, opposite(Q))]
+
+
+@pytest.mark.parametrize("p, n", ORDERS + [(2, 4)])
+def test_products_are_taken_in_the_order_of_the_rows(p, n):
+    """The entries (a, x, <ax+0>) come in `_row_checks`' order of the rows
+    with a, x != 0: by (a + x) mod (q - 1), then a."""
+    T = to_ternary(from_field(make_field(p, n)))
+    q = T.q
+    rows = [(a, x, T.at(a, x, 0)) for a, x, _ in ternary._row_checks(T) if a and x]
+    assert ternary._product_entries(T) == rows
+    assert len(rows) == (q - 1) ** 2
+
+
+def _search_with_both_tests(monkeypatch, pairs):
+    """`find_isotopism` on each pair, every candidate that reaches
+    `_products_hold` also tested b-row by b-row; asserts that the two
+    tests agree, and returns each pair's answer and number of candidates
+    tested, and the (passing, failing) counts over all pairs."""
+    products, outcomes, answers = ternary._products_hold, Counter(), []
+    for T, U in pairs:
+        checks, urows = ternary._row_checks(T), ternary._b_rows(U)
+        tested = []
+
+        def both(entries, times, F, G, H):
+            holds = products(entries, times, F, G, H)
+            assert holds == ternary._identity_holds(checks, urows, F, G, H)
+            outcomes[holds] += 1
+            tested.append(H)
+            return holds
+
+        monkeypatch.setattr(ternary, "_products_hold", both)
+        answers.append((find_isotopism(T, U), len(tested)))
+    monkeypatch.setattr(ternary, "_products_hold", products)
+    return answers, outcomes
+
+
+def test_products_agree_with_the_rows_on_every_order9_candidate(
+        order9_named_rings, monkeypatch):
+    """Every ordered pair of the order-9 coordinate rings, with the
+    classifier stubbed to one verdict so that every pair is searched:
+    each candidate tested passes or fails both tests, and the answers
+    are the additive search's."""
+    monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
+    pairs = list(itertools.product([T for _, T in order9_named_rings], repeat=2))
+    answers, outcomes = _search_with_both_tests(monkeypatch, pairs)
+    assert [iso for iso, _ in answers] == [ref.additive_find_isotopism(*pair)
+                                          for pair in pairs]
+    assert outcomes[True] == sum(iso is not None for iso, _ in answers) == 27
+    assert outcomes[False] > 10 ** 4
+
+
+@pytest.mark.parametrize("p, n, d", ANDRE_FIELDS)
+def test_products_agree_with_the_rows_between_andre_rings(p, n, d, monkeypatch):
+    """Every ordered pair of the André rings of orders 16, 25 and 27, with
+    the bound raised: each candidate tested passes or fails both tests,
+    and each isotopism found is the additive search's.  At 25 only the
+    left rings are paired, to keep the run short: 28 of their pairs are
+    absent and searched to the end, 11,520 candidates each, all rejected
+    by both tests (the additive search, which tries the same H in the
+    same order, takes seconds on each)."""
+    monkeypatch.setattr(ternary, "ISOTOPISM_SEARCH_BOUND", p ** n)
+    monkeypatch.setattr(ref, "ISOTOPISM_SEARCH_BOUND", p ** n)
+    rings = _andre_rings(p, n, d)
+    pairs = list(itertools.product(rings[::2] if p ** n == 25 else rings, repeat=2))
+    answers, outcomes = _search_with_both_tests(monkeypatch, pairs)
+    found = [(pair, iso) for pair, (iso, _) in zip(pairs, answers) if iso is not None]
+    assert outcomes[True] == len(found) and outcomes[False]
+    assert all(ref.additive_find_isotopism(*pair) == iso for pair, iso in found)
+    # at 16 and 27 a shortcut answers every absent pair
+    exhausted = [tested for iso, tested in answers if iso is None and tested]
+    assert exhausted == ([11520] * 28 if p ** n == 25 else [])
+
+
+def _calls(monkeypatch, *names):
+    """Count the calls of each named function of `ternary`."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(ternary, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ternary, name, counted)
+    return counts
+
+
+def test_linear_pairs_build_no_rows(order9_named_rings, monkeypatch):
+    """Every ordered pair of the order-9 coordinate rings builds neither
+    `_row_checks` nor `_b_rows` and tests no candidate b-row by b-row;
+    the products are tested only between rings of one plane, since the
+    shortcuts answer every other pair (the Hall and dual Hall rings, the
+    near-field and transposed ones, by the distributive laws)."""
+    for (a, T), (b, U) in itertools.product(order9_named_rings, repeat=2):
+        calls = _calls(monkeypatch, "_row_checks", "_b_rows", "_identity_holds",
+                       "_products_hold")
+        iso = find_isotopism(T, U)
+        assert (iso is not None) == (a == b) == bool(calls["_products_hold"])
+        assert not (calls["_row_checks"] or calls["_b_rows"] or calls["_identity_holds"])
+        monkeypatch.undo()
+
+
+def test_non_linear_pairs_test_b_rows(monkeypatch):
+    """A non-linear coordinate ring of the transposed near-field plane of
+    order 9, searched against itself, finds the identity through
+    `_identity_holds`, and the products are never tested."""
+    K = make_field(3, 2)
+    near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
+    P = plane_from_ternary(to_ternary(opposite(near)))
+    T = coordinatize(P, _random_frame(P, random.Random(0), False)).ring
+    assert not _is_linear(T)
+    calls = _calls(monkeypatch, "_identity_holds", "_products_hold")
+    identity = tuple(range(9))
+    assert find_isotopism(T, T) == ternary.Isotopism(identity, identity, identity)
+    assert calls["_identity_holds"] == 1 and not calls["_products_hold"]

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,6 +30,24 @@ def test_survey_classify_matches_golden():
     done = _run("scripts/survey_twisted_fields.py", "--classify")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (ROOT / "tests" / "golden" / "survey_classify.txt").read_text()
+
+
+@pytest.mark.parametrize("predictor", ["predicts_associative",
+                                       "predicts_right_distributive"])
+def test_survey_fails_a_wrong_prediction_under_optimization(predictor):
+    """Under `python -O`, which drops `assert`, a predictor patched to be
+    wrong on every phi still stops the survey with `InternalCheckError`
+    at the first phi, the field's."""
+    code = (f"import runpy, affplane; f = affplane.{predictor}; "
+            f"affplane.{predictor} = lambda spec: not f(spec); "
+            "runpy.run_path('scripts/survey_twisted_fields.py', run_name='__main__')")
+    done = _run("-O", "-c", code)
+    prediction = {"predicts_associative": "associative",
+                  "predicts_right_distributive": "right-distributive"}[predictor]
+    assert done.returncode != 0
+    assert done.stderr.endswith(f"InternalCheckError: phi=(0, 0): predicted "
+                                f"{prediction}=False, but the scan says True\n")
+    assert done.stdout == "GF(9), group order 2: 2 phi maps\n"
 
 
 def test_bench_help_exits_zero():
