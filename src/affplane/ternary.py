@@ -542,9 +542,10 @@ def _row_checks(T):
     in the order of `_product_entries`: on ternary rings the rows with
     a = 0 or x = 0 hold automatically, so bad candidates die fast in the
     others."""
-    q = T.q
-    checks = [(i // q, i % q, itemgetter(*row)) for i, row in enumerate(_b_rows(T))]
-    return sorted(checks, key=lambda c: (not (c[0] and c[1]), (c[0] + c[1]) % (q - 1), c[0]))
+    q, rows = T.q, _b_rows(T)
+    order = [(a, x) for a, x, _ in _product_entries(T)]
+    order += [(a, x) for a in range(q) for x in range(q) if not (a and x)]
+    return [(a, x, itemgetter(*rows[a * q + x])) for a, x in order]
 
 
 def _identity_holds(checks, urows, F, G, H):

@@ -464,14 +464,19 @@ def _andre_rings(p, n, d):
 
 
 @pytest.mark.parametrize("p, n", ORDERS + [(2, 4)])
-def test_products_are_taken_in_the_order_of_the_rows(p, n):
-    """The entries (a, x, <ax+0>) come in `_row_checks`' order of the rows
-    with a, x != 0: by (a + x) mod (q - 1), then a."""
+def test_products_and_rows_are_taken_by_classes_of_a_plus_x(p, n):
+    """The entries (a, x, <ax+0>) come by (a + x) mod (q - 1), then a, and
+    `_row_checks` takes the rows with a, x != 0 in that order, before the
+    others."""
     T = to_ternary(from_field(make_field(p, n)))
     q = T.q
-    rows = [(a, x, T.at(a, x, 0)) for a, x, _ in ternary._row_checks(T) if a and x]
-    assert ternary._product_entries(T) == rows
-    assert len(rows) == (q - 1) ** 2
+    pairs = sorted(itertools.product(range(1, q), repeat=2),
+                   key=lambda ax: ((ax[0] + ax[1]) % (q - 1), ax[0]))
+    assert ternary._product_entries(T) == [(a, x, T.at(a, x, 0)) for a, x in pairs]
+    rows = [(a, x) for a, x, _ in ternary._row_checks(T)]
+    assert rows[:len(pairs)] == pairs
+    assert sorted(rows[len(pairs):]) == [(a, x) for a in range(q) for x in range(q)
+                                         if not (a and x)]
 
 
 def _search_with_both_tests(monkeypatch, pairs):
