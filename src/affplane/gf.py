@@ -269,15 +269,17 @@ def _digit_row(blocks, a, row):
 def _find_generator(p, n, modulus):
     # the least element of order q - 1 and its powers, by one polynomial
     # product per power; when n > 1 the search starts at p, since the
-    # elements 0..p-1 of GF(p) have orders dividing p - 1 < q - 1
+    # elements 0..p-1 of GF(p) have orders dividing p - 1 < q - 1.  The
+    # powers stop at q - 1 of them: modulo a reducible polynomial a zero
+    # divisor never comes back to 1
     q = p ** n
     for g in range(p if n > 1 else 1, q):
         pg = _decode(g, p)
         powers, x = [1], pg
-        while x != [1]:
+        while x != [1] and len(powers) < q - 1:
             powers.append(_encode(x, p))
             x = _poly_rem(_poly_mul(x, pg, p), modulus, p)
-        if len(powers) == q - 1:
+        if x == [1] and len(powers) == q - 1:
             return g, powers
     raise InternalCheckError("no multiplicative generator found")
 

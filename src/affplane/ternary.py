@@ -36,17 +36,18 @@ once when `collineation.classify_ternary` tells their planes apart (the
 Desarguesian shortcut), or when two linear non-Desarguesian rings differ
 in one of the two distributive laws (an isotopism invariant); otherwise
 it verifies only the candidates that pass a filter implied by the
-isotopism identity.  Between linear rings a candidate is tested on the
-q^2 products <ax+0> alone, one lookup each, since its H is additive;
-any other pair is tested b-row by b-row on all q^3 triples.  Both
-invariants are computed on every call and kept nowhere.  The search
-docstrings have the proofs.
+isotopism identity.  Each candidate is tested entry by entry on one list
+built per call (`_candidate_entries`): the products <ax+0> with a, x != 0
+between linear rings, since their H is additive, and all q entries of
+each b-row with a, x != 0 otherwise; the entries with a = 0 or x = 0
+hold for every candidate.  Both invariants are computed on every call
+and kept nowhere.  The search docstrings have the proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from operator import add, eq, itemgetter
 
@@ -359,13 +360,15 @@ def isotopism_failure(T, U, F, G, H):
     return None
 
 
+def _is_bijection(seq, q):
+    return len(seq) == q and sorted(seq) == list(range(q))
+
+
 def is_isomorphism(T, U, perm):
     """True iff perm fixes 0 and 1 and commutes with the ternary operation."""
     if T.q != U.q:
         raise InputError("carrier sizes differ")
-    if len(perm) != T.q or sorted(perm) != list(range(T.q)):
-        return False
-    if perm[0] != 0 or perm[1] != 1:
+    if not _is_bijection(perm, T.q) or perm[0] != 0 or perm[1] != 1:
         return False
     return isotopism_failure(T, U, perm, perm, perm) is None
 
@@ -479,88 +482,50 @@ class Isotopism:
     h: tuple
 
 
-def _is_bijection(seq, q):
-    return len(seq) == q and sorted(seq) == list(range(q))
+def _candidate_entries(T, linear):
+    """(a, x, b, <ax+b>) for a, x in 1..q-1, the entries on which
+    `find_isotopism` tests its candidates, in the order it tests them: b
+    is 0 alone when T and U are both linear (`linear`), and runs over
+    0..q-1 otherwise.
 
-
-def _times(T):
-    """T's product rows: times[a][x] = <ax+0>."""
-    q, t = T.q, T.table
-    qq = q * q
-    return [t[i:i + qq:q] for i in range(0, q * qq, qq)]
-
-
-def _product_entries(T):
-    """(a, x, <ax+0>) for a, x in 1..q-1: T's products, in the order in
-    which `find_isotopism` tests them between linear rings.
-
-    They are taken by the classes of (a + x) mod (q - 1), a increasing
-    within a class; each class meets every a and every x once, so
-    consecutive entries differ in both.  A candidate built from (f1, g1)
-    that passes the filter <c c+0> = c holds on every entry with a = f1
-    or x = g1 when the rings are linear and H is additive, and in
-    lexicographic order it would pass the whole run of entries with a =
-    f1 before failing: over the nine searches among the order-9 field,
-    near-field and transposed rings, with the classifier stubbed to one
-    verdict so that neither shortcut answers, this order tests 5,744
-    entries, against 19,200 in (a, x) order.  The shortcuts answer six
-    of those searches, and in the other three the first candidate
-    verified is the isotopism, all 64 entries of it.
+    The pairs (a, x) are taken by the classes of (a + x) mod (q - 1), a
+    increasing within a class, and b increasing within a pair; each class
+    meets every a and every x once, so consecutive pairs differ in both.
+    A candidate built from (f1, g1) that passes the filter <c c+0> = c
+    holds on every entry with a = f1 or x = g1 when the rings are linear
+    and H is additive, and in lexicographic order it would pass the whole
+    run of entries with a = f1 before failing: over the nine searches
+    among the order-9 field, near-field and transposed rings, with the
+    classifier stubbed to one verdict so that neither shortcut answers,
+    this order tests 5,744 entries, against 19,200 in (a, x) order.  The
+    shortcuts answer six of those searches, and in the other three the
+    first candidate verified is the isotopism, all 64 entries of it.
     """
-    q, heads = T.q, T.table[::T.q]  # heads[a*q + x] = <ax+0>
+    q, t = T.q, T.table
+    bs = range(1 if linear else q)
     entries = []
     for s in range(q - 1):
         for a in range(1, q):
             x = (s - a) % (q - 1) or q - 1  # the x in 1..q-1 with a + x = s mod (q - 1)
-            entries.append((a, x, heads[a * q + x]))
+            i = (a * q + x) * q
+            for b in bs:
+                entries.append((a, x, b, t[i + b]))
     return entries
 
 
-def _products_hold(entries, times, F, G, H):
-    """True iff H(<ax+0>_T) = <F(a)G(x)+0>_U for every entry (a, x,
-    <ax+0>_T) of `entries` (`_product_entries(T)`), one lookup each, in
-    their order; `times` is `_times(U)`.
+def _candidate_holds(entries, U, F, G, H):
+    """True iff H(<ax+b>_T) = <F(a)G(x)+H(b)>_U on every entry (a, x, b,
+    <ax+b>_T) of `entries` (`_candidate_entries(T, linear)`), one lookup
+    each, in their order, stopping at the first that fails.
 
-    This is `find_isotopism`'s candidate test between linear rings, where
-    it decides the identity on all q^3 triples (its docstring has the
-    proof).  Between the order-9 Hall and dual Hall rings, with both
-    shortcuts stubbed off (the distributive laws tell these rings apart
-    before any candidate), the 384 candidates that pass the (f1, g1)
-    filter, all rejected, take 0.08-0.12 ms here, against 0.42-0.66 ms
-    b-row by b-row (`_identity_holds`) and 8.2 ms through
-    `isotopism_failure` (best of 5 timeit runs in each of two processes,
-    Python 3.11, 2-vCPU host)."""
-    for a, x, y in entries:
-        if H[y] != times[F[a]][G[x]]:
-            return False
-    return True
-
-
-def _row_checks(T):
-    """Per b-row of T, (a, x, itemgetter of the row): applied to H, it
-    gives the row mapped through H.  The rows with a, x != 0 come first,
-    in the order of `_product_entries`: on ternary rings the rows with
-    a = 0 or x = 0 hold automatically, so bad candidates die fast in the
-    others."""
-    q, rows = T.q, _b_rows(T)
-    order = [(a, x) for a, x, _ in _product_entries(T)]
-    order += [(a, x) for a in range(q) for x in range(q) if not (a and x)]
-    return [(a, x, itemgetter(*rows[a * q + x])) for a, x in order]
-
-
-def _identity_holds(checks, urows, F, G, H):
-    """True iff H(<ax+b>) = <F(a)G(x)+H(b)> on all triples: per (a, x),
-    the b-row of T mapped through H must equal U's b-row at (F(a), G(x))
-    gathered at H.  `checks` is `_row_checks(T)` and `urows` is
-    `_b_rows(U)`.
-
-    This, not `isotopism_failure`, is `find_isotopism`'s candidate test
-    when T or U is not linear: its checks and rows are built once per
-    search and most candidates fail in their first few rows, while the
-    pull-back builds H⁻¹ and compares whole a-blocks."""
-    q, gather = len(H), itemgetter(*H)
-    for a, x, image in checks:
-        if image(H) != gather(urows[F[a] * q + G[x]]):
+    This is `find_isotopism`'s one candidate test; its docstring proves
+    that it decides the identity on all q^3 triples.  It reads single
+    entries, where `isotopism_failure` pulls U's rows back through H and
+    compares whole a-blocks, since most candidates fail on one of their
+    first few entries."""
+    q, u = U.q, U.table
+    for a, x, b, y in entries:
+        if H[y] != u[(F[a] * q + G[x]) * q + H[b]]:
             return False
     return True
 
@@ -610,10 +575,9 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     return None
 
 
-def _h_candidates(T, U, linear=None):
+def _h_candidates(T, U, linear):
     """Every H with H(0) = 0 that an isotopism T -> U can have, in
-    lexicographic order.  `linear` says whether T and U are both linear,
-    when the caller has decided it already.
+    lexicographic order.  `linear` says whether T and U are both linear.
 
     H(1), H(2), ... are assigned in carrier order, images tried in
     increasing order.  When T and U are both linear, every isotopism has
@@ -628,8 +592,6 @@ def _h_candidates(T, U, linear=None):
     """
     q = T.q
     qq = q * q
-    if linear is None:
-        linear = _is_linear(T) and _is_linear(U)
     # each sum y + b = v is checked when the last of y, b, v gets its
     # image; y + 0 = y holds in both linear rings and is left out
     sums = [[] for _ in range(q)]
@@ -687,8 +649,9 @@ def _distributive_laws(T):
     # imported here, not at the top: quasifield imports this module
     from .quasifield import _vw4_sweep, _vw4r_sweep
     q, t = T.q, T.table
-    plus = [t[i:i + q] for i in range(q * q, 2 * q * q, q)]  # plus[y][b] = <1y+b>
-    times = _times(T)
+    qq = q * q
+    plus = [t[i:i + q] for i in range(qq, 2 * qq, q)]  # plus[y][b] = <1y+b>
+    times = [t[i:i + qq:q] for i in range(0, q * qq, qq)]  # times[a][x] = <ax+0>
     return (next(_vw4_sweep(plus, times), None) is None,
             next(_vw4r_sweep(plus, times), None) is None)
 
@@ -744,22 +707,25 @@ def find_isotopism(T, U):
       G(g1) by the two definitions, the identity at (f1, g1, 0) reads
       c = <c c+0> in U (H(0) = 0).  A pair that breaks this fails the
       identity, so it is skipped unverified; no axiom is used.
-    - **Candidate test.**  Every other candidate is verified, by a test
-      chosen once per call.  When both rings are linear it is
-      `_products_hold`: H(<ax+0>_T) = <F(a)G(x)+0>_U for a, x in
-      1..q-1, one lookup per (a, x), in the order of `_product_entries`.
-      Proof that this is the identity on all q^3 triples: the candidate
-      H are additive (`_h_candidates`), H(y + b) = H(y) + H(b) with the
-      additions <1y+b> of T and U.  Both rings are linear, so
-      H(<ax+b>) = H(<ax+0> + b) = H(<ax+0>) + H(b) and <F(a)G(x)+H(b)>
-      = <F(a)G(x)+0> + H(b); y -> y + c is a bijection of U (T4 with
-      a = 1 and a' = 0, as <0y+c'> = c' by T2), so the identity at (a,
-      x, b) holds exactly when it holds at (a, x, 0).  The entries with
-      a = 0 or x = 0 hold: F(0) = H(<0 g1+0>) = H(0) = 0 and G(0) =
-      H(<f1 0+0>) = 0 by T2, so both sides are 0 by T2.  Otherwise the
-      test is `_identity_holds`, b-row by b-row on all q^3 triples.
-      Both tests are exact and the candidates come in the same order, so
-      the answer is the lexicographically first isotopism either way.
+    - **Candidate test.**  Every other candidate is verified by
+      `_candidate_holds` on the entry list `_candidate_entries(T,
+      linear)`, built once per call: H(<ax+b>_T) = <F(a)G(x)+H(b)>_U for
+      a, x in 1..q-1, one lookup per entry, with b = 0 alone when both
+      rings are linear and every b otherwise.  Proof that this is the
+      identity on all q^3 triples:
+      - The entries with a = 0 or x = 0 hold for every pair: F(0) =
+        H(<0 g1+0>) = H(0) = 0 and G(0) = H(<f1 0+0>) = H(0) = 0 by T2,
+        so both sides are H(b) by T2, H(<0x+b>) = H(b) = <0 G(x)+H(b)>
+        and likewise at x = 0.
+      - Between linear rings, b = 0 decides every b: the candidate H are
+        additive (`_h_candidates`), H(y + b) = H(y) + H(b) with the
+        additions <1y+b> of T and U, so H(<ax+b>) = H(<ax+0> + b) =
+        H(<ax+0>) + H(b) and <F(a)G(x)+H(b)> = <F(a)G(x)+0> + H(b); y
+        -> y + c is a bijection of U (T4 with a = 1 and a' = 0, as
+        <0y+c'> = c' by T2), so the identity at (a, x, b) holds exactly
+        when it holds at (a, x, 0).
+      The test is exact and the candidates come in lexicographic order,
+      so the answer is the lexicographically first isotopism.
     "Absent" rests on the exhausted candidate space, or, when a shortcut
     answers, on its proof above.
     """
@@ -779,12 +745,7 @@ def find_isotopism(T, U):
     if (verdict == "non-desarguesian" and linear
             and _distributive_laws(T) != _distributive_laws(U)):
         return None
-    # the candidate test, chosen once: the q^2 products between linear
-    # rings, the q^3 triples b-row by b-row otherwise
-    if linear:
-        holds = partial(_products_hold, _product_entries(T), _times(U))
-    else:
-        holds = partial(_identity_holds, _row_checks(T), _b_rows(U))
+    entries = _candidate_entries(T, linear)
     # per f1 (g1), the map H -> G (F)
     g_picks = [(f1, itemgetter(*_g_slice(T, f1))) for f1 in range(1, q)]
     f_picks = [itemgetter(*_f_slice(T, g1)) for g1 in range(1, q)]
@@ -795,6 +756,6 @@ def find_isotopism(T, U):
         for f1, pick in g_picks:
             G = pick(H)
             for F in Fs:
-                if idempotent[F[f1]] and holds(F, G, H):
+                if idempotent[F[f1]] and _candidate_holds(entries, U, F, G, H):
                     return Isotopism(F, G, H)
     return None

@@ -24,13 +24,15 @@ def _identity_holds(T, U, F, G, H):
     at = T.at
     at2 = U.at
     # nontrivial block first: for well-formed tables the a=0 and x=0
-    # slices hold automatically, so bad candidates die fast here
-    for a in range(1, q):
-        fa = F[a]
-        for x in range(1, q):
-            gx = G[x]
-            for b in range(q):
-                if H[at(a, x, b)] != at2(fa, gx, H[b]):
+    # slices hold automatically, so bad candidates die fast here; b is
+    # outermost, since a bad candidate between linear rings fails at b = 0
+    # wherever it fails
+    for b in range(q):
+        hb = H[b]
+        for a in range(1, q):
+            fa = F[a]
+            for x in range(1, q):
+                if H[at(a, x, b)] != at2(fa, G[x], hb):
                     return False
     for a in range(q):
         fa = F[a]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affplane import gf
-from affplane.errors import InputError
+from affplane.errors import InputError, InternalCheckError
 from affplane.gf import (FiniteField, fixed_field, galois_subgroup,
                          is_irreducible, make_field, norm, norm_image,
                          smallest_irreducible, verify_field_tables)
@@ -125,6 +125,17 @@ def test_generator_spans_nonzero(k9):
     assert k9.log_table[0] == -1
     for i, v in enumerate(k9.exp_table):
         assert k9.log_table[v] == i
+
+
+@pytest.mark.parametrize("p, n, modulus", [(2, 2, (0, 0, 1)), (2, 3, (1, 0, 0, 1)),
+                                            (3, 2, (2, 0, 1))])
+def test_a_reducible_modulus_has_no_generator(p, n, modulus):
+    """X^2, X^3 + 1 = (X + 1)(X^2 + X + 1) and X^2 - 1 = (X - 1)(X + 1):
+    their rings have zero divisors, whose powers never come back to 1,
+    and no unit of order q - 1."""
+    assert not is_irreducible(modulus, p)
+    with pytest.raises(InternalCheckError, match="^no multiplicative generator found$"):
+        gf._find_generator(p, n, modulus)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -18,12 +18,14 @@ distributive laws that `find_isotopism` compares between non-Desarguesian
 linear rings must be the quasi-field's VW4 and VW4-r flags, and the
 comparison must answer exactly where the proof allows: every ordered pair
 of order-9 coordinate rings gets the additive search's answer, and the
-Hall against dual Hall pair verifies no candidate.  Between linear rings
-each candidate is tested on the q^2 products alone (`_products_hold`):
-that test must pass or fail with the b-row test (`_identity_holds`) on
-every candidate the search reaches, over the order-9 coordinate rings
-and the André rings of orders 16, 25 and 27 (the bound raised), with no
-b-rows built; a non-linear ring is still tested b-row by b-row.
+Hall against dual Hall pair verifies no candidate.  Each candidate is
+tested by `_candidate_holds` on the entry list of `_candidate_entries`:
+between linear rings the products <ax+0> with a, x != 0 alone, and that
+list must pass or fail with the reference identity test
+(`isotopism_reference._identity_holds`, all q^3 triples) on every
+candidate the search reaches, over the order-9 coordinate rings and the
+André rings of orders 16, 25 and 27 (the bound raised); a non-linear
+pair is tested on all q entries of each b-row with a, x != 0.
 """
 
 import functools
@@ -92,6 +94,18 @@ def _same_verdict(T):
     return ClassificationResult("desarguesian")
 
 
+def _calls(monkeypatch, *names):
+    """Record the arguments of each call of each named function of
+    `ternary`: calls[name] lists them, one tuple per call."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _f=getattr(ternary, name), _args=calls[name]):
+            _args.append(args)
+            return _f(*args)
+        monkeypatch.setattr(ternary, name, recorded)
+    return calls
+
+
 def _order9_coordinate_rings(count, seed):
     """Coordinate rings of the order-9 field, near-field and transposed
     near-field planes at `count` seeded unit points each, by plane."""
@@ -151,7 +165,7 @@ def test_pruned_candidates_are_the_additive_bijections(order9_rings, a, b):
                             for rest in itertools.permutations(range(1, 9)))
                 if _is_additive(T, U, H)]
     assert len(additive) == 48  # |GL(2, 3)|
-    assert list(_h_candidates(T, U)) == additive
+    assert list(_h_candidates(T, U, _is_linear(T) and _is_linear(U))) == additive
 
 
 @st.composite
@@ -252,10 +266,11 @@ def test_candidates_are_the_additive_bijections_or_all(pair):
     """The additive H in lexicographic order when both tables are linear,
     every H with H(0) = 0 otherwise."""
     T, U = pair
+    linear = _is_linear(T) and _is_linear(U)
     every = [(0,) + rest for rest in itertools.permutations(range(1, T.q))]
-    if _is_linear(T) and _is_linear(U):
+    if linear:
         every = [H for H in every if _is_additive(T, U, H)]
-    assert list(_h_candidates(T, U)) == every
+    assert list(_h_candidates(T, U, linear)) == every
 
 
 ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -319,14 +334,7 @@ def test_shortcut_answers_between_the_field_and_the_near_field(monkeypatch):
     K = make_field(3, 2)
     T = to_ternary(from_field(K))
     U = to_ternary(build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1))))
-    verified = []
-    holds = ternary._products_hold
-
-    def count(*args):
-        verified.append(args)
-        return holds(*args)
-
-    monkeypatch.setattr(ternary, "_products_hold", count)
+    verified = _calls(monkeypatch, "_candidate_holds")["_candidate_holds"]
     T2, U2 = replace(T, validated=False), replace(U, validated=False)
     for pair in ((T, U), (U, T), (T2, U), (T, U2), (U2, T2)):
         assert find_isotopism(*pair) is None
@@ -343,17 +351,11 @@ def test_hall_against_dual_hall_verifies_at_most_8_candidates_per_h(monkeypatch)
     K = make_field(3, 2)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     T, U = to_ternary(near), to_ternary(opposite(near))
-    verified = Counter()
-    holds = ternary._products_hold
-
-    def count(entries, times, F, G, H):
-        verified[H] += 1
-        return holds(entries, times, F, G, H)
-
-    monkeypatch.setattr(ternary, "_products_hold", count)
+    calls = _calls(monkeypatch, "_candidate_holds")
     monkeypatch.setattr(collineation, "classify_ternary", _same_verdict)
     assert find_isotopism(T, U) is None
-    assert len(list(_h_candidates(T, U))) == len(verified) == 48
+    verified = Counter(H for *_, H in calls["_candidate_holds"])
+    assert len(list(_h_candidates(T, U, True))) == len(verified) == 48
     assert max(verified.values()) <= 8
     assert sum(verified.values()) <= 384
 
@@ -397,26 +399,17 @@ def test_laws_are_compared_only_between_non_desarguesian_rings(
     are swept only when neither ring is a field plane's, and a near-field
     ring against a transposed one differs in both laws and gets None with
     no candidate verified."""
-    laws, verified = [], []
-    distributive_laws, holds = ternary._distributive_laws, ternary._identity_holds
-
-    def record(T):
-        laws.append(distributive_laws(T))
-        return laws[-1]
-
-    def count(*args):
-        verified.append(args)
-        return holds(*args)
-
-    monkeypatch.setattr(ternary, "_distributive_laws", record)
-    monkeypatch.setattr(ternary, "_identity_holds", count)
+    distributive_laws = ternary._distributive_laws
+    calls = _calls(monkeypatch, "_distributive_laws", "_candidate_holds")
     for (a, T), (b, U) in itertools.product(order9_named_rings, repeat=2):
-        del laws[:], verified[:]
+        for recorded in calls.values():
+            recorded.clear()
         iso = find_isotopism(T, U)
+        laws = [distributive_laws(*args) for args in calls["_distributive_laws"]]
         compared = "field" not in (a, b)
         assert len(laws) == 2 * compared
         if compared and a != b:
-            assert iso is None and not verified
+            assert iso is None and not calls["_candidate_holds"]
             assert laws[0] != laws[1] and laws[0] == laws[1][::-1]
 
 
@@ -426,16 +419,9 @@ def test_hall_against_dual_hall_verifies_no_candidate(monkeypatch):
     K = make_field(3, 2)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     T, U = to_ternary(near), to_ternary(opposite(near))
-    verified = []
-    holds = ternary._identity_holds
-
-    def count(*args):
-        verified.append(args)
-        return holds(*args)
-
-    monkeypatch.setattr(ternary, "_identity_holds", count)
+    calls = _calls(monkeypatch, "_candidate_holds")
     assert find_isotopism(T, U) is None and find_isotopism(U, T) is None
-    assert not verified
+    assert not calls["_candidate_holds"]
 
 
 def test_a_difference_in_either_law_answers_none(order9_rings, monkeypatch):
@@ -449,7 +435,7 @@ def test_a_difference_in_either_law_answers_none(order9_rings, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the candidate test between linear rings: the q^2 products
+# the candidate test: one entry list per search
 
 ANDRE_FIELDS = [(2, 4, 2), (5, 2, 1), (3, 3, 1)]  # orders 16, 25 and 27
 
@@ -465,40 +451,42 @@ def _andre_rings(p, n, d):
 
 @pytest.mark.parametrize("p, n", ORDERS + [(2, 4)])
 def test_products_and_rows_are_taken_by_classes_of_a_plus_x(p, n):
-    """The entries (a, x, <ax+0>) come by (a + x) mod (q - 1), then a, and
-    `_row_checks` takes the rows with a, x != 0 in that order, before the
-    others."""
+    """The entries (a, x, b, <ax+b>) with a, x != 0 come by (a + x) mod
+    (q - 1), then a, then b: the products (b = 0) for a linear pair, all
+    q entries of each b-row otherwise."""
     T = to_ternary(from_field(make_field(p, n)))
     q = T.q
     pairs = sorted(itertools.product(range(1, q), repeat=2),
                    key=lambda ax: ((ax[0] + ax[1]) % (q - 1), ax[0]))
-    assert ternary._product_entries(T) == [(a, x, T.at(a, x, 0)) for a, x in pairs]
-    rows = [(a, x) for a, x, _ in ternary._row_checks(T)]
-    assert rows[:len(pairs)] == pairs
-    assert sorted(rows[len(pairs):]) == [(a, x) for a in range(q) for x in range(q)
-                                         if not (a and x)]
+    assert ternary._candidate_entries(T, True) == [(a, x, 0, T.at(a, x, 0))
+                                                   for a, x in pairs]
+    assert ternary._candidate_entries(T, False) == [(a, x, b, T.at(a, x, b))
+                                                    for a, x in pairs for b in range(q)]
 
 
 def _search_with_both_tests(monkeypatch, pairs):
     """`find_isotopism` on each pair, every candidate that reaches
-    `_products_hold` also tested b-row by b-row; asserts that the two
-    tests agree, and returns each pair's answer and number of candidates
+    `_candidate_holds` also tested on all q^3 triples by the reference;
+    asserts that the two tests agree and that the search tests the linear
+    entry list, and returns each pair's answer and number of candidates
     tested, and the (passing, failing) counts over all pairs."""
-    products, outcomes, answers = ternary._products_hold, Counter(), []
+    candidate_holds, outcomes, answers = ternary._candidate_holds, Counter(), []
     for T, U in pairs:
-        checks, urows = ternary._row_checks(T), ternary._b_rows(U)
+        linear_entries = ternary._candidate_entries(T, True)
         tested = []
 
-        def both(entries, times, F, G, H):
-            holds = products(entries, times, F, G, H)
-            assert holds == ternary._identity_holds(checks, urows, F, G, H)
+        def both(entries, U, F, G, H):
+            # the list is built once per search: compared at its first use
+            assert tested or entries == linear_entries
+            holds = candidate_holds(entries, U, F, G, H)
+            assert holds == ref._identity_holds(T, U, F, G, H)
             outcomes[holds] += 1
             tested.append(H)
             return holds
 
-        monkeypatch.setattr(ternary, "_products_hold", both)
+        monkeypatch.setattr(ternary, "_candidate_holds", both)
         answers.append((find_isotopism(T, U), len(tested)))
-    monkeypatch.setattr(ternary, "_products_hold", products)
+    monkeypatch.setattr(ternary, "_candidate_holds", candidate_holds)
     return answers, outcomes
 
 
@@ -525,7 +513,7 @@ def test_products_agree_with_the_rows_between_andre_rings(p, n, d, monkeypatch):
     left rings are paired, to keep the run short: 28 of their pairs are
     absent and searched to the end, 11,520 candidates each, all rejected
     by both tests (the additive search, which tries the same H in the
-    same order, takes seconds on each)."""
+    same order, takes about a second on each)."""
     monkeypatch.setattr(ternary, "ISOTOPISM_SEARCH_BOUND", p ** n)
     monkeypatch.setattr(ref, "ISOTOPISM_SEARCH_BOUND", p ** n)
     rings = _andre_rings(p, n, d)
@@ -539,42 +527,36 @@ def test_products_agree_with_the_rows_between_andre_rings(p, n, d, monkeypatch):
     assert exhausted == ([11520] * 28 if p ** n == 25 else [])
 
 
-def _calls(monkeypatch, *names):
-    """Count the calls of each named function of `ternary`."""
-    counts = Counter()
-    for name in names:
-        def counted(*args, _name=name, _f=getattr(ternary, name)):
-            counts[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(ternary, name, counted)
-    return counts
-
-
 def test_linear_pairs_build_no_rows(order9_named_rings, monkeypatch):
-    """Every ordered pair of the order-9 coordinate rings builds neither
-    `_row_checks` nor `_b_rows` and tests no candidate b-row by b-row;
-    the products are tested only between rings of one plane, since the
-    shortcuts answer every other pair (the Hall and dual Hall rings, the
-    near-field and transposed ones, by the distributive laws)."""
+    """Every ordered pair of the order-9 coordinate rings tests its
+    candidates on the (q - 1)^2 = 64 products alone, entries with b = 0,
+    and builds no b-rows; candidates are tested only between rings of one
+    plane, since the shortcuts answer every other pair (the Hall and dual
+    Hall rings, the near-field and transposed ones, by the distributive
+    laws)."""
     for (a, T), (b, U) in itertools.product(order9_named_rings, repeat=2):
-        calls = _calls(monkeypatch, "_row_checks", "_b_rows", "_identity_holds",
-                       "_products_hold")
+        calls = _calls(monkeypatch, "_b_rows", "_candidate_holds")
         iso = find_isotopism(T, U)
-        assert (iso is not None) == (a == b) == bool(calls["_products_hold"])
-        assert not (calls["_row_checks"] or calls["_b_rows"] or calls["_identity_holds"])
+        tested = calls["_candidate_holds"]
+        assert (iso is not None) == (a == b) == bool(tested)
+        assert all(len(entries) == 64 and {entry[2] for entry in entries} == {0}
+                   for entries, *_ in tested)
+        assert not calls["_b_rows"]
         monkeypatch.undo()
 
 
 def test_non_linear_pairs_test_b_rows(monkeypatch):
     """A non-linear coordinate ring of the transposed near-field plane of
-    order 9, searched against itself, finds the identity through
-    `_identity_holds`, and the products are never tested."""
+    order 9, searched against itself, finds the identity at its first
+    candidate, tested on all q = 9 entries of each b-row with a, x != 0."""
     K = make_field(3, 2)
     near = build_left(spec_from_exponents(K, galois_subgroup(K, 1), (0, 1)))
     P = plane_from_ternary(to_ternary(opposite(near)))
     T = coordinatize(P, _random_frame(P, random.Random(0), False)).ring
     assert not _is_linear(T)
-    calls = _calls(monkeypatch, "_identity_holds", "_products_hold")
+    calls = _calls(monkeypatch, "_candidate_holds")
     identity = tuple(range(9))
     assert find_isotopism(T, T) == ternary.Isotopism(identity, identity, identity)
-    assert calls["_identity_holds"] == 1 and not calls["_products_hold"]
+    [(entries, *_)] = calls["_candidate_holds"]
+    assert sorted(entries) == [(a, x, b, T.at(a, x, b)) for a in range(1, 9)
+                               for x in range(1, 9) for b in range(9)]
