@@ -1,6 +1,12 @@
 """Plane automorphisms: verification, translations with certificates,
 explicit automorphism families of field and near-field planes, and the
 classifier separating field planes from the rest.
+
+Every coordinate map, of the field plane or of a quasi-field's plane,
+is one affine formula (x, y) -> p0 + u x + w y with the scalars on the
+left (`_affine_perm`).  `translation_from_shift`, `diag_automorphism`
+and `frame_mover` verify the map they return; the other field-plane
+maps return the bare permutation.
 """
 
 from __future__ import annotations
@@ -116,15 +122,11 @@ def translation_from_shift(Q, c, d):
 
     The expected trace is the vertical class when c = 0, otherwise the
     class of slope e where d = ec; verification failure means Q does not
-    satisfy the left axiom set.
+    satisfy the left axiom set.  The map is `shift_map(Q, c, d)`, (x, y)
+    -> (c + x, d + y), which is the shift once `_left_plane` has checked
+    VW1 (addition commutes) and VW3 (1x = x, 0x = 0, x + 0 = x).
     """
-    P = _left_plane(Q)
-    q = Q.q
-    if not (0 <= c < q and 0 <= d < q):
-        raise InputError("shift components out of range")
-    perm = tuple(Q.add(x, c) * q + Q.add(y, d)
-                 for x in range(q) for y in range(q))
-    cert = is_translation(P, perm)
+    cert = is_translation(_left_plane(Q), shift_map(Q, c, d))
     if cert is None:
         raise InputError("shift failed translation verification")
     return cert
@@ -179,27 +181,32 @@ def translation_candidate(P, z, z2):
 # automorphism families of coordinate planes
 
 def diag_automorphism(Q, u, v):
-    """The map (x, y) -> (ux, vy) on the plane of a near-field, verified."""
+    """The map (x, y) -> (ux, vy) on the plane of a near-field, verified.
+
+    It is `_affine_perm(Q, (0, 0), (u, 0), (0, v))`, which gives
+    (0 + (ux + 0y), 0 + (0x + vy)) = (ux, vy) under VW3, checked by
+    `_left_plane` first."""
     P = _left_plane(Q)
     if associativity_witness(Q) is not None:
         raise InputError("multiplication is not associative")
-    q = Q.q
-    if not (0 <= u < q and 0 <= v < q):
+    if not (0 <= u < Q.q and 0 <= v < Q.q):
         raise InputError("scaling factors out of range")
     if u == 0 or v == 0:
         raise InputError("scaling factors must be nonzero")
-    perm = tuple(Q.mul(u, x) * q + Q.mul(v, y)
-                 for x in range(q) for y in range(q))
-    return as_collineation(P, perm)
+    return as_collineation(P, _affine_perm(Q, (0, 0), (u, 0), (0, v)))
 
 
 def _affine_perm(K, p0, u, w):
-    """The point permutation of (x, y) -> p0 + x u + y w on the field
-    plane, for p0, u and w pairs over K."""
+    """The point permutation of (x, y) -> p0 + u x + w y, for p0, u and
+    w pairs over K: the point (c0 + (u1 x + w1 y), d0 + (u2 x + w2 y)).
+
+    The scalars multiply on the left, as in the plane of a left
+    quasi-field, so the map also serves `translation_from_shift` and
+    `diag_automorphism`; on a field plane the order does not matter."""
     q, add, mul = K.q, K.add, K.mul
     (c0, d0), (u1, u2), (w1, w2) = p0, u, w
-    return tuple(add(c0, add(mul(x, u1), mul(y, w1))) * q
-                 + add(d0, add(mul(x, u2), mul(y, w2)))
+    return tuple(add(c0, add(mul(u1, x), mul(w1, y))) * q
+                 + add(d0, add(mul(u2, x), mul(w2, y)))
                  for x in range(q) for y in range(q))
 
 
@@ -209,7 +216,8 @@ def swap_map(K):
 
 
 def shift_map(K, c, d):
-    """(x, y) -> (x+c, y+d) on the field plane."""
+    """(x, y) -> (c+x, d+y) on the field plane, or on the plane of a
+    quasi-field whose addition commutes (`translation_from_shift`)."""
     if not (0 <= c < K.q and 0 <= d < K.q):
         raise InputError("shift components out of range")
     return _affine_perm(K, (c, d), (1, 0), (0, 1))
@@ -237,10 +245,10 @@ def frame_mover(K, l2, m2):
     """A verified collineation of the field plane taking the first axis
     (y = 0) to line l2 and the second axis (x = 0) to line m2.
 
-    It is the affine map (x, y) -> p0 + x u + y w, where p0 is the meet
+    It is the affine map (x, y) -> p0 + u x + w y, where p0 is the meet
     of l2 and m2 and u and w are their directions: (0, 1) for a vertical
     line, and (1, a) for a line of slope a.  It takes (x, 0) to the point
-    p0 + x u of l2 and (0, y) to the point p0 + y w of m2, so the axes go
+    p0 + u x of l2 and (0, y) to the point p0 + w y of m2, so the axes go
     to l2 and m2.  u and w are independent, since l2 and m2 are not
     parallel, so the map is an affine bijection of K^2;
     `as_collineation` verifies that it takes lines to lines.

@@ -414,7 +414,13 @@ def fixed_field(K, G):
 
 
 def norm(K, G, x):
-    """Product of g(x) over all g in G; lands in the fixed field."""
+    """Product of g(x) over all g in G; lands in the fixed field.
+
+    G must act on K.  A group made from K itself holds K, so the identity
+    test answers at once for it, and only a group holding another object
+    pays the comparison of the two fields' tables."""
+    if G.field is not K and G.field != K:
+        raise InputError("the group acts on another field")
     if not 0 <= x < K.q:
         raise InputError(f"element {x} out of range for GF({K.q})")
     r = 1

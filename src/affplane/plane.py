@@ -8,8 +8,10 @@ Each line is also held as an int bitmask of its points (`masks`), and
 each point as the bitmask of the line indices through it (`through`);
 these, and the parallel relation built from them, are built once per
 plane, on first use, so a plane that is only written builds none of
-them.  Every incidence query reads these masks.  Planes built from a
-ternary ring of order q encode the point (x, y) as x*q + y.
+them.  Every incidence query reads these masks, and `parallel_classes`
+groups the lines by their parallel masks on each call, keeping nothing.
+Planes built from a ternary ring of order q encode the point (x, y) as
+x*q + y.
 
 A plane is certified by `check_plane_axioms` on every call, and nothing
 of the verdict is kept on the plane.  `certify`, which every
@@ -93,17 +95,6 @@ class AffinePlane:
         # the xor with all of them leaves the rest
         meets = (reduce(or_, _gather(line)(self.through), 0) for line in self.lines)
         return tuple(map(or_, map(xor, meets, repeat((1 << m) - 1)), map(_BIT, range(m))))
-
-    @cached_property
-    def classes(self):
-        """The partition of the line indices by the parallel relation, each
-        class in increasing order and the classes by their first line; None
-        when parallelism is not transitive."""
-        members = _members(self)
-        # the lines with a mask lie in it, and fill it unless `_parallel_sweep` yields
-        if any(par.bit_count() != len(lines) for par, lines in members.items()):
-            return None
-        return tuple(map(tuple, members.values()))
 
     def __repr__(self):
         return f"AffinePlane(n={self.n}, lines={len(self.lines)})"
@@ -323,10 +314,14 @@ def intersection(P, l1, l2):
 
 
 def parallel_classes(P):
-    """Partition of the line indices by the parallel relation."""
-    if P.classes is None:
+    """Partition of the line indices by the parallel relation, each class
+    in increasing order and the classes by their first line, computed on
+    every call from the kept parallel masks."""
+    members = _members(P)
+    # the lines with a mask lie in it, and fill it unless `_parallel_sweep` yields
+    if any(par.bit_count() != len(lines) for par, lines in members.items()):
         raise InputError("parallelism is not transitive")
-    return P.classes
+    return tuple(map(tuple, members.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
-from .ternary import AxiomReport, TernaryRing
+from .ternary import AxiomReport, TernaryRing, _is_linear
 
 
 @dataclass(frozen=True)
@@ -302,15 +302,15 @@ def from_ternary(T):
     """Recover a quasi-field from a linear ternary ring, or None.
 
     Addition and multiplication are read off as a+b = <1a+b> and
-    ab = <ab+0>; the quasi-field is returned only when these tables
-    reproduce T exactly (the linear case).
+    ab = <ab+0>; the quasi-field is returned exactly when T is linear
+    (`ternary._is_linear`: <ax+b> = <1<ax+0>+b> and <1y+0> = y, read
+    from T's cached `row_kinds`), that is, when these tables reproduce T
+    and 1 is a left identity of the product.  A table that is linear
+    but for <1y+0> = y gets None, where its quasi-field would fail VW3;
+    `validate` sends both to the same T1-T5 sweeps.
     """
     q, t = T.q, T.table
-    add = t[q * q:2 * q * q]
-    mul = t[::q]
-    if t != _linear_table(q, add, mul):
-        return None
-    return QuasiField(q, add, mul)
+    return QuasiField(q, t[q * q:2 * q * q], t[::q]) if _is_linear(T) else None
 
 
 def associativity_witness(Q):
@@ -325,10 +325,13 @@ def check_vector_space(Q, F):
     """Check the two scalar identities that make Q a right vector space
     over the subfield F: (xy)a = x(ya) and (x+y)a = xa + ya for a in F.
     When F is, in order, the fixed field of Q's `BuildProof`, the proved
-    verdict is returned with no sweep."""
+    verdict is returned with no sweep.  Any other F is checked to be a
+    subfield first, its elements in 0..q-1 before any is read."""
     F = tuple(F)
     if Q.proof is not None and F == Q.proof.fixed:
         return Q.proof.vector_space
+    if not all(0 <= a < Q.q for a in F):
+        raise InputError(f"F must lie in 0..{Q.q - 1}")
     members = set(F)
     if 0 not in members or 1 not in members:
         raise InputError("F must contain 0 and 1")
@@ -344,7 +347,7 @@ def check_vector_space(Q, F):
                 if Q.mul(Q.mul(a, b), c) != Q.mul(a, Q.mul(b, c)):
                     raise InputError("F is not associative")
     for a in F:
-        if a and not any(b in members and Q.mul(a, b) == 1 for b in F):
+        if a and not any(Q.mul(a, b) == 1 for b in F):
             raise InputError("F not closed under inversion")
     # per a, over all (x, y) at once: col[v] = va
     q = Q.q

@@ -9,12 +9,13 @@ that yields its counterexamples in that order, and `AxiomReport.record`
 keeps the first; the quasi-field and plane checkers use the same idiom.
 
 `validate` certifies a linear ring <ax+b> = ax + b (with y + b = <1y+b>
-and ax = <ax+0>) through the quasi-field `from_ternary` reads off it:
-when its addition is an abelian group, the ring satisfies T1-T5 exactly
-when that quasi-field passes VW1, VW3, VW5 and VW5-r
-(`quasifield.LINEAR_RING_AXIOMS`), which its VW1, VW3 and VW5 sweeps
-decide in O(q^3).  Any other ring (a linear
-ring whose addition is a non-abelian group, if one exists, among them),
+and ax = <ax+0>) through the quasi-field `from_ternary` reads off it,
+which it does exactly when `_is_linear` holds (read from the ring's
+cached `row_kinds`): when its addition is an abelian group, the ring
+satisfies T1-T5 exactly when that quasi-field passes VW1, VW3, VW5 and
+VW5-r (`quasifield.LINEAR_RING_AXIOMS`), which its VW1, VW3 and VW5
+sweeps decide in O(q^3).  Any other ring (a linear ring whose addition
+is a non-abelian group, if one exists, among them),
 and any ring that report rejects, goes to the O(q^4) sweeps of
 `check_ternary_axioms`, so error messages come from those alone; T5 is
 swept there only when T1-T4 do not all pass, since T3 and T4 imply it.
@@ -24,12 +25,13 @@ pair that fails, to name its witnesses.
 
 `isotopism_failure` checks a map (F, G, H) by comparing T with U's rows
 pulled back through H, once per kind of row (`TernaryRing.row_kinds`).
-`is_isomorphism`, `is_isotopism` and `complete_isotopism` verify through
-it, and so does `find_isomorphism`, which forces a map's values, at each
-full map.  `find_isomorphism` first compares the left power orders of
-the two rings (`_left_orders`, an isomorphism invariant): different
-multisets answer None at once, and a branch element tries only images
-of its own order.
+`is_isotopism` verifies through it (after its carrier, bijection and
+H(0) checks), `is_isomorphism` and `complete_isotopism` through
+`is_isotopism`, and `find_isomorphism`, which forces a map's values,
+through it at each full map.  `find_isomorphism` first compares the
+left power orders of the two rings (`_left_orders`, an isomorphism
+invariant): different multisets answer None at once, and a branch
+element tries only images of its own order.
 
 `find_isotopism` certifies both rings with `validate` and answers at
 once when `collineation.classify_ternary` tells their planes apart (the
@@ -261,7 +263,8 @@ def _t1_to_t4_report(T):
 
 
 def _is_linear(T):
-    """True iff <ax+b> = <1<ax+0>+b> on all triples and <1y+0> = y."""
+    """True iff <ax+b> = <1<ax+0>+b> on all triples and <1y+0> = y: the
+    test of `quasifield.from_ternary` and of `find_isotopism`."""
     q, t = T.q, T.table
     # the b-row of (a, x) must be the b-row of (1, <ax+0>)
     return (t[q * q:2 * q * q:q] == tuple(range(q))
@@ -365,12 +368,10 @@ def _is_bijection(seq, q):
 
 
 def is_isomorphism(T, U, perm):
-    """True iff perm fixes 0 and 1 and commutes with the ternary operation."""
-    if T.q != U.q:
-        raise InputError("carrier sizes differ")
-    if not _is_bijection(perm, T.q) or perm[0] != 0 or perm[1] != 1:
-        return False
-    return isotopism_failure(T, U, perm, perm, perm) is None
+    """True iff perm fixes 0 and 1 and commutes with the ternary operation:
+    the isotopism (perm, perm, perm), which `is_isotopism` checks (carrier
+    sizes, bijection, perm(0) = 0), with perm(1) = 1."""
+    return is_isotopism(T, U, Isotopism(perm, perm, perm)) and perm[1] == 1
 
 
 def _left_orders(T):
@@ -558,21 +559,18 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     """Reconstruct (F, G, H) from H and the preimages of 1 under F and G.
 
     F(a) = H(<a g1 + 0>) and G(a) = H(<f1 a + 0>) where f1, g1 are the
-    stated preimages; returns the verified triple, or None when F, G or
-    H is no bijection or the identity fails.
+    stated preimages; returns the triple that `is_isotopism` verifies,
+    or None when F, G or H is no bijection or the identity fails.  H is
+    checked first, since F and G are read through it; carriers of
+    different sizes then raise in `is_isotopism`.
     """
-    if T.q != U.q:
-        raise InputError("carrier sizes differ")
     if not _is_bijection(H, T.q):
         return None
     if H[0] != 0:
         raise InputError("H must fix 0")
-    F = tuple(map(H.__getitem__, _f_slice(T, g_inv1)))
-    G = tuple(map(H.__getitem__, _g_slice(T, f_inv1)))
-    if (_is_bijection(F, T.q) and _is_bijection(G, T.q)
-            and isotopism_failure(T, U, F, G, H) is None):
-        return Isotopism(F, G, H)
-    return None
+    iso = Isotopism(tuple(map(H.__getitem__, _f_slice(T, g_inv1))),
+                    tuple(map(H.__getitem__, _g_slice(T, f_inv1))), H)
+    return iso if is_isotopism(T, U, iso) else None
 
 
 def _h_candidates(T, U, linear):

@@ -203,3 +203,12 @@ def test_norm_rejects_out_of_range(k9):
     G = galois_subgroup(k9, 1)
     with pytest.raises(InputError):
         norm(k9, G, 9)
+
+
+def test_norm_rejects_a_group_of_another_field(k9):
+    """A group of GF(27) or GF(4) is no group of GF(9); one made from an
+    equal copy of GF(9) is."""
+    for K in (make_field(3, 3), make_field(2, 2)):
+        with pytest.raises(InputError, match="^the group acts on another field$"):
+            norm(k9, galois_subgroup(K, 1), 5)
+    assert norm(k9, galois_subgroup(make_field(3, 2), 1), 5) == norm(k9, galois_subgroup(k9, 1), 5)

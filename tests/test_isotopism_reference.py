@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isotopism_reference as ref
@@ -258,6 +258,32 @@ def test_arbitrary_tables_match_reference(pair):
 def test_linear_tables_match_reference(pair):
     assert _is_linear(pair[0])
     assert_agrees_or_rejects(*pair)
+
+
+@st.composite
+def product_tables(draw, q):
+    """<ax+b> = A(M(a, x), b) with A(y, 0) = y and M arbitrary: linear in
+    the row sense exactly where M(1, .) fixes the values of M, and then
+    <1y+0> = M(1, y) may still differ from y."""
+    entries = st.integers(0, q - 1)
+    A = [draw(st.lists(entries, min_size=q, max_size=q)) for _ in range(q)]
+    M = [draw(st.lists(entries, min_size=q, max_size=q)) for _ in range(q)]
+    for y in range(q):
+        A[y][0] = y
+    return TernaryRing(q, tuple(A[M[a][x]][b] for a in range(q)
+                                for x in range(q) for b in range(q)))
+
+
+@given(st.integers(2, 4).flatmap(lambda q: st.one_of(
+    linear_tables(q), arbitrary_tables(q), product_tables(q))))
+@example(TernaryRing(2, (0, 1) * 4))
+@settings(max_examples=200, deadline=None)
+def test_from_ternary_answers_exactly_the_linear_tables(T):
+    """`from_ternary` returns a quasi-field exactly when T is linear as the
+    reference defines it, <1y+0> = y included: the q = 2 table whose
+    b-rows are all (0, 1) has every row equal to the row (1, <ax+0>), but
+    <1*1+0> = 0."""
+    assert (from_ternary(T) is not None) == ref._is_linear(T)
 
 
 @given(st.one_of(ring_pairs(linear_tables), ring_pairs(arbitrary_tables)))

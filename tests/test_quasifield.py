@@ -142,6 +142,14 @@ def test_vector_space_over_fixed_subfield(andre9):
         check_vector_space(andre9, (1, 2))  # missing 0
 
 
+def test_vector_space_rejects_scalars_out_of_range(andre9):
+    """9 is no element of GF(9), and -1, though as a row index it is the
+    last one, 8."""
+    for F in ((0, 1, 9), (0, 1, -1)):
+        with pytest.raises(InputError, match=r"^F must lie in 0\.\.8$"):
+            check_vector_space(andre9, F)
+
+
 def test_vector_space_scalars_may_be_an_iterator():
     """F is read once, so an iterator over it gives F's verdict and not a
     vacuous True; here a right build over GF(25)/GF(5) that is not a
