@@ -20,12 +20,15 @@ runs it and raises with the failing axioms when the plane is broken.
 It passes a plane whose line sizes, point degrees and parallel counts
 are those of an affine plane of order q without a sweep, since those
 counts prove every axiom (`_counts_hold`, about 35 us at q = 16), and
-sweeps every other plane to name its witnesses.  The plane
+sweeps every other plane to name its witnesses; the A1 and A2 sweeps
+share one cover count (`_not_once`).  The plane
 `plane_from_ternary` builds from a validated ring is affine (proof in
 its docstring), so it passes by count.  The ring that `coordinatize`
 reads off a certified plane is validated without a sweep, because an
 affine plane's coordinate ring satisfies T1-T5 (proof in its
-docstring).
+docstring).  A coordinatization keeps the ring and the point labeling
+only: the slopes are the ring's, and `isotopism_from_frames` reads the
+slope map between two frames off their rings.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import isqrt
 from operator import add, itemgetter, or_, xor
 
 from .errors import InputError
-from .ternary import AxiomReport, Isotopism, TernaryRing
+from .ternary import AxiomReport, Isotopism, TernaryRing, _f_slice
 
 _BIT = (1).__lshift__  # p -> the bitmask 1 << p
 
@@ -56,7 +59,10 @@ class AffinePlane:
 
     @classmethod
     def from_lines(cls, n, lines):
-        """The plane of any lines on 0..n-1; the first bad line is named."""
+        """The plane of any lines on 0..n-1, n >= 1; the first bad line is
+        named."""
+        if n < 1:
+            raise InputError(f"a plane needs n >= 1 points, got {n}")
         lines = tuple(sorted(map(tuple, map(sorted, lines))))
         for line in lines:
             if line and (line[0] < 0 or line[-1] >= n):  # sorted
@@ -154,15 +160,20 @@ def _bits(mask):
         mask ^= low
 
 
+def _not_once(P, lines):
+    """The bitmask of the points that the lines (indices) cover other
+    than exactly once."""
+    once = twice = 0
+    for li in lines:
+        twice |= once & P.masks[li]
+        once |= P.masks[li]
+    return ((1 << P.n) - 1) & ~once | twice
+
+
 def _a1_sweep(P):
     # A1: every point pair on exactly one line
-    every = (1 << P.n) - 1
     for p in range(P.n):
-        once = twice = 0
-        for li in _bits(P.through[p]):
-            twice |= once & P.masks[li]
-            once |= P.masks[li]
-        for p2 in _bits((every & ~once | twice) >> p + 1):
+        for p2 in _bits(_not_once(P, _bits(P.through[p])) >> p + 1):
             yield (p, p + 1 + p2)
 
 
@@ -171,15 +182,10 @@ def _a2_sweep(P):
     # parallel to li cover each point off li exactly once.  The cover
     # depends only on the parallel mask (li itself covers only its own
     # points), so each parallel class is covered once
-    every = (1 << P.n) - 1
     uncovered = {}
     for li, (mask, par) in enumerate(zip(P.masks, P.parallel)):
         if par not in uncovered:
-            once = twice = 0
-            for mi in _bits(par):
-                twice |= once & P.masks[mi]
-                once |= P.masks[mi]
-            uncovered[par] = every & ~once | twice
+            uncovered[par] = _not_once(P, _bits(par))
         for p in _bits(uncovered[par] & ~mask):
             yield (li, p)
 
@@ -353,11 +359,13 @@ def canonical_frame(P):
 class Coordinatization:
     """A ternary ring together with the point labeling that produced it.
     The origin is `point_of[0]`, the first axis `point_of[::q]` (label x
-    at (x, 0)) and the second axis `point_of[:q]` (label y at (0, y))."""
+    at (x, 0)) and the second axis `point_of[:q]` (label y at (0, y)).
+    The slopes are the ring's: the line of slope a through (0, b) is
+    {point_of[x*q + <ax+b>]} over x, and the verticals are the lines
+    {point_of[x*q + y]} over y, one per x."""
 
     ring: TernaryRing
-    point_of: tuple      # coordinate x*q+y -> plane point
-    line_slopes: dict    # line index -> slope label; verticals absent
+    point_of: tuple  # coordinate x*q+y -> plane point
 
 
 def _validate_frame(P, frame):
@@ -453,25 +461,28 @@ def coordinatize(P, frame):
     # x = 1, shared by every line of its parallel mask; the line of slope
     # a through (0, b) holds y = <ax+b> at each of its points (x, y)
     unit_vertical = P.masks[parallel_through(P, m, unit_foot)]
-    slope_of = {}  # parallel mask -> the slope of its lines
     table = [0] * (q * q * q)
     for li in _bits(P.through[origin] & ~(1 << m)):
         a = ys[(P.masks[li] & unit_vertical).bit_length() - 1]
-        slope_of[P.parallel[li]] = a
         for lj in _bits(P.parallel[li]):
             cell = a * q * q + ys[(P.masks[lj] & P.masks[m]).bit_length() - 1]  # <a0+b>
             for p in P.lines[lj]:
                 table[cell + xqs[p]] = ys[p]
-    line_slopes = {li: slope_of[par] for li, par in enumerate(P.parallel)
-                   if par in slope_of}  # verticals absent
 
     ring = TernaryRing(q, tuple(table), validated=True)
-    return Coordinatization(ring, tuple(point_of), line_slopes)
+    return Coordinatization(ring, tuple(point_of))
 
 
 def isotopism_from_frames(P, frame1, frame2):
-    """The isotopism between the coordinate rings of two frames sharing
-    both axes: G and H are the axis relabelings, F is the slope map."""
+    """The isotopism (F, G, H) between the coordinate rings of two frames
+    sharing both axes: G and H are the axis relabelings, read off the
+    two labelings, and F is the slope map.
+
+    F is read off the rings.  The isotopism identity H(<ax+b>_1) =
+    <F(a)G(x)+H(b)>_2 holds at (a, g1, 0), g1 = G⁻¹(1), where it reads
+    H(<a g1+0>_1) = <F(a)1+0>_2, and the right side is F(a) by T1 in
+    frame 2's ring.  So F(a) = H(<a g1+0>_1), the formula of
+    `ternary.complete_isotopism`."""
     if frame1.l != frame2.l or frame1.m != frame2.m:
         raise InputError("frames must share both axes")
     c1 = coordinatize(P, frame1)
@@ -480,7 +491,4 @@ def isotopism_from_frames(P, frame1, frame2):
     coord2 = {p: c for c, p in enumerate(c2.point_of)}  # x*q + y in frame 2
     G = tuple(coord2[p] // q for p in c1.point_of[::q])
     H = tuple(coord2[p] % q for p in c1.point_of[:q])
-    F = [None] * q
-    for li in _bits(P.through[c1.point_of[0]] & ~(1 << frame1.m)):
-        F[c1.line_slopes[li]] = c2.line_slopes[li]
-    return Isotopism(tuple(F), G, H)
+    return Isotopism(tuple(map(H.__getitem__, _f_slice(c1.ring, G.index(1)))), G, H)

@@ -25,7 +25,8 @@ exactly when (a', a) does.
 
 That report is also the certificate of the linear ternary ring
 <ax+b> = ax + b: the ring satisfies T1-T5 exactly when the report passes
-`LINEAR_RING_AXIOMS` (see `ternary.validate`).  The left set implies
+`LINEAR_RING_AXIOMS` (proof at `ternary.validate`, which reads the
+report of `from_ternary(T)` for a linear ring T).  The left set implies
 them, since VW4 and VW2 make a -> ax - ax' = a(x - x') a bijection for
 x != x' (VW5-r); so does the right set, since VW4-r and VW2 make
 x -> ax - a'x = (a - a')x a bijection for a != a' (VW5).  `to_ternary`
@@ -93,8 +94,8 @@ def from_field(K):
 VW_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5", "VW4-r", "VW5-r")
 LEFT_AXIOMS = ("VW1", "VW2", "VW3", "VW4", "VW5")
 RIGHT_AXIOMS = ("VW1", "VW2", "VW3", "VW4-r", "VW5-r")
-# what the linear ternary ring of a quasi-field needs for T1-T5; both
-# LEFT_AXIOMS and RIGHT_AXIOMS imply it
+# what the linear ternary ring of a quasi-field needs for T1-T5, the
+# rule `ternary.validate` applies; both LEFT_AXIOMS and RIGHT_AXIOMS imply it
 LINEAR_RING_AXIOMS = ("VW1", "VW3", "VW5", "VW5-r")
 
 
@@ -223,17 +224,6 @@ def _vw_report(Q):
     else:
         report.unchecked = ("VW5", "VW5-r")
     return report
-
-
-def passes_linear_ring_axioms(Q):
-    """True iff Q passes `LINEAR_RING_AXIOMS`, decided by the VW3, VW1
-    and VW5 sweeps alone: under VW1, VW5-r holds exactly when VW5 does
-    (module docstring).  Q's kept report is neither read nor set."""
-    q = Q.q
-    add, mul = _rows(Q.add_table, q), _rows(Q.mul_table, q)
-    return (next(_vw3_sweep(add, mul), None) is None
-            and next(_vw1_sweep(add), None) is None
-            and next(_vw5_sweep(add, mul, Q.neg_table), None) is None)
 
 
 def check_vw(Q):

@@ -12,11 +12,11 @@ keeps the first; the quasi-field and plane checkers use the same idiom.
 and ax = <ax+0>) through the quasi-field `from_ternary` reads off it,
 which it does exactly when `_is_linear` holds (read from the ring's
 cached `row_kinds`): when its addition is an abelian group, the ring
-satisfies T1-T5 exactly when that quasi-field passes VW1, VW3, VW5 and
-VW5-r (`quasifield.LINEAR_RING_AXIOMS`), which its VW1, VW3 and VW5
-sweeps decide in O(q^3).  Any other ring (a linear ring whose addition
-is a non-abelian group, if one exists, among them),
-and any ring that report rejects, goes to the O(q^4) sweeps of
+satisfies T1-T5 exactly when that quasi-field's `check_vw` report, an
+O(q^3) sweep, passes VW1, VW3, VW5 and VW5-r
+(`quasifield.LINEAR_RING_AXIOMS`).  Any other ring (a linear ring whose
+addition is a non-abelian group, if one exists, among them), and any
+ring that report rejects, goes to the O(q^4) sweeps of
 `check_ternary_axioms`, so error messages come from those alone; T5 is
 swept there only when T1-T4 do not all pass, since T3 and T4 imply it.
 Those sweeps decide T3 per b-row and T4 and T5 per pair of rows or
@@ -286,10 +286,10 @@ def validate(T):
     - <ax+b> = y and <ax'+b> = y' iff b = y - ax and ax - ax' = y - y',
       so T5 holds iff a -> ax - ax' is a bijection for every x != x':
       that is VW5-r.
-    Under VW1, VW5 and VW5-r pass or fail together (`quasifield` module
-    docstring), so T1-T5 need only VW1, VW3 and VW5 of a linear ring, and
-    those three sweeps are all that run: VW2, VW4 and VW4-r, which only
-    the left and right axiom sets need, are not swept.
+    So `check_vw(Q).passes(*LINEAR_RING_AXIOMS)` is the certificate, the
+    same kind of report `quasifield.to_ternary` reads; under VW1, VW5 and
+    VW5-r pass or fail together (`quasifield` module docstring), so the
+    report sweeps the columns for VW5-r only when VW5 fails.
     Every other ring goes through the sweeps of `check_ternary_axioms`:
     a non-linear ring, one whose addition is not an abelian group (a
     linear ring with a non-abelian additive group, if one exists, among
@@ -305,9 +305,9 @@ def validate(T):
     if T.validated:
         return T
     # imported here, not at the top: quasifield imports this module
-    from .quasifield import from_ternary, passes_linear_ring_axioms
+    from .quasifield import LINEAR_RING_AXIOMS, check_vw, from_ternary
     Q = from_ternary(T)
-    if Q is None or not passes_linear_ring_axioms(Q):
+    if Q is None or not check_vw(Q).passes(*LINEAR_RING_AXIOMS):
         report, rows = _t1_to_t4_report(T)
         if not report.all_pass:
             report.record("T5", _t5_sweep(T.q, rows))
@@ -561,13 +561,16 @@ def complete_isotopism(T, U, H, f_inv1, g_inv1):
     F(a) = H(<a g1 + 0>) and G(a) = H(<f1 a + 0>) where f1, g1 are the
     stated preimages; returns the triple that `is_isotopism` verifies,
     or None when F, G or H is no bijection or the identity fails.  H is
-    checked first, since F and G are read through it; carriers of
-    different sizes then raise in `is_isotopism`.
+    checked first, since F and G are read through it, then f1 and g1
+    must lie in 0..q-1; carriers of different sizes then raise in
+    `is_isotopism`.
     """
     if not _is_bijection(H, T.q):
         return None
     if H[0] != 0:
         raise InputError("H must fix 0")
+    if not (0 <= f_inv1 < T.q and 0 <= g_inv1 < T.q):
+        raise InputError("preimages of 1 must lie in 0..q-1")
     iso = Isotopism(tuple(map(H.__getitem__, _f_slice(T, g_inv1))),
                     tuple(map(H.__getitem__, _g_slice(T, f_inv1))), H)
     return iso if is_isotopism(T, U, iso) else None

@@ -213,7 +213,7 @@ def coordinatize(P, frame):
                 table[(a * q + x) * q + b] = y
 
     ring = validate(TernaryRing(q, tuple(table)))
-    return plane.Coordinatization(ring, tuple(point_of), line_slopes)
+    return plane.Coordinatization(ring, tuple(point_of))
 
 
 def _induced_line_map(P, perm):

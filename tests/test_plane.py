@@ -45,6 +45,12 @@ def test_from_lines_names_the_first_bad_line(lines, message):
         AffinePlane.from_lines(3, lines)
 
 
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_from_lines_rejects_fewer_than_one_point(n):
+    with pytest.raises(InputError, match=f"^a plane needs n >= 1 points, got {n}$"):
+        AffinePlane.from_lines(n, [])
+
+
 def test_requires_validated_ring(t3):
     unvalidated = TernaryRing(t3.q, t3.table)
     with pytest.raises(InputError, match="^ternary ring must be validated first$"):
@@ -189,9 +195,12 @@ def test_round_trip_andre9(andre9_ring, andre9_plane):
 
 
 def test_diagonal_slope_is_one(p3):
+    """The diagonal, through the origin and the unit point, is the graph
+    of slope 1 through (0, 0): {point_of[x*q + <1x+0>]}."""
     coord = coordinatize(p3, canonical_frame(p3))
     diag = line_through(p3, coord.point_of[0], canonical_frame(p3).z)
-    assert coord.line_slopes[diag] == 1
+    graph = {coord.point_of[x * 3 + coord.ring.at(1, x, 0)] for x in range(3)}
+    assert set(p3.lines[diag]) == graph
 
 
 def test_coordinatize_satisfies_t2(andre9_plane):
@@ -232,14 +241,18 @@ def test_canonical_frame_needs_the_axes(p3):
 
 
 def test_equal_slopes_iff_parallel(andre9_plane):
+    """The graphs {point_of[x*q + <ax+b>]} are the non-vertical lines,
+    and two of them are parallel exactly when they share a."""
     coord = coordinatize(andre9_plane, canonical_frame(andre9_plane))
-    slopes = coord.line_slopes
-    for li, s1 in slopes.items():
-        for mi, s2 in slopes.items():
-            parallel = (li == mi or
-                        not set(andre9_plane.lines[li])
-                        & set(andre9_plane.lines[mi]))
-            assert (s1 == s2) == parallel or li == mi
+    point_of, T = coord.point_of, coord.ring
+    graphs = {(a, b): frozenset(point_of[x * 9 + T.at(a, x, b)] for x in range(9))
+              for a in range(9) for b in range(9)}
+    verticals = {frozenset(point_of[x * 9:(x + 1) * 9]) for x in range(9)}
+    assert set(graphs.values()) | verticals == set(map(frozenset, andre9_plane.lines))
+    for (a, _), g in graphs.items():
+        for (a2, _), g2 in graphs.items():
+            parallel = g == g2 or not g & g2
+            assert (a == a2) == parallel
 
 
 def test_isotopism_from_frames(andre9_plane):

@@ -316,6 +316,14 @@ def test_complete_isotopism_rejects_bad_h(t3):
         complete_isotopism(t3, t3, (1, 0, 2), 0, 0)
 
 
+@pytest.mark.parametrize("f_inv1,g_inv1", [(-2, 1), (3, 1), (1, -1), (1, 3)])
+def test_complete_isotopism_rejects_preimages_out_of_range(t3, f_inv1, g_inv1):
+    """A preimage of 1 outside 0..q-1 raises; -2 would read row q - 2
+    from the end, and 3 would give None."""
+    with pytest.raises(InputError, match=r"^preimages of 1 must lie in 0\.\.q-1$"):
+        complete_isotopism(t3, t3, (0, 1, 2), f_inv1, g_inv1)
+
+
 @pytest.mark.parametrize("H", [(), (0,), (0, 1), (0, 1, 2, 0), (0, 1, 1), (0, 1, 3)])
 def test_complete_isotopism_returns_none_for_an_h_that_is_no_bijection(t3, H):
     assert complete_isotopism(t3, t3, H, 1, 1) is None
@@ -622,23 +630,25 @@ LINEAR_RINGS_9 = [linear_ring(R.add_table, R.mul_table, R.q)
                   for Q in left_quasifields(9) for R in (Q, opposite(Q))]
 
 
-def test_validate_sweeps_only_vw1_vw3_vw5(monkeypatch):
-    """A fresh linear ring is certified without the VW2, VW4 and VW4-r
-    sweeps, which only the left and right axiom sets need."""
+def test_validate_reads_the_vw_report(monkeypatch):
+    """A fresh linear ring is certified by the `check_vw` report of its
+    quasi-field `from_ternary(T)` passing `LINEAR_RING_AXIOMS`, with no
+    T-sweep."""
     def refuse(*args):
-        raise AssertionError("a sweep runs")
+        raise AssertionError("a T-sweep runs")
 
-    swept = []
-    for name in ("_vw1_sweep", "_vw3_sweep", "_vw5_sweep"):
-        sweep = getattr(quasifield, name)
-        monkeypatch.setattr(quasifield, name, lambda *args, name=name, sweep=sweep:
-                            swept.append(name) or sweep(*args))
-    for name in ("_vw2_sweep", "_vw4_sweep", "_vw4r_sweep"):
-        monkeypatch.setattr(quasifield, name, refuse)
+    read = []
+    check_vw = quasifield.check_vw
+    monkeypatch.setattr(quasifield, "check_vw",
+                        lambda Q: read.append(Q) or check_vw(Q))
+    for name in fnmatch.filter(dir(ternary), "_t*_sweep"):
+        monkeypatch.setattr(ternary, name, refuse)
     monkeypatch.setattr(ternary, "check_ternary_axioms", refuse)
     for T in LINEAR_RINGS_9:
+        read.clear()
         assert validate(T).validated
-    assert set(swept) == {"_vw1_sweep", "_vw3_sweep", "_vw5_sweep"}
+        assert read == [from_ternary(T)]
+        assert read[0].vw_report.passes(*LINEAR_RING_AXIOMS)
 
 
 def _verdict(validate_fn, T):
